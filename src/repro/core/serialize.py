@@ -20,9 +20,11 @@ The module also owns the **canonical fingerprint** used by the serving
 layer's content-addressed result cache (:mod:`repro.service`):
 :func:`canonical_instance_dict` reduces an instance to a form that is
 insensitive to rectangle order and to float noise below the shared
-geometric tolerance (:data:`repro.core.tol.ATOL`), :func:`canonical_hash`
-is its SHA-256, and :func:`result_key` combines the hash with an algorithm
-name and its parameter overrides into the cache key for one solve.
+geometric tolerance (:data:`repro.core.tol.ATOL`); :func:`canonical_hash`
+is a SHA-256 over a versioned, columnar encoding of the same content,
+equal exactly when those dicts are equal; and :func:`result_key` combines
+the hash with an algorithm name and its parameter overrides into the cache
+key for one solve.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import hashlib
 import json
 import math
 from typing import Any, Mapping
+
+import numpy as np
 
 from .errors import InvalidInstanceError
 from .instance import PrecedenceInstance, ReleaseInstance, StripPackingInstance
@@ -47,6 +51,7 @@ __all__ = [
     "placement_from_dict",
     "canonical_instance_dict",
     "canonical_hash",
+    "KEY_VERSION",
     "canonical_params",
     "result_key",
     "instance_sketch",
@@ -173,13 +178,14 @@ def canonical_instance_dict(
     them), which makes the fingerprint intentionally *not* invariant under
     id renaming.
 
-    At the default ``atol`` the result is cached on the (frozen) instance
-    — the serving hot path canonicalises once per request even though both
-    the cache key and the neighbor sketch need the form.  The memo is
+    The cache key (:func:`canonical_hash`) encodes the same content from
+    the instance's columns; the warm-start sketch (:func:`instance_sketch`)
+    reads this form.  At the default ``atol`` the result is cached on the
+    (frozen) instance, so repeated sketches canonicalise once.  The memo is
     bounded to exactly that one entry per instance: a call with a
     non-default ``atol`` neither reads nor writes it (it computes fresh),
-    so an exotic-tolerance caller can never poison the grid the serving
-    cache keys on.  Callers must treat the returned dict as immutable.
+    so an exotic-tolerance caller can never poison the grid the neighbor
+    index keys on.  Callers must treat the returned dict as immutable.
     """
     if atol == ATOL:
         cached = instance.__dict__.get("_canonical_dict")
@@ -211,15 +217,58 @@ def canonical_instance_dict(
     return data
 
 
-def canonical_hash(instance: StripPackingInstance, *, atol: float = ATOL) -> str:
-    """SHA-256 hex digest of the canonical dict form of ``instance``.
+#: Version tag framing every :func:`canonical_hash` input.  Bump it when the
+#: encoding changes: keys (and the disk spill files named after them) made
+#: under another version then simply never match.
+KEY_VERSION = "repro-key/2"
 
-    Equal canonical dicts hash equal (the digest is a pure function of
-    :func:`canonical_instance_dict`); hash inequality therefore implies the
-    canonical dicts differ.
+
+def canonical_hash(instance: StripPackingInstance, *, atol: float = ATOL) -> str:
+    """SHA-256 hex digest of the canonical content of ``instance``.
+
+    Two instances hash equal exactly when their
+    :func:`canonical_instance_dict` forms are equal, but the digest is
+    computed straight from the columns of ``instance.arrays()``:
+
+    * rows are ordered by a type-aware id key, so ``1`` and ``"1"`` never
+      tie, and the ordered ids are encoded with one ``json.dumps``;
+    * ``width``/``height``/``release`` are quantised like :func:`_ticks`:
+      ``np.rint`` rounds half to even as ``round`` does, and the ticks stay
+      ``float64`` (exact integers, never cast to a fixed-width integer, so
+      huge values cannot wrap), with ``-0.0`` folded into ``0.0``;
+    * precedence edges are an ``int64`` array of row positions sorted with
+      ``np.lexsort``;
+    * the input is framed with :data:`KEY_VERSION`, the variant, ``K`` and
+      the part lengths, so no two encodings share their bytes.
     """
-    payload = _canonical_json(canonical_instance_dict(instance, atol=atol))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    arrays = instance.arrays()
+    rids = arrays.rids
+    keys = [(type(rid).__name__, str(rid)) for rid in rids]
+    order = sorted(range(len(rids)), key=keys.__getitem__)
+    ids = json.dumps([rids[i] for i in order], separators=(",", ":")).encode("ascii")
+    columns = np.stack((arrays.width, arrays.height, arrays.release))[:, order]
+    with np.errstate(over="ignore"):
+        ticks = np.rint(columns / atol) + 0.0
+    if not np.isfinite(ticks).all():
+        raise InvalidInstanceError("cannot canonicalise a value beyond the tick range")
+    kind, K, edges = "plain", "", np.empty((2, 0), dtype="<i8")
+    if isinstance(instance, ReleaseInstance):
+        kind, K = "release", instance.K
+    elif isinstance(instance, PrecedenceInstance):
+        kind = "precedence"
+        pos = {rids[i]: p for p, i in enumerate(order)}
+        succ = instance.dag.successor_sets()
+        edges = np.array(
+            [[pos[u] for u, vs in succ.items() for _ in vs],
+             [pos[v] for vs in succ.values() for v in vs]],
+            dtype="<i8",
+        )
+        edges = edges[:, np.lexsort(edges[::-1])]
+    digest = hashlib.sha256(f"{KEY_VERSION}|{kind}|{K}|{len(rids)}|{len(ids)}|".encode("ascii"))
+    digest.update(ids)
+    digest.update(ticks.astype("<f8", copy=False).tobytes())
+    digest.update(edges.tobytes())
+    return digest.hexdigest()
 
 
 def canonical_params(
@@ -327,8 +376,6 @@ def instance_sketch(
     sketch is a pure function of the canonical dict — order-insensitive
     and tolerance-aware exactly like :func:`canonical_hash`.
     """
-    import numpy as np
-
     canon = canonical_instance_dict(instance, atol=atol)
     # Tokens are the canonical entries flattened to plain strings (the
     # entries are {"id", "w", "h", "r"} with integer ticks, so formatting

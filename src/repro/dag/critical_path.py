@@ -47,11 +47,11 @@ def compute_F(dag: TaskDAG, heights: Mapping[Node, float]) -> dict[Node, float]:
     missing = [n for n in dag if n not in heights]
     if missing:
         raise InvalidInstanceError(f"heights missing for nodes {missing[:5]!r}")
+    pred = dag.predecessor_sets()
     F: dict[Node, float] = {}
     for node in dag.topological_order():
-        preds = dag.predecessors(node)
-        base = max((F[p] for p in preds), default=0.0)
-        F[node] = heights[node] + base
+        preds = pred[node]
+        F[node] = heights[node] + (max([F[p] for p in preds]) if preds else 0.0)
     return F
 
 

@@ -20,7 +20,7 @@ geometry.
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..core.errors import InvalidInstanceError
 
@@ -120,6 +120,15 @@ class TaskDAG:
         """The paper's ``IN(s)``: nodes with an edge into ``node``."""
         return frozenset(self._pred[node])
 
+    def successor_sets(self) -> Mapping[Node, AbstractSet[Node]]:
+        """Live ``node -> successors`` mapping, without the per-node copy
+        :meth:`successors` makes (for linear-time passes; do not mutate)."""
+        return self._succ
+
+    def predecessor_sets(self) -> Mapping[Node, AbstractSet[Node]]:
+        """Live ``node -> IN(node)`` mapping (see :meth:`successor_sets`)."""
+        return self._pred
+
     def in_degree(self, node: Node) -> int:
         """Number of direct predecessors."""
         return len(self._pred[node])
@@ -198,18 +207,26 @@ class TaskDAG:
     # ------------------------------------------------------------------
     def induced(self, keep: Iterable[Node]) -> "TaskDAG":
         """Subgraph induced by ``keep`` (Algorithm 1 line 2 recomputes ``F``
-        on exactly this graph for each recursive part)."""
+        on exactly this graph for each recursive part).
+
+        An induced subgraph of a DAG is acyclic, so unlike the constructor
+        this skips the cycle check.
+        """
         keep_set = set(keep)
-        unknown = keep_set - set(self._succ)
+        unknown = keep_set.difference(self._succ)
         if unknown:
             raise InvalidInstanceError(f"induced(): unknown nodes {sorted(map(repr, unknown))}")
-        sub = TaskDAG.empty([n for n in self._succ if n in keep_set])
-        for u in sub._succ:
+        sub = TaskDAG.__new__(TaskDAG)
+        sub._succ = {n: set() for n in self._succ if n in keep_set}
+        sub._pred = {n: set() for n in sub._succ}
+        n_edges = 0
+        for u, vs in sub._succ.items():
             for v in self._succ[u]:
                 if v in keep_set:
-                    sub._succ[u].add(v)
+                    vs.add(v)
                     sub._pred[v].add(u)
-                    sub._n_edges += 1
+                    n_edges += 1
+        sub._n_edges = n_edges
         return sub
 
     def transitive_reduction_edges(self) -> list[tuple[Node, Node]]:

@@ -8,6 +8,12 @@ queue and are placed left-to-right on the open shelf until the queue head
 does not fit (width) or the queue is empty; then the shelf closes and a new
 one opens, repopulating the queue.
 
+The ready set is maintained in O(n + e) over the whole run: each rectangle
+counts its predecessors that are not yet on a closed shelf, and closing a
+shelf decrements its rectangles' successors, queueing those that reach 0.
+:mod:`repro.precedence.reference` keeps the original rescan of every
+unplaced rectangle after each shelf as the executable specification.
+
 A shelf closed with a non-empty queue is a *width-close*; a shelf closed on
 an empty queue is a **skip** (Lemma 2.5: #skips <= OPT).  Theorem 2.6's
 red/green accounting gives the absolute 3-approximation; the run records
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Hashable
 
 from ..core import tol
 from ..core.errors import InvalidInstanceError
@@ -80,26 +86,15 @@ def shelf_next_fit(instance: PrecedenceInstance) -> ShelfRun:
     placement = Placement()
     run = ShelfRun(placement=placement, shelf_height=h)
 
-    placed_closed: set[Node] = set()   # ids on *closed* shelves
-    queued: set[Node] = set()
-    remaining: set[Node] = set(rects)
-    queue: deque[Node] = deque()
-
-    def repopulate() -> None:
-        """Add to the queue every unplaced rectangle whose predecessors are
-        all on closed shelves.  Deterministic order (sorted by id) keeps runs
-        reproducible; the paper leaves the queue order arbitrary."""
-        fresh = [
-            s
-            for s in remaining
-            if s not in queued and all(p in placed_closed for p in dag.predecessors(s))
-        ]
-        for s in sorted(fresh, key=str):
-            queue.append(s)
-            queued.add(s)
+    # Per rectangle, its predecessors not yet on a closed shelf: 0 = ready.
+    # Fresh ready rectangles join the queue sorted by id (deterministic
+    # runs; the paper leaves the queue order arbitrary).
+    succ = dag.successor_sets()
+    waiting = {s: len(p) for s, p in dag.predecessor_sets().items()}
+    queue: deque[Node] = deque(sorted((s for s, k in waiting.items() if not k), key=str))
+    remaining = len(rects)
 
     shelf_index = 0
-    repopulate()
     while remaining:
         # Open shelf `shelf_index`, fill from the queue head.
         y = shelf_index * h
@@ -110,21 +105,25 @@ def shelf_next_fit(instance: PrecedenceInstance) -> ShelfRun:
             w = rects[head].width
             if tol.leq(used + w, 1.0):
                 queue.popleft()
-                queued.discard(head)
                 placement.place(rects[head], tol.clamp(used, 0.0, 1.0 - w), y)
                 used += w
                 ids.append(head)
-                remaining.discard(head)
             else:
                 break
         closed_by_skip = not queue  # queue empty at close time => skip
         run.shelves.append(
             ShelfRecord(index=shelf_index, ids=tuple(ids), used_width=used, closed_by_skip=closed_by_skip)
         )
-        # Closing the shelf makes its rectangles "closed-placed".
-        placed_closed.update(ids)
+        remaining -= len(ids)
         shelf_index += 1
-        repopulate()
+        # Closing the shelf makes its rectangles "closed-placed".
+        fresh = []
+        for u in ids:
+            for v in succ[u]:
+                waiting[v] -= 1
+                if not waiting[v]:
+                    fresh.append(v)
+        queue.extend(sorted(fresh, key=str))
         if not queue and remaining:
             # No rectangle became available even after closing: only possible
             # if the DAG is inconsistent (cannot happen for a valid DAG).

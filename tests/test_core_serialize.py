@@ -119,6 +119,80 @@ def _permuted(instance, seed):
     return StripPackingInstance(rects)
 
 
+#: Ids mixing ints and strings; ``1``/``"1"`` and ``10``/``"10"`` compare
+#: unequal but share their ``str()`` form.
+ID_POOL = (0, 1, 2, 10, "0", "1", "10", "a", "b")
+
+MUTATIONS = ("none", "reorder", "noise", "negative_zero", "retype", "resize", "edges", "variant")
+
+
+def _build(kind, K, ids, dims, edges, order):
+    rects = [Rect(rid=ids[i], width=dims[i][0], height=dims[i][1], release=dims[i][2]) for i in order]
+    if kind == "release":
+        return ReleaseInstance(rects, K)
+    if kind == "precedence":
+        nodes = [r.rid for r in rects]  # node order follows the rect order
+        return PrecedenceInstance(rects, TaskDAG(nodes, [(ids[u], ids[v]) for u, v in edges]))
+    return StripPackingInstance(rects)
+
+
+def _retyped(rid):
+    """``1`` <-> ``"1"``; ``None`` for ids with no numeric twin."""
+    if isinstance(rid, int):
+        return str(rid)
+    return int(rid) if rid.isdigit() else None
+
+
+@st.composite
+def instance_pairs(draw):
+    """``(a, b, mutation)``: a random instance and a mutated copy of it.
+
+    Dimensions are exact binary fractions, far from any tick's rounding
+    boundary, so the ``ATOL / 10`` noise mutation never crosses one.
+    """
+    ids = draw(st.lists(st.sampled_from(ID_POOL), min_size=1, max_size=len(ID_POOL), unique=True))
+    n = len(ids)
+    kind = draw(st.sampled_from(("plain", "precedence", "release")))
+    K = draw(st.integers(1, 8))
+    columns = st.lists(st.integers(1, 64), min_size=n, max_size=n)
+    releases = (
+        [c / 4 for c in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+        if kind == "release"
+        else [0.0] * n
+    )
+    dims = [(w / 64, h / 16, r) for w, h, r in zip(draw(columns), draw(columns), releases)]
+    edges = []
+    if kind == "precedence" and n > 1:
+        pairs = st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)).filter(lambda e: e[0] < e[1])
+        edges = sorted(draw(st.sets(pairs, max_size=2 * n)))
+    a = _build(kind, K, ids, dims, edges, range(n))
+
+    mutation = draw(st.sampled_from(MUTATIONS))
+    order = list(range(n))
+    if mutation == "reorder":
+        order = draw(st.permutations(range(n)))
+        edges = draw(st.permutations(edges))
+    elif mutation == "noise":
+        noise = ATOL / 10
+        dims = [(w - noise, h + noise, r + noise) for w, h, r in dims]
+    elif mutation == "negative_zero":
+        dims = [(w, h, -0.0 if r == 0.0 else r) for w, h, r in dims]
+    elif mutation == "retype":
+        twins = [j for j, rid in enumerate(ids) if _retyped(rid) is not None and _retyped(rid) not in ids]
+        if not twins:
+            return a, a, "none"
+        j = draw(st.sampled_from(twins))
+        ids = [_retyped(rid) if i == j else rid for i, rid in enumerate(ids)]
+    elif mutation == "resize":
+        j = draw(st.integers(0, n - 1))
+        dims = [(w / 2, h, r) if i == j else (w, h, r) for i, (w, h, r) in enumerate(dims)]
+    elif mutation == "edges":
+        edges = edges[1:] if edges else ([(0, n - 1)] if n > 1 else [])
+    elif mutation == "variant":
+        kind, K = {"plain": ("precedence", K), "precedence": ("plain", K), "release": ("release", K + 1)}[kind]
+    return a, _build(kind, K, ids, dims, edges, order), mutation
+
+
 class TestCanonicalHash:
     @given(rects=rect_lists(min_size=1, max_size=12), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
@@ -182,9 +256,63 @@ class TestCanonicalHash:
         b = PrecedenceInstance(rects3(), TaskDAG(["a", "b", "c"], [("b", "c"), ("a", "b")]))
         assert canonical_hash(a) == canonical_hash(b)
 
+    def test_dag_node_order_is_canonicalised(self):
+        edges = [("a", "b"), ("a", "c"), ("b", "c")]
+        a = PrecedenceInstance(rects3(), TaskDAG(["a", "b", "c"], edges))
+        b = PrecedenceInstance(rects3()[::-1], TaskDAG(["c", "b", "a"], edges[::-1]))
+        assert canonical_hash(a) == canonical_hash(b)
+
     def test_hash_is_hex_sha256(self):
         digest = canonical_hash(StripPackingInstance(rects3()))
         assert len(digest) == 64 and int(digest, 16) >= 0
+
+    def test_int_and_str_ids_never_tie(self):
+        one = StripPackingInstance([Rect(rid=1, width=0.5, height=1.0)])
+        text = StripPackingInstance([Rect(rid="1", width=0.5, height=1.0)])
+        assert canonical_hash(one) != canonical_hash(text)
+        both = [Rect(rid=1, width=0.5, height=1.0), Rect(rid="1", width=0.25, height=2.0)]
+        assert canonical_hash(StripPackingInstance(both)) == canonical_hash(
+            StripPackingInstance(both[::-1])
+        )
+
+    def test_negative_zero_release_matches_zero(self):
+        a = ReleaseInstance([Rect(rid="a", width=0.5, height=1.0, release=0.0)], K=2)
+        b = ReleaseInstance([Rect(rid="a", width=0.5, height=1.0, release=-0.0)], K=2)
+        assert canonical_hash(a) == canonical_hash(b)
+
+    def test_ticks_beyond_int64_do_not_wrap(self):
+        """Heights above ~9.2e9 have more than 2**63 ticks; the key keeps
+        them as exact float64 integers, so they still hash apart."""
+        heights = (9.3e9, 9.3e9 + 1.0, 1e10, 2e10, 1e12)
+        dicts = [
+            canonical_instance_dict(StripPackingInstance([Rect(rid=0, width=0.5, height=h)]))
+            for h in heights
+        ]
+        assert all(d["rects"][0]["h"] > 2**63 for d in dicts)
+        hashes = {
+            canonical_hash(StripPackingInstance([Rect(rid=0, width=0.5, height=h)]))
+            for h in heights
+        }
+        assert len(hashes) == len(heights)
+
+    def test_tick_overflow_is_rejected(self):
+        inst = StripPackingInstance([Rect(rid=0, width=0.5, height=1e300)])
+        with pytest.raises(InvalidInstanceError, match="tick range"):
+            canonical_hash(inst)
+
+    @given(pair=instance_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_hash_equal_exactly_when_dicts_equal(self, pair):
+        """The columnar key and the canonical dict are one equivalence:
+        reordered rects and edges, sub-``ATOL`` noise and ``-0.0`` releases
+        match; a retyped id (``1`` vs ``"1"``) or any real change differs."""
+        a, b, mutation = pair
+        same_dict = canonical_instance_dict(a) == canonical_instance_dict(b)
+        assert (canonical_hash(a) == canonical_hash(b)) == same_dict
+        if mutation in ("reorder", "noise", "negative_zero"):
+            assert same_dict, mutation
+        elif mutation == "retype":
+            assert not same_dict
 
 
 class TestResultKey:
