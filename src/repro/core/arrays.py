@@ -53,7 +53,7 @@ class RectArrays:
     shares one copy of the columns.
     """
 
-    __slots__ = ("rects", "width", "height", "release", "_index", "_sids")
+    __slots__ = ("rects", "width", "height", "release", "_index", "_sid_rank")
 
     def __init__(self, rects: Sequence[Rect]):
         self.rects: tuple[Rect, ...] = tuple(rects)
@@ -72,7 +72,7 @@ class RectArrays:
         self.height = height
         self.release = release
         self._index: dict[Node, int] | None = None
-        self._sids: np.ndarray | None = None
+        self._sid_rank: np.ndarray | None = None
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -110,14 +110,29 @@ class RectArrays:
             self._index = {r.rid: i for i, r in enumerate(self.rects)}
         return self._index
 
-    def sid_column(self) -> np.ndarray:
-        """String form of the ids, in row order (the lexicographic
-        tie-break key of :func:`decreasing_order`; built lazily, then
-        reused — instances cache their ``RectArrays``, so repeated
-        solves skip the per-rect ``str()`` pass)."""
-        if self._sids is None:
-            self._sids = np.array([str(r.rid) for r in self.rects])
-        return self._sids
+    def sid_rank(self) -> np.ndarray:
+        """Rank of each row's ``str(rid)`` in Python string order.
+
+        The lexicographic id tie-break of :func:`decreasing_order` (and of
+        the APTAS stackings and pools) as an ``int64`` column: rows whose
+        string forms are equal share a rank, so a stable sort keeps them in
+        row order, exactly like ``sorted`` on ``str(rid)``.  Ranks come
+        from Python's own ``sorted``, not from a numpy string array, which
+        would drop trailing ``"\\x00"`` characters and tie ``"a"`` with
+        ``"a\\x00"``.  Built lazily, then reused — instances cache their
+        ``RectArrays``, so repeated solves skip the per-rect ``str()`` pass.
+        """
+        if self._sid_rank is None:
+            sids = [str(r.rid) for r in self.rects]
+            rank = np.empty(len(sids), dtype=np.int64)
+            current, previous = -1, None
+            for row in sorted(range(len(sids)), key=sids.__getitem__):
+                if sids[row] != previous:
+                    current, previous = current + 1, sids[row]
+                rank[row] = current
+            rank.setflags(write=False)
+            self._sid_rank = rank
+        return self._sid_rank
 
     def __getstate__(self):
         # Drop the lazy index; numpy columns pickle fine (process backend).
@@ -144,7 +159,7 @@ def decreasing_order(arrays: RectArrays) -> np.ndarray:
     if not len(arrays):
         return np.empty(0, dtype=np.intp)
     # lexsort sorts by the *last* key first: height desc, width desc, sid asc.
-    return np.lexsort((arrays.sid_column(), -arrays.width, -arrays.height))
+    return np.lexsort((arrays.sid_rank(), -arrays.width, -arrays.height))
 
 
 class StackedRectArrays:
@@ -202,14 +217,13 @@ def stacked_decreasing_order(stacked: StackedRectArrays) -> np.ndarray:
     n = len(stacked)
     if not n:
         return np.empty(0, dtype=np.intp)
-    # Empty parts are skipped: their sid column is a float64 empty array
-    # (numpy's default for ``np.array([])``) and would poison the
-    # concatenated string dtype while contributing no rows.
-    sids = np.concatenate([p.sid_column() for p in stacked.parts if len(p)])
+    # Ranks are per part; the part index is the major key, so they never
+    # compare across parts.
+    ranks = np.concatenate([p.sid_rank() for p in stacked.parts])
     part_idx = np.repeat(
         np.arange(len(stacked.parts), dtype=np.int64), np.diff(stacked.offsets)
     )
-    return np.lexsort((sids, -stacked.width, -stacked.height, part_idx))
+    return np.lexsort((ranks, -stacked.width, -stacked.height, part_idx))
 
 
 class PlacementBuilder:
@@ -240,6 +254,19 @@ class PlacementBuilder:
 
     def __len__(self) -> int:
         return len(self._rows)
+
+    def with_arrays(self, arrays: RectArrays) -> "PlacementBuilder":
+        """A builder over ``arrays`` sharing this one's rows and
+        coordinates — for a derived instance with the same row order
+        (Algorithm 2 places ``P`` and reads ``P(R,W)``'s placement off
+        the same fill)."""
+        if len(arrays) != len(self.arrays):
+            raise ValueError(
+                f"row counts differ: {len(arrays)} != {len(self.arrays)}"
+            )
+        other = PlacementBuilder(arrays)
+        other._rows, other._xs, other._ys = self._rows, self._xs, self._ys
+        return other
 
     def build(self, dy: float = 0.0) -> Placement:
         """Materialise the accumulated columns into a :class:`Placement`,

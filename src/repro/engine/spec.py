@@ -23,6 +23,10 @@ from ..core.placement import Placement
 
 __all__ = [
     "VARIANTS",
+    "NUMBER",
+    "INTEGER",
+    "OPTIONAL_INTEGER",
+    "OPTIONAL_NUMBER",
     "AlgorithmSpec",
     "register",
     "get_spec",
@@ -40,6 +44,15 @@ VARIANTS = ("plain", "precedence", "release")
 
 Runner = Callable[..., Placement]
 
+#: Value types a declared parameter accepts.  JSON numbers arrive as
+#: ``int`` or ``float``; ``bool`` (an ``int`` subclass) never counts.
+NUMBER = (int, float)
+INTEGER = (int,)
+OPTIONAL_INTEGER = (int, type(None))
+OPTIONAL_NUMBER = (int, float, type(None))
+
+_TYPE_NAMES = {int: "int", float: "float", type(None): "null"}
+
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
@@ -50,6 +63,8 @@ class AlgorithmSpec:
     ``requires`` names the instance type it cannot run without (``None``
     means any instance is accepted — plain packers simply ignore the extra
     constraints, and validation catches the violations afterwards).
+    ``param_types`` declares the parameters a request may pass: name ->
+    accepted value types (see :meth:`check_params`).
     """
 
     name: str
@@ -57,6 +72,7 @@ class AlgorithmSpec:
     guarantee: str
     runner: Runner
     default_params: Mapping[str, float] = field(default_factory=dict)
+    param_types: Mapping[str, tuple[type, ...]] = field(default_factory=dict)
     flags: frozenset = frozenset()
     requires: str | None = None
     summary: str = ""
@@ -72,6 +88,11 @@ class AlgorithmSpec:
             )
         if self.requires is not None and self.requires not in VARIANTS:
             raise ValueError(f"spec {self.name!r}: unknown requires {self.requires!r}")
+        undeclared = set(self.default_params) - set(self.param_types)
+        if undeclared:
+            raise ValueError(
+                f"spec {self.name!r}: default params {sorted(undeclared)} have no declared type"
+            )
 
     def supports(self, variant: str) -> bool:
         """Whether the algorithm is a sensible candidate for ``variant``."""
@@ -91,6 +112,24 @@ class AlgorithmSpec:
             raise InvalidInstanceError(
                 f"{self.name} requires a {self.requires.capitalize()}Instance"
             )
+
+    def check_params(self, params: Mapping[str, object] | None) -> None:
+        """Raise :class:`InvalidInstanceError` unless every parameter is one
+        ``param_types`` declares, with a value of a declared type — the
+        service edge runs this so a bad request is refused before it is
+        queued instead of failing inside the solver."""
+        for name, value in (params or {}).items():
+            types = self.param_types.get(name)
+            if types is None:
+                takes = ", ".join(sorted(self.param_types)) or "none"
+                raise InvalidInstanceError(
+                    f"{self.name} does not take parameter {name!r} (takes: {takes})"
+                )
+            if isinstance(value, bool) or not isinstance(value, types):
+                expected = " or ".join(_TYPE_NAMES[t] for t in types)
+                raise InvalidInstanceError(
+                    f"{self.name} parameter {name!r} must be {expected}, got {value!r}"
+                )
 
     def resolve_params(self, overrides: Mapping[str, object] | None = None) -> dict:
         """Spec defaults merged with caller overrides (overrides win)."""

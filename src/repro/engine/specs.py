@@ -17,12 +17,24 @@ from __future__ import annotations
 
 from ..core.instance import PrecedenceInstance, ReleaseInstance, StripPackingInstance
 from ..core.placement import Placement
-from .spec import AlgorithmSpec, register
+from .spec import (
+    INTEGER,
+    NUMBER,
+    OPTIONAL_INTEGER,
+    OPTIONAL_NUMBER,
+    AlgorithmSpec,
+    register,
+)
 
 __all__ = ["APTAS_DEFAULT_EPS"]
 
 #: The one true APTAS error-parameter default (CLI and library both read it).
 APTAS_DEFAULT_EPS = 0.5
+
+#: What a request may pass each runner family (callable and class
+#: arguments, such as DC's ``subroutine``, are library-only).
+_LEVEL_PARAMS = {"y": NUMBER}
+_ONLINE_PARAMS = {"max_tasks": OPTIONAL_INTEGER, "horizon": OPTIONAL_NUMBER}
 
 
 def _plain(packer_name: str):
@@ -105,6 +117,7 @@ register(AlgorithmSpec(
     variants=("plain",),
     guarantee="2*AREA + hmax",
     runner=_columnar("nfdh"),
+    param_types=_LEVEL_PARAMS,
     summary="Next Fit Decreasing Height level packing",
 ))
 register(AlgorithmSpec(
@@ -112,6 +125,7 @@ register(AlgorithmSpec(
     variants=("plain",),
     guarantee="1.7*OPT + hmax (asymptotic)",
     runner=_columnar("ffdh"),
+    param_types=_LEVEL_PARAMS,
     summary="First Fit Decreasing Height level packing",
 ))
 register(AlgorithmSpec(
@@ -119,6 +133,7 @@ register(AlgorithmSpec(
     variants=("plain",),
     guarantee="heuristic",
     runner=_columnar("bfdh"),
+    param_types=_LEVEL_PARAMS,
     summary="Best Fit Decreasing Height level packing",
 ))
 register(AlgorithmSpec(
@@ -126,6 +141,7 @@ register(AlgorithmSpec(
     variants=("plain",),
     guarantee="heuristic",
     runner=_plain("bottom_left"),
+    param_types=_LEVEL_PARAMS,
     flags=frozenset({"anytime"}),
     summary="Bottom-left skyline heuristic",
 ))
@@ -157,6 +173,12 @@ register(AlgorithmSpec(
     guarantee="(1+eps)*OPT_f + (W+1)(R+1)",
     runner=_aptas,
     default_params={"eps": APTAS_DEFAULT_EPS},
+    param_types={
+        "eps": NUMBER,
+        "W": OPTIONAL_INTEGER,
+        "groups_per_class": OPTIONAL_INTEGER,
+        "max_configs": INTEGER,
+    },
     requires="release",
     summary="Algorithm 2 (asymptotic PTAS), Theorem 3.5",
 ))
@@ -182,6 +204,7 @@ register(AlgorithmSpec(
     variants=("release",),
     guarantee="online policy (no lookahead)",
     runner=_online_policy("first_fit"),
+    param_types=_ONLINE_PARAMS,
     requires="release",
     flags=frozenset({"online"}),
     summary="Online first fit over release events",
@@ -191,6 +214,7 @@ register(AlgorithmSpec(
     variants=("release",),
     guarantee="online policy (no lookahead)",
     runner=_online_policy("best_fit_column"),
+    param_types=_ONLINE_PARAMS,
     requires="release",
     flags=frozenset({"online"}),
     summary="Online best-fit column window (least idle)",
@@ -200,6 +224,7 @@ register(AlgorithmSpec(
     variants=("release",),
     guarantee="online policy (no lookahead)",
     runner=_online_policy("shelf_online"),
+    param_types=_ONLINE_PARAMS,
     requires="release",
     flags=frozenset({"online"}),
     summary="Online next-fit shelves over release events",

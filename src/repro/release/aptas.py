@@ -21,43 +21,79 @@ but accepts explicit ``R``/``W`` overrides so experiments can chart quality
 against budget on tractable sizes (the standard engineering
 parameterization for APTAS reproductions — see DESIGN.md).  ``W`` is always
 snapped to a feasible multiple of the realised number of release classes.
+
+The pipeline runs on the columns of ``instance.arrays()`` from start to
+finish: rounding, grouping, the LP rows and the integral fill are
+computations over row indices that end in one
+:class:`~repro.core.arrays.PlacementBuilder` over the original rectangles.
+``P(R)``, ``P(R,W)`` and ``S(R,W)`` as objects — :attr:`APTASResult.rounded`,
+:attr:`APTASResult.grouping` and :attr:`APTASResult.integral` — are built
+only when first read; only tests and experiments read them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from ..core.errors import InvalidInstanceError
 from ..core.instance import ReleaseInstance
-from ..core.placement import Placement
 from .fractional import FractionalSolution
-from .grouping import GroupingResult, group_widths
-from .integralize import IntegralizeResult, integralize
-from .lp import solve_fractional
-from .rounding import round_releases_up
+from .grouping import GroupingResult, RowGrouping, group_rows
+from .integralize import IntegralizeResult, fill_columns
+from .lp import solve_columns
+from .rounding import rounded_release_column, with_column
 
 __all__ = ["APTASResult", "aptas_parameters", "aptas"]
 
 
-@dataclass(frozen=True)
 class APTASResult:
     """Everything Algorithm 2 produced, end to end.
 
-    ``placement`` is the final solution *of the original instance*; the
-    intermediate artifacts are retained because the experiments verify each
-    lemma's inequality on them.
+    ``placement`` is the final solution *of the original instance* and
+    ``fractional`` the LP solution on ``P(R,W)``.  The intermediate
+    artifacts the experiments verify each lemma's inequality on —
+    ``rounded`` (``P(R)``), ``grouping`` (``P(R,W)`` and its trace) and
+    ``integral`` (``S(R,W)``) — are built from the row-level results on
+    first access.
     """
 
-    placement: Placement
-    height: float
-    eps: float
-    R: int
-    W: int
-    rounded: ReleaseInstance          # P(R)
-    grouping: GroupingResult          # P(R,W) and its trace
-    fractional: FractionalSolution    # LP solution on P(R,W)
-    integral: IntegralizeResult       # S(R,W)
+    def __init__(
+        self,
+        instance: ReleaseInstance,
+        eps: float,
+        R: int,
+        W: int,
+        release: np.ndarray,
+        rows: RowGrouping,
+        fractional: FractionalSolution,
+        fill: IntegralizeResult,
+    ):
+        self.placement = fill.placement
+        self.height = self.placement.height
+        self.eps = eps
+        self.R = R
+        self.W = W
+        self.fractional = fractional
+        self._instance = instance
+        self._release = release
+        self._rows = rows
+        self._fill = fill
+
+    @cached_property
+    def rounded(self) -> ReleaseInstance:
+        """``P(R)``: the instance itself when rounding changed nothing."""
+        return with_column(self._instance, "release", self._release)
+
+    @cached_property
+    def grouping(self) -> GroupingResult:
+        return GroupingResult(self._rows, self.rounded)
+
+    @cached_property
+    def integral(self) -> IntegralizeResult:
+        return self._fill.over(self.grouping.instance)
 
     @property
     def additive_budget(self) -> float:
@@ -69,8 +105,8 @@ class APTASResult:
 
 def aptas_parameters(eps: float, K: int) -> tuple[int, int]:
     """The faithful Algorithm-2 parameters ``(R, W)`` for error ``eps``."""
-    if eps <= 0.0:
-        raise InvalidInstanceError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise InvalidInstanceError(f"eps must be positive and finite, got {eps}")
     eps_prime = eps / 3.0
     R = math.ceil(1.0 / eps_prime)
     W = math.ceil(1.0 / eps_prime) * K * (R + 1)
@@ -106,10 +142,11 @@ def aptas(
     instance.check_aptas_assumptions()
     eps_prime = eps / 3.0
     R_budget, W_default = aptas_parameters(eps, instance.K)
+    arrays = instance.arrays()
 
     # Lemma 3.1 — at most ceil(1/eps') (+1) distinct release times.
-    rounded = round_releases_up(instance, eps_prime)
-    n_classes = max(1, len({r.release for r in rounded.rects}))
+    release = rounded_release_column(instance, eps_prime)
+    n_classes = max(1, len(np.unique(release)))
 
     # Lemma 3.2 — width budget, snapped to a multiple of the class count.
     if groups_per_class is not None:
@@ -121,30 +158,17 @@ def aptas(
         W_eff = max(n_classes, (W_req // n_classes) * n_classes)
         if W_eff < W_req:
             W_eff += n_classes
-    grouping = group_widths(rounded, W_eff)
+    rows = group_rows(arrays, release, W_eff)
 
     # Lemma 3.3 — configuration LP on P(R,W).
-    fractional = solve_fractional(grouping.instance, max_configs=max_configs)
-
-    # Lemma 3.4 — integral conversion.
-    integral = integralize(fractional, grouping.instance)
-
-    # Coordinates transfer verbatim to the original rectangles: the grouped
-    # rectangle at (x, y) is wider and later-released than the original, so
-    # the original fits at the same spot.
-    by_id = instance.by_id()
-    placement = Placement()
-    for rid, pr in integral.placement.items():
-        placement.place(by_id[rid], pr.x, pr.y)
-
-    return APTASResult(
-        placement=placement,
-        height=placement.height,
-        eps=eps,
-        R=R_budget,
-        W=W_eff,
-        rounded=rounded,
-        grouping=grouping,
-        fractional=fractional,
-        integral=integral,
+    fractional, wi, bj = solve_columns(
+        rows.width, arrays.height, release, max_configs=max_configs
     )
+
+    # Lemma 3.4 — integral conversion.  Coordinates go straight to the
+    # original rectangles (same rows): the grouped rectangle at (x, y) is
+    # wider and later-released than the original, so the original fits at
+    # the same spot.
+    fill = fill_columns(fractional, rows.width, arrays, wi, bj)
+
+    return APTASResult(instance, eps, R_budget, W_eff, release, rows, fractional, fill)

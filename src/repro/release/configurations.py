@@ -17,6 +17,7 @@ would silently break the LP's optimality).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -46,7 +47,8 @@ class ConfigurationSet:
     """All configurations over a width list, plus the occurrence matrix.
 
     ``matrix`` is the paper's ``A``: shape ``(W, Q)``, entry ``(i, q)`` the
-    number of occurrences of width ``i`` in configuration ``q``.
+    number of occurrences of width ``i`` in configuration ``q`` — built
+    once per set, read-only.
     """
 
     widths: tuple[float, ...]
@@ -56,12 +58,11 @@ class ConfigurationSet:
     def Q(self) -> int:
         return len(self.configs)
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        A = np.zeros((len(self.widths), len(self.configs)), dtype=float)
-        for q, cfg in enumerate(self.configs):
-            for i, c in enumerate(cfg.counts):
-                A[i, q] = c
+        counts = np.array([cfg.counts for cfg in self.configs], dtype=float)
+        A = np.ascontiguousarray(counts.reshape(self.Q, len(self.widths)).T)
+        A.setflags(write=False)
         return A
 
     def config_index(self, counts: Sequence[int]) -> int:

@@ -15,25 +15,33 @@ and always picks the available rectangle with the latest release (ties:
 tallest first).  The suffix-covering constraints guarantee this greedy
 assigns every rectangle (the classic staircase-transportation argument);
 the implementation still verifies exhaustively and raises on any leftover.
+
+The fill runs on row indices (:func:`fill_columns`) and writes the
+placement into a :class:`~repro.core.arrays.PlacementBuilder`;
+:class:`IntegralizeResult` builds its ``placement`` and the per-column
+``columns`` trace on first access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable
-
+import math
+from dataclasses import dataclass
+from functools import cached_property
 import numpy as np
 
 from ..core import tol
-from ..core.errors import SolverError
+from ..core.arrays import PlacementBuilder, RectArrays
+from ..core.errors import InvalidPlacementError, SolverError
 from ..core.instance import ReleaseInstance
 from ..core.placement import Placement
 from ..core.rectangle import Rect
 from .fractional import FractionalSolution
+from .lp import first_unmatched_row, match_rows
 
-__all__ = ["IntegralizeResult", "integralize"]
+__all__ = ["ColumnFill", "IntegralizeResult", "fill_columns", "integralize"]
 
-Node = Hashable
+#: One filled column: ``(phase, config, width index, capacity, rows)``.
+Fill = tuple[int, int, int, float, list[int]]
 
 
 @dataclass(frozen=True)
@@ -51,17 +59,141 @@ class ColumnFill:
         return sum(r.height for r in self.rects)
 
 
-@dataclass
 class IntegralizeResult:
-    """Integral packing plus the per-column trace (for tests/rendering)."""
+    """Integral packing plus the per-column trace (for tests/rendering).
 
-    placement: Placement
-    columns: list[ColumnFill] = field(default_factory=list)
-    n_occurrences: int = 0
+    ``placement`` (over ``builder.arrays``' rectangles) and ``columns``
+    are built from the row-level fill on first access.
+    """
+
+    def __init__(self, builder: PlacementBuilder, fills: list[Fill], n_occurrences: int):
+        self._builder = builder
+        self._fills = fills
+        self.n_occurrences = n_occurrences
+
+    @cached_property
+    def placement(self) -> Placement:
+        return self._builder.build()
+
+    @cached_property
+    def columns(self) -> list[ColumnFill]:
+        rects = self._builder.arrays.rects
+        return [
+            ColumnFill(
+                phase=j,
+                config=q,
+                width_index=wi,
+                capacity=h,
+                rects=tuple(rects[row] for row in rows),
+            )
+            for j, q, wi, h, rows in self._fills
+        ]
 
     @property
     def height(self) -> float:
         return self.placement.height
+
+    def over(self, instance: ReleaseInstance) -> "IntegralizeResult":
+        """The same fill read over ``instance``, a derived instance with
+        the same rows (Algorithm 2 fills the rows of ``P`` and reports the
+        placement of ``P(R,W)``)."""
+        builder = self._builder.with_arrays(instance.arrays())
+        return IntegralizeResult(builder, self._fills, self.n_occurrences)
+
+
+def fill_columns(
+    solution: FractionalSolution,
+    width: np.ndarray,
+    arrays: RectArrays,
+    wi: np.ndarray,
+    bj: np.ndarray,
+) -> IntegralizeResult:
+    """Lemma 3.4 on row indices: assign every row of ``arrays`` to a
+    column and place it.
+
+    ``width`` is the LP-shaped (grouped) width column, ``wi``/``bj`` each
+    row's width and phase index in ``solution``; heights and the id
+    tie-break come from ``arrays``, over whose rectangles the result's
+    placement is built.
+    """
+    widths = solution.config_set.widths
+    configs = solution.config_set.configs
+    boundaries = solution.boundaries
+    height = arrays.height.tolist()
+    width_of = width.tolist()
+
+    # Pools: per width index, per release phase (latest first), the rows
+    # in ascending (height, id string) order, so pop() = tallest.
+    order = np.lexsort((arrays.sid_rank(), arrays.height, bj, wi))
+    pools: list[list[tuple[int, list[int]]]] = [[] for _ in widths]
+    keys = zip(wi[order].tolist(), bj[order].tolist())
+    for row, (i, j) in zip(order.tolist(), keys):
+        pool = pools[i]
+        if not pool or pool[-1][0] != j:
+            pool.append((j, []))
+        pool[-1][1].append(row)
+    for pool in pools:
+        pool.reverse()
+
+    def take(i: int, max_phase: int) -> int | None:
+        """Pop the available width-``i`` row with the latest release <=
+        phase ``max_phase`` (then tallest)."""
+        for j, rows in pools[i]:
+            if j <= max_phase and rows:
+                return rows.pop()
+        return None
+
+    support = solution.support()  # (phase, config, height), ascending phase
+
+    # 1. assign rows to columns, phases descending, latest release first.
+    assignments: dict[tuple[int, int, int, int], list[int]] = {}
+    for j, q, h in sorted(support, key=lambda t: -t[0]):
+        for i, cnt in enumerate(configs[q].counts):
+            for occ in range(cnt):
+                filled = 0.0
+                got: list[int] = []
+                while tol.lt(filled, h):
+                    row = take(i, j)
+                    if row is None:
+                        break
+                    got.append(row)
+                    filled += height[row]
+                assignments[(j, q, i, occ)] = got
+
+    leftover = sum(len(rows) for pool in pools for _, rows in pool)
+    if leftover:
+        raise SolverError(
+            f"{leftover} rectangles unassigned after greedy fill — covering "
+            "constraints of the fractional solution do not hold"
+        )
+
+    # 2. realise the placement bottom-up, expanding reserved areas.
+    builder = PlacementBuilder(arrays)
+    fills: list[Fill] = []
+    cur_top = 0.0
+    for j, q, h in support:  # ascending phase, stable config order
+        y0 = max(boundaries[j], cur_top)
+        x_cursor = 0.0
+        occ_top = y0
+        for i, cnt in enumerate(configs[q].counts):
+            for occ in range(cnt):
+                rows = assignments.get((j, q, i, occ), [])
+                y = y0
+                for row in rows:
+                    x = tol.clamp(x_cursor, 0.0, 1.0 - width_of[row])
+                    if not (math.isfinite(x) and math.isfinite(y)):
+                        raise InvalidPlacementError(
+                            f"non-finite placement for {arrays.rects[row].rid!r}: ({x}, {y})"
+                        )
+                    builder.put(row, x, y)
+                    y += height[row]
+                fills.append((j, q, i, h, rows))
+                occ_top = max(occ_top, y)
+                x_cursor += widths[i]
+        if tol.gt(x_cursor, 1.0):
+            raise SolverError(f"configuration {q} wider than the strip: {x_cursor}")
+        cur_top = occ_top
+    return IntegralizeResult(builder, fills, len(support))
 
 
 def integralize(
@@ -74,96 +206,14 @@ def integralize(
     built from: every rectangle's width must be one of the solution's width
     values and every release one of its phase boundaries.
     """
-    widths = solution.config_set.widths
-    boundaries = solution.boundaries
-    P = len(boundaries)
-    w_index = {round(w, 12): i for i, w in enumerate(widths)}
-    b_index = {round(b, 12): j for j, b in enumerate(boundaries)}
-
-    # Pools: per width index, rectangles grouped by release phase.
-    pools: dict[int, dict[int, list[Rect]]] = {i: {} for i in range(len(widths))}
-    for r in instance.rects:
-        wi = w_index.get(round(r.width, 12))
-        bj = b_index.get(round(r.release, 12))
-        if wi is None or bj is None:
-            raise SolverError(
-                f"rect {r.rid!r} (w={r.width}, r={r.release}) does not match the LP "
-                "width/boundary structure — run the reductions first"
-            )
-        pools[wi].setdefault(bj, []).append(r)
-    # Deterministic pop order: tallest first within a release class.
-    for wi in pools:
-        for bj in pools[wi]:
-            pools[wi][bj].sort(key=lambda r: (r.height, str(r.rid)))  # pop() = tallest
-
-    support = solution.support()  # (phase, config, height), ascending phase
-
-    # ------------------------------------------------------------------
-    # 1. assign rectangles to columns, phases descending, latest release
-    #    first.
-    # ------------------------------------------------------------------
-    assignments: dict[tuple[int, int, int, int], list[Rect]] = {}
-
-    def take(wi: int, max_phase: int) -> Rect | None:
-        """Pop the available width-``wi`` rectangle with the latest release
-        <= phase ``max_phase`` (then tallest)."""
-        classes = pools[wi]
-        for bj in sorted(classes, reverse=True):
-            if bj <= max_phase and classes[bj]:
-                return classes[bj].pop()
-        return None
-
-    for j, q, h in sorted(support, key=lambda t: -t[0]):
-        counts = solution.config_set.configs[q].counts
-        for wi, cnt in enumerate(counts):
-            for occ in range(cnt):
-                filled = 0.0
-                got: list[Rect] = []
-                while tol.lt(filled, h):
-                    r = take(wi, j)
-                    if r is None:
-                        break
-                    got.append(r)
-                    filled += r.height
-                assignments[(j, q, wi, occ)] = got
-
-    leftover = sum(len(v) for cls in pools.values() for v in cls.values())
-    if leftover:
+    arrays = instance.arrays()
+    wi = match_rows(arrays.width, solution.config_set.widths)
+    bj = match_rows(arrays.release, solution.boundaries)
+    row = first_unmatched_row(wi, bj)
+    if row is not None:
+        r = arrays.rects[row]
         raise SolverError(
-            f"{leftover} rectangles unassigned after greedy fill — covering "
-            "constraints of the fractional solution do not hold"
+            f"rect {r.rid!r} (w={r.width}, r={r.release}) does not match the LP "
+            "width/boundary structure — run the reductions first"
         )
-
-    # ------------------------------------------------------------------
-    # 2. realise the placement bottom-up, expanding reserved areas.
-    # ------------------------------------------------------------------
-    result = IntegralizeResult(placement=Placement())
-    result.n_occurrences = len(support)
-    cur_top = 0.0
-    for j, q, h in support:  # ascending phase, stable config order
-        y0 = max(boundaries[j], cur_top)
-        counts = solution.config_set.configs[q].counts
-        x_cursor = 0.0
-        occ_top = y0
-        for wi, cnt in enumerate(counts):
-            for occ in range(cnt):
-                col_rects = assignments.get((j, q, wi, occ), [])
-                y = y0
-                for r in col_rects:
-                    result.placement.place(r, tol.clamp(x_cursor, 0.0, 1.0 - r.width), y)
-                    y += r.height
-                result.columns.append(
-                    ColumnFill(
-                        phase=j,
-                        config=q,
-                        width_index=wi,
-                        capacity=h,
-                        rects=tuple(col_rects),
-                    )
-                )
-                occ_top = max(occ_top, y)
-                x_cursor += widths[wi]
-        if tol.gt(x_cursor, 1.0):
-            raise SolverError(f"configuration {q} wider than the strip: {x_cursor}")
-        cur_top = occ_top
-    return result
+    return fill_columns(solution, arrays.width, arrays, wi, bj)

@@ -17,14 +17,20 @@ The module also derives the phase boundaries and demand matrix from an
 instance, and exposes :func:`optimal_fractional_height` — the quantity
 ``OPT_f(P(R,W)) = rho_R + LP*`` that upper- and lower-bounds everything in
 Section 3's analysis chain.
+
+Everything runs on columns: :func:`solve_columns` takes the width, height
+and release columns of ``P(R,W)`` (Algorithm 2 never builds that instance)
+and also returns each row's width and phase index, which Lemma 3.4 reuses;
+the public functions are adapters that read ``instance.arrays()``.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 from scipy.optimize import linprog
 
-from ..core import tol
 from ..core.errors import SolverError
 from ..core.instance import ReleaseInstance
 from .configurations import ConfigurationSet, enumerate_configurations
@@ -33,18 +39,59 @@ from .fractional import FractionalSolution
 __all__ = [
     "phase_boundaries",
     "build_demands",
+    "match_rows",
+    "first_unmatched_row",
+    "solve_columns",
     "solve_configuration_lp",
     "solve_fractional",
     "optimal_fractional_height",
 ]
 
 
-def phase_boundaries(instance: ReleaseInstance) -> tuple[float, ...]:
-    """Phase starts: ``rho_0 = 0`` plus every distinct release value."""
-    values = sorted({r.release for r in instance.rects})
+def _phase_starts(release: np.ndarray) -> tuple[float, ...]:
+    """``rho_0 = 0`` plus every distinct value of the release column
+    (each value as its first row holds it, like a ``set`` would keep)."""
+    _, first = np.unique(release, return_index=True)
+    values = release[first].tolist()
     if not values or values[0] > 0.0:
         values = [0.0] + values
     return tuple(values)
+
+
+def phase_boundaries(instance: ReleaseInstance) -> tuple[float, ...]:
+    """Phase starts: ``rho_0 = 0`` plus every distinct release value."""
+    return _phase_starts(instance.arrays().release)
+
+
+def match_rows(column: np.ndarray, values: Sequence[float]) -> np.ndarray:
+    """Per row, the index of the entry of ``values`` the row's value
+    matches on the 12-decimal key ``round(v, 12)`` (``-1`` for none).
+
+    The keys are computed once per *distinct* column value, with Python's
+    ``round`` (a later entry of ``values`` wins a key collision, as in a
+    dict built in order).
+    """
+    index = {round(v, 12): i for i, v in enumerate(values)}
+    distinct, inverse = np.unique(column, return_inverse=True)
+    per_value = np.array(
+        [index.get(round(v, 12), -1) for v in distinct.tolist()], dtype=np.intp
+    )
+    return per_value[inverse]
+
+
+def first_unmatched_row(*indices: np.ndarray) -> int | None:
+    """The first row some index column leaves unmatched, or ``None``."""
+    bad = np.zeros(len(indices[0]), dtype=bool)
+    for idx in indices:
+        bad |= idx < 0
+    return int(bad.argmax()) if bad.any() else None
+
+
+def _demand_matrix(wi: np.ndarray, bj: np.ndarray, height: np.ndarray, shape) -> np.ndarray:
+    """``b^i_j``: heights summed per (width, phase), in row order."""
+    demands = np.zeros(shape)
+    np.add.at(demands, (wi, bj), height)
+    return demands
 
 
 def build_demands(
@@ -59,19 +106,16 @@ def build_demands(
     and rounding reductions guarantee this); a mismatch raises
     :class:`SolverError` — it means the caller skipped a reduction.
     """
-    W, P = len(widths), len(boundaries)
-    demands = np.zeros((W, P))
-    w_index = {round(w, 12): i for i, w in enumerate(widths)}
-    b_index = {round(b, 12): j for j, b in enumerate(boundaries)}
-    for r in instance.rects:
-        wi = w_index.get(round(r.width, 12))
-        if wi is None:
+    arrays = instance.arrays()
+    wi = match_rows(arrays.width, widths)
+    bj = match_rows(arrays.release, boundaries)
+    row = first_unmatched_row(wi, bj)
+    if row is not None:
+        r = arrays.rects[row]
+        if wi[row] < 0:
             raise SolverError(f"rect {r.rid!r}: width {r.width!r} not in the LP width list")
-        bj = b_index.get(round(r.release, 12))
-        if bj is None:
-            raise SolverError(f"rect {r.rid!r}: release {r.release!r} not a phase boundary")
-        demands[wi, bj] += r.height
-    return demands
+        raise SolverError(f"rect {r.rid!r}: release {r.release!r} not a phase boundary")
+    return _demand_matrix(wi, bj, arrays.height, (len(widths), len(boundaries)))
 
 
 def solve_configuration_lp(
@@ -92,28 +136,26 @@ def solve_configuration_lp(
     c = np.zeros(n)
     c[np.arange(Q) * P + (P - 1)] = 1.0  # minimise phase-R usage
 
-    A_rows: list[np.ndarray] = []
-    b_vals: list[float] = []
+    # One dense row per constraint: P-1 packing rows, then P*W covering
+    # rows in (k, i) order.  Built as zeros minus entries, so every
+    # coefficient equals the one a row-by-row ``-=`` assembly would hold.
+    A_ub = np.zeros((P - 1 + P * W, n))
+    phases = np.arange(P)
 
-    # (3.3) packing constraints for phases 0..P-2.
-    for j in range(P - 1):
-        row = np.zeros(n)
-        row[np.arange(Q) * P + j] = 1.0
-        A_rows.append(row)
-        b_vals.append(boundaries[j + 1] - boundaries[j])
+    # (3.3) packing constraints for phases 0..P-2: row j sums x[:, j].
+    packing = A_ub[: P - 1].reshape(P - 1, Q, P)
+    packing[phases[:-1], :, phases[:-1]] = 1.0
+    gaps = np.diff(np.asarray(boundaries, dtype=float))
 
-    # (3.4) covering constraints: -(suffix supply) <= -(suffix demand).
+    # (3.4) covering constraints: -(suffix supply) <= -(suffix demand);
+    # row (k, i) holds -A[i, q] at x[q, j] for every j >= k.
     A_mat = config_set.matrix  # (W, Q)
-    for k in range(P):
-        for i in range(W):
-            row = np.zeros(n)
-            for j in range(k, P):
-                row[np.arange(Q) * P + j] -= A_mat[i, :]
-            A_rows.append(row)
-            b_vals.append(-float(demands[i, k:].sum()))
-
-    A_ub = np.vstack(A_rows) if A_rows else None
-    b_ub = np.array(b_vals) if b_vals else None
+    suffix = phases[None, :] >= phases[:, None]  # [k, j]
+    A_ub[P - 1 :] = np.where(
+        suffix[:, None, None, :], 0.0 - A_mat[None, :, :, None], 0.0
+    ).reshape(P * W, n)
+    suffix_demand = np.stack([demands[:, k:].sum(axis=1) for k in range(P)])
+    b_ub = np.concatenate([gaps, -suffix_demand.ravel()])
 
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
     if not res.success:
@@ -130,6 +172,29 @@ def solve_configuration_lp(
     return sol
 
 
+def solve_columns(
+    width: np.ndarray,
+    height: np.ndarray,
+    release: np.ndarray,
+    *,
+    max_configs: int = 500_000,
+) -> tuple[FractionalSolution, np.ndarray, np.ndarray]:
+    """The Lemma 3.3 LP over the rows of the given columns.
+
+    Configurations range over the distinct widths, phases over the
+    distinct releases.  Returns the verified solution and, per row, the
+    index of its width in ``config_set.widths`` and of its phase in
+    ``boundaries`` (every row matches both by construction).
+    """
+    widths = tuple(np.unique(width)[::-1].tolist())
+    config_set = enumerate_configurations(widths, max_configs=max_configs)
+    boundaries = _phase_starts(release)
+    wi = match_rows(width, config_set.widths)
+    bj = match_rows(release, boundaries)
+    demands = _demand_matrix(wi, bj, height, (len(config_set.widths), len(boundaries)))
+    return solve_configuration_lp(config_set, boundaries, demands), wi, bj
+
+
 def solve_fractional(
     instance: ReleaseInstance,
     *,
@@ -139,11 +204,10 @@ def solve_fractional(
     widths, build demands, solve.  The instance must already have its final
     width/release structure (i.e. be a ``P(R,W)``-shaped instance — or any
     instance whose distinct widths/releases are few enough to afford)."""
-    widths = tuple(sorted({r.width for r in instance.rects}, reverse=True))
-    config_set = enumerate_configurations(widths, max_configs=max_configs)
-    boundaries = phase_boundaries(instance)
-    demands = build_demands(instance, config_set.widths, boundaries)
-    return solve_configuration_lp(config_set, boundaries, demands)
+    arrays = instance.arrays()
+    return solve_columns(
+        arrays.width, arrays.height, arrays.release, max_configs=max_configs
+    )[0]
 
 
 def optimal_fractional_height(

@@ -397,12 +397,10 @@ def resolve_solve_request(data: dict[str, Any]):
         # defaulted requests for the same solve share one cache entry.
         # Only an *absent* algorithm means "default": an explicit ""
         # is a client bug and must fail loudly, not solve silently.
-        name = (
-            get_spec(algorithm).name
-            if algorithm is not None
-            else default_algorithm(instance)
-        )
+        spec = get_spec(algorithm if algorithm is not None else default_algorithm(instance))
+        name = spec.name
         key = result_key(instance, name, params)
+        spec.check_params(params)
     except ReproError as exc:
         raise _BadRequest(HTTPStatus.UNPROCESSABLE_ENTITY, str(exc))
     return key, name, params, instance

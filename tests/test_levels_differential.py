@@ -105,6 +105,26 @@ def test_decreasing_order_matches_sorted(rects):
     assert by_array == by_sorted
 
 
+def test_nul_suffixed_ids_keep_string_order():
+    """``"a"`` sorts before ``"a\x00"`` in Python; a numpy string column
+    drops the trailing NUL and would tie them, letting row order decide."""
+    from repro.core.arrays import StackedRectArrays, stacked_decreasing_order
+
+    rects = [
+        Rect(rid="a\x00", width=0.6, height=0.5),
+        Rect(rid="a", width=0.6, height=0.5),
+        Rect(rid="b", width=0.4, height=0.5),
+    ]
+    arrays = RectArrays.from_rects(rects)
+    expected = [r.rid for r in decreasing_height_order(rects)]
+    assert expected[0] == "a"
+    assert [rects[i].rid for i in decreasing_order(arrays)] == expected
+    stacked = stacked_decreasing_order(StackedRectArrays([rects, rects]))
+    assert [rects[i % 3].rid for i in stacked] == expected * 2
+    for fast, ref in (p.values[:2] for p in PAIRS):
+        assert_identical(fast(rects), ref(rects), rects)
+
+
 def test_packers_accept_columnar_inputs():
     """Sequence[Rect], RectArrays, and instances all give the same result."""
     from repro.core.instance import StripPackingInstance

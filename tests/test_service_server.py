@@ -249,6 +249,22 @@ class TestErrorMapping:
         status, _, raw = _request(conn, "POST", "/solve", body)
         assert status == 422 and "non-finite" in json.loads(raw)["error"]
 
+    def test_unknown_param_is_422(self, conn):
+        instance = ReleaseInstance([Rect(rid=0, width=0.5, height=0.5)], K=2)
+        status, _, raw = _request(conn, "POST", "/solve", {
+            "instance": instance_to_dict(instance), "algorithm": "aptas",
+            "params": {"bogus": 1},
+        })
+        assert status == 422 and "'bogus'" in json.loads(raw)["error"]
+
+    def test_mistyped_param_is_422(self, conn):
+        instance = ReleaseInstance([Rect(rid=0, width=0.5, height=0.5)], K=2)
+        status, _, raw = _request(conn, "POST", "/solve", {
+            "instance": instance_to_dict(instance), "algorithm": "aptas",
+            "params": {"eps": "x"},
+        })
+        assert status == 422 and "'eps'" in json.loads(raw)["error"]
+
     def test_bad_content_length_is_dropped_or_400(self, server):
         c = http.client.HTTPConnection(server.host, server.port, timeout=10)
         try:
