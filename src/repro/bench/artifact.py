@@ -14,9 +14,9 @@ comparison mode diffs and CI uploads.  Schema (``repro-bench/1``):
       "seed": int,
       "created": str,           # ISO-8601 UTC
       "machine": {"python": str, "platform": str, "numpy": str},
-      "kernel_tier": str,       # active repro.kernels tier during the run
-                                # (absent in pre-tier artifacts; readers
-                                # use .get and treat None as "array")
+      "kernel_tier": str,       # optional, legacy: older artifacts record
+                                # the kernel tier they ran on; no longer
+                                # written, still accepted when present
       "config": {"sizes": [int], "size_name": str,
                  "repetitions": int, "warmup": int, "entries": [str]},
       "points": [
@@ -98,15 +98,7 @@ def load_artifact(path: Path | str) -> dict[str, Any]:
 
 
 def new_artifact_header(spec, *, quick: bool, sizes, repetitions: int, warmup: int) -> dict:
-    """The non-measurement part of an artifact for ``spec``.
-
-    ``kernel_tier`` records the tier active when the run started, so two
-    artifacts are never silently compared across tiers (the comparator
-    warns on a mismatch) and committed-artifact gates can condition on
-    how the numbers were produced.
-    """
-    from .. import kernels
-
+    """The non-measurement part of an artifact for ``spec``."""
     return {
         "schema": SCHEMA,
         "name": spec.name,
@@ -116,7 +108,6 @@ def new_artifact_header(spec, *, quick: bool, sizes, repetitions: int, warmup: i
         "seed": spec.seed,
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "machine": machine_info(),
-        "kernel_tier": kernels.active_tier(),
         "config": {
             "sizes": [int(n) for n in sizes],
             "size_name": spec.size_name,
@@ -155,7 +146,8 @@ def validate_artifact(data: Any, *, where: str = "") -> None:
         if not isinstance(data[key], typ):
             _fail(where, f"field {key!r} must be {typ.__name__}, "
                          f"got {type(data[key]).__name__}")
-    # Optional field (absent in pre-tier artifacts), typed when present.
+    # Optional legacy field (committed artifacts may carry it), typed
+    # when present.
     if "kernel_tier" in data and not isinstance(data["kernel_tier"], str):
         _fail(where, "field 'kernel_tier' must be str")
     config = data["config"]

@@ -42,10 +42,6 @@ class ComparisonResult:
     name: str
     rows: tuple[ComparisonRow, ...]
     threshold: float
-    #: Loud non-failure warning when the artifacts were produced on
-    #: different kernel tiers (a cross-tier "regression" is usually just
-    #: the tier difference, and a cross-tier "ok" can hide a real one).
-    tier_note: str | None = None
 
     @property
     def regressions(self) -> tuple[ComparisonRow, ...]:
@@ -137,14 +133,4 @@ def compare_artifacts(
             f"{current['name']!r} — comparing different sweeps? "
             f"(baseline quick={baseline['quick']}, current quick={current['quick']})"
         )
-    # Pre-tier artifacts (no kernel_tier field) ran the array kernels.
-    base_tier = baseline.get("kernel_tier") or "array"
-    cur_tier = current.get("kernel_tier") or "array"
-    tier_note = None
-    if base_tier != cur_tier:
-        tier_note = (
-            f"warning: comparing across kernel tiers (baseline ran "
-            f"{base_tier!r}, current ran {cur_tier!r}) — timing deltas "
-            f"reflect the tier change, not just the code change"
-        )
-    return ComparisonResult(current["name"], tuple(rows), threshold, tier_note)
+    return ComparisonResult(current["name"], tuple(rows), threshold)

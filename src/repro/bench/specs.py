@@ -239,8 +239,10 @@ register_bench(BenchSpec(
         _engine("optimized", "bottom_left"),
         _call("reference", _bl_reference),
     ),
+    # Size 1000 is shared between full and quick so CI can
+    # `--quick --compare` the committed artifact.
     sizes=(1_000, 10_000, 100_000),
-    quick_sizes=(500, 2_000),
+    quick_sizes=(500, 1_000),
     repetitions=2,
     warmup=0,
     source="benchmarks/bench_subroutine_a.py (kernel), geometry/skyline.py",
@@ -768,82 +770,6 @@ register_bench(BenchSpec(
 ))
 
 # ----------------------------------------------------------------------
-# kernel tiers: array vs compiled on the three compiled hot loops
-# ----------------------------------------------------------------------
-
-def _tier_workload(n, rng):
-    """A plain instance plus a valid FFDH placement of it.
-
-    The packer entries time the level/skyline kernels on the instance;
-    the ``validate`` entries time the columnar validator's containment +
-    overlap sweeps on the shared placement.
-    """
-    from ..packing import ffdh
-
-    instance = _plain_powerlaw(n, rng)
-    return {"instance": instance, "placement": ffdh(instance.arrays()).placement}
-
-
-def _tier_pack(packer, tier):
-    """Run one packer under a forced kernel tier.
-
-    Without the ``[speed]`` extra a ``compiled`` request degrades to the
-    array tier (so both labels time the same kernels); the ``tier``
-    metric records what actually ran, and the committed-artifact test
-    gates the >= 2x expectation only on artifacts whose header says
-    ``compiled``.
-    """
-
-    def run(prepared):
-        from .. import kernels, packing
-
-        instance = prepared["instance"]
-        arg = instance.rects if packer == "bottom_left" else instance.arrays()
-        with kernels.use_tier(tier) as active:
-            result = getattr(packing, packer)(arg)
-        return {"height": result.extent, "tier": active}
-
-    run.__name__ = f"{packer}[{tier}]"
-    return run
-
-
-def _tier_validate(tier):
-    def run(prepared):
-        from .. import kernels
-        from ..core.placement import validate_placement
-
-        with kernels.use_tier(tier) as active:
-            validate_placement(prepared["instance"], prepared["placement"])
-        return {"tier": active, "ok": True}
-
-    run.__name__ = f"validate[{tier}]"
-    return run
-
-
-register_bench(BenchSpec(
-    name="kernel_tiers",
-    title="Kernel tiers: array vs compiled (level scans, skyline sweep, validator)",
-    workload=_tier_workload,
-    entries=tuple(
-        _call(f"{packer}[{tier}]", _tier_pack(packer, tier))
-        for packer in ("ffdh", "bottom_left")
-        for tier in ("array", "compiled")
-    ) + tuple(
-        _call(f"validate[{tier}]", _tier_validate(tier))
-        for tier in ("array", "compiled")
-    ),
-    # Size 2000 is shared between full and quick (like level_packers) so
-    # CI can `--quick --compare` the committed artifact.  The warmup rep
-    # keeps numba's one-time JIT/cache-load out of the recorded times.
-    sizes=(2_000, 10_000, 100_000),
-    quick_sizes=(500, 2_000),
-    repetitions=2,
-    warmup=1,
-    source="kernels/compiled.py (the [speed] extra), geometry + core hot loops",
-))
-
-
-# ----------------------------------------------------------------------
 # batched stacked-instance solving: one arena pass vs K dispatches
 # ----------------------------------------------------------------------
 
@@ -901,7 +827,7 @@ register_bench(BenchSpec(
     quick_sizes=(8, 16),
     size_name="instances",
     repetitions=5,
-    source="engine/stacked.py + kernels/compiled.py (batched_level_pack)",
+    source="engine/stacked.py + geometry/levels.py (pack_levels)",
 ))
 
 

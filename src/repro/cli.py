@@ -112,19 +112,6 @@ def _add_executor_args(parser) -> None:
     )
 
 
-def _add_kernel_tier_arg(parser) -> None:
-    """The shared ``--kernel-tier`` selector (:mod:`repro.kernels`)."""
-    from . import kernels
-
-    parser.add_argument(
-        "--kernel-tier",
-        choices=kernels.TIER_CHOICES,
-        default="auto",
-        help="kernel tier: auto (compiled when the [speed] extra is "
-        "installed, else array), or force reference/array/compiled",
-    )
-
-
 def _load_instance(path: Path):
     """Read and parse one instance JSON, mapping failures to CLI errors."""
     try:
@@ -172,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("directory", type=Path, help="directory of instance JSON files")
     p_batch.add_argument("--algorithm", default=None, help="algorithm name (default: per-variant)")
     _add_executor_args(p_batch)
-    _add_kernel_tier_arg(p_batch)
     p_batch.add_argument("--glob", default="*.json", help="instance file pattern")
 
     p_port = sub.add_parser("portfolio", help="race algorithms on one instance")
@@ -183,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated entrants (default: every spec matching the variant)",
     )
     _add_executor_args(p_port)
-    _add_kernel_tier_arg(p_port)
     p_port.add_argument("--output", type=Path, default=None, help="write winning placement JSON here")
 
     from .sim import policy_names
@@ -250,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
              "baseline (default 1.25)",
     )
     _add_executor_args(p_bench)
-    _add_kernel_tier_arg(p_bench)
 
     p_serve = sub.add_parser("serve", help="run the async JSON-over-HTTP solve service")
     p_serve.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -261,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 1 = single-process, no router)",
     )
     _add_executor_args(p_serve)
-    _add_kernel_tier_arg(p_serve)
     p_serve.add_argument(
         "--max-batch", type=int, default=16,
         help="most requests one micro-batch drains (default 16)",
@@ -399,18 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_info(out) -> int:
-    from . import kernels
     from .engine import spec_table_rows
 
     print(f"repro {__version__}", file=out)
     print("variants: plain | precedence | release", file=out)
-    info = kernels.tier_info()
-    numba = info["numba"] or "not installed"
-    print(
-        f"kernel tier: {info['active']} (requested {info['requested']}, "
-        f"numba {numba})",
-        file=out,
-    )
     table = Table(["algorithm", "variants", "guarantee", "flags", "defaults"], title="registry")
     for row in spec_table_rows():
         table.add_row(list(row))
@@ -647,18 +622,10 @@ def _cmd_bench(args, out) -> int:
         # committed artifact history instead of running anything.
         return _cmd_bench_trend(args, out)
     if args.list:
-        from . import kernels
-
         table = Table(["bench", "entries", "sizes", "reps", "source"], title="bench registry")
         for row in bench_table_rows():
             table.add_row(list(row))
         print(table.render(), file=out)
-        print(
-            f"kernel tier: {kernels.active_tier()} "
-            f"(requested {kernels.requested_tier()}) — recorded in every "
-            "artifact's kernel_tier field",
-            file=out,
-        )
         return 0
     if args.all and args.names:
         raise _CliInputError("pass bench names or --all, not both")
@@ -701,8 +668,6 @@ def _cmd_bench(args, out) -> int:
             # e.g. quick run vs full-sweep baseline: nothing overlaps
             raise _CliInputError(str(exc)) from exc
         print(result.table().render(), file=out)
-        if result.tier_note:
-            print(result.tier_note, file=out)
         if result.regressions:
             print(f"{len(result.regressions)} regression(s) flagged", file=out)
         else:
@@ -754,9 +719,9 @@ def _cmd_bench_trend(args, out) -> int:
     from .obs.trend import (
         DEFAULT_DRIFT_THRESHOLD,
         DEFAULT_WINDOW,
-        TREND_FILENAME,
         run_trend,
         trend_table,
+        write_trend,
     )
 
     window = DEFAULT_WINDOW if args.window is None else args.window
@@ -771,17 +736,16 @@ def _cmd_bench_trend(args, out) -> int:
     for directory in directories:
         if not directory.is_dir():
             raise _CliInputError(f"not a directory: {directory}")
-    document, drifts = run_trend(
-        directories, window=window, threshold=threshold, out_dir=args.out
-    )
+    document, drifts = run_trend(directories, window=window, threshold=threshold)
     if document["artifacts"] == 0:
         raise _CliInputError(
             f"no BENCH_*.json artifacts under {', '.join(map(str, directories))}"
         )
+    path = write_trend(document, args.out)
     print(trend_table(document).render(), file=out)
     for error in document["load_errors"]:
         print(f"warning: skipped invalid artifact: {error}", file=out)
-    print(f"\ntrend document written to {args.out / TREND_FILENAME}", file=out)
+    print(f"\ntrend document written to {path}", file=out)
     if drifts:
         for drift in drifts:
             print(
@@ -847,13 +811,8 @@ def _build_server(args):
             # Validate the per-worker config here (exit 2 at the CLI)
             # rather than inside the first spawned child (exit 1 + noise).
             SolveServer(**config).close()
-            # Worker processes start fresh interpreters: forward the tier
-            # request so each shard re-applies it (worker.py pops the key).
-            tier = getattr(args, "kernel_tier", None)
-            if tier is not None and tier != "auto":
-                config = dict(config, kernel_tier=tier)
-            # The structured-log sink rides the same way: every worker
-            # configures the same format/file, so one fleet shares one log.
+            # Worker processes start fresh interpreters: the structured-log
+            # sink rides in the config, so one fleet shares one log.
             log_format = getattr(args, "log_format", None)
             log_file = getattr(args, "log_file", None)
             if log_format is not None or log_file is not None:
@@ -1183,11 +1142,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    tier = getattr(args, "kernel_tier", None)
-    if tier is not None:
-        from . import kernels
-
-        kernels.set_tier(tier)
     commands = {
         "info": lambda: _cmd_info(out),
         "demo": lambda: _cmd_demo(out),

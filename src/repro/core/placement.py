@@ -21,13 +21,6 @@ the placement's x/y columns are gathered once and containment, overlap,
 precedence, and release checks all run as vectorized passes — the same
 tolerance predicates, evaluated elementwise, so accept/reject decisions
 are identical to the scalar loops.
-
-Kernel tiers (:mod:`repro.kernels`): the ``reference`` tier forces the
-scalar loops at every ``n`` (the columnar path is the array-tier
-optimization); the ``compiled`` tier runs the containment and overlap
-sweeps as ``@njit`` scans (:mod:`repro.kernels.compiled`) with the same
-predicates in the same visit order, so all three tiers accept/reject —
-and report the same first offender — identically.
 """
 
 from __future__ import annotations
@@ -38,7 +31,6 @@ from typing import Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .. import kernels as _kernels
 from . import tol
 from .errors import InvalidPlacementError
 from .instance import PrecedenceInstance, ReleaseInstance, StripPackingInstance
@@ -212,13 +204,6 @@ def find_overlap_columns(
     # Candidate partners for row k: rows k+1 .. his[k]-1 (bases below k's
     # top, beyond tolerance — the y-condition tol.lt(y_j, y2_k) verbatim).
     his = np.searchsorted(ys_s, y2_s - atol, side="left")
-    if _kernels.use_compiled():
-        from ..kernels.compiled import overlap_scan
-
-        k, j = overlap_scan(xs_s, ys_s, x2_s, y2_s, his, atol)
-        if k < 0:
-            return None
-        return int(order[k]), int(order[j])
     counts = np.maximum(his - np.arange(1, n + 1), 0)
     start = 0
     while start < n:
@@ -293,9 +278,7 @@ def validate_placement(
             )
 
     pairs = list(placement.items())
-    # The columnar path is the array-tier optimization: the reference
-    # kernel tier keeps the scalar loops at every n (same verdicts).
-    if len(pairs) >= _COLUMNAR_MIN_N and not _kernels.use_reference():
+    if len(pairs) >= _COLUMNAR_MIN_N:
         _validate_columnar(instance, placement, pairs, atol, max_height)
         return
 
@@ -330,8 +313,8 @@ def validate_placement(
 def _raise_containment(
     check: int, pair: tuple[Node, PlacedRect], max_height: float | None
 ) -> None:
-    """Shared containment error messages (checks 0/1/2 of the columnar and
-    compiled engines — horizontal, below-base, height budget)."""
+    """Containment error messages of the columnar checks 0/1/2
+    (horizontal, below-base, height budget)."""
     rid, pr = pair
     if check == 0:
         raise InvalidPlacementError(
@@ -381,30 +364,19 @@ def _validate_columnar(
     """
     xs, ys, x2, y2 = _placement_columns(pairs)
 
-    if _kernels.use_compiled():
-        from ..kernels.compiled import containment_scan
-
-        check, i = containment_scan(
-            xs, ys, x2, y2, atol,
-            0.0 if max_height is None else max_height,
-            max_height is not None,
-        )
-        if check >= 0:
-            _raise_containment(int(check), pairs[int(i)], max_height)
-    else:
-        viol = (xs < 0.0 - atol) | (x2 > 1.0 + atol)
+    viol = (xs < 0.0 - atol) | (x2 > 1.0 + atol)
+    i = int(viol.argmax())
+    if viol[i]:
+        _raise_containment(0, pairs[i], max_height)
+    viol = ys < 0.0 - atol
+    i = int(viol.argmax())
+    if viol[i]:
+        _raise_containment(1, pairs[i], max_height)
+    if max_height is not None:
+        viol = y2 > max_height + atol
         i = int(viol.argmax())
         if viol[i]:
-            _raise_containment(0, pairs[i], max_height)
-        viol = ys < 0.0 - atol
-        i = int(viol.argmax())
-        if viol[i]:
-            _raise_containment(1, pairs[i], max_height)
-        if max_height is not None:
-            viol = y2 > max_height + atol
-            i = int(viol.argmax())
-            if viol[i]:
-                _raise_containment(2, pairs[i], max_height)
+            _raise_containment(2, pairs[i], max_height)
 
     bad = find_overlap_columns(xs, ys, x2, y2, atol)
     if bad is not None:

@@ -244,7 +244,7 @@ def solve_many(
             raise InvalidInstanceError(
                 "stacked=True but the batch is not stackable (needs a serial "
                 "executor, algorithm in nfdh/ffdh/bfdh with no parameter "
-                "overrides, plain instances, and a non-reference kernel tier)"
+                "overrides, and plain instances)"
             )
     elif stacked:
         raise InvalidInstanceError(

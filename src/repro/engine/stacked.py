@@ -9,9 +9,8 @@ every instance's columns into one :class:`~repro.core.arrays.StackedRectArrays`
 arena, compute ONE stacked decreasing-height sort
 (:func:`~repro.core.arrays.stacked_decreasing_order` — stability makes
 each segment equal the per-instance order), and pack all K segments in a
-single pass — the ``@njit`` :func:`~repro.kernels.compiled.batched_level_pack`
-kernel when the compiled tier is active, a Python loop over one reused
-:class:`~repro.geometry.levels.LevelArray` otherwise.
+single pass of :func:`~repro.geometry.levels.pack_levels` — the packers'
+own level loop — over one reused :class:`~repro.geometry.levels.LevelArray`.
 
 Report discipline: the output of :func:`solve_batched` is
 **bit-identical** to K independent :func:`repro.engine.runner.run` calls
@@ -22,9 +21,8 @@ batch pack time divided evenly across the K reports (timings are
 measurements, not decisions).
 
 Eligibility (:func:`batchable`): an explicit algorithm in
-:data:`BATCHABLE`, no parameter overrides, every instance of the plain
-variant, and a non-``reference`` kernel tier (the reference tier exists
-to run the executable spec, which the arena deliberately bypasses).
+:data:`BATCHABLE`, no parameter overrides, and every instance of the plain
+variant.
 ``solve_many(..., stacked=None)`` auto-engages this path on the serial
 executor; the service micro-batcher inherits it through the same call.
 """
@@ -34,10 +32,6 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
-import numpy as np
-
-from .. import kernels as _kernels
-from ..core import tol
 from ..core.arrays import (
     PlacementBuilder,
     StackedRectArrays,
@@ -46,18 +40,15 @@ from ..core.arrays import (
 from ..core.errors import InvalidInstanceError, InvalidPlacementError
 from ..core.instance import StripPackingInstance
 from ..core.placement import validate_placement
-from ..geometry.levels import LevelArray
+from ..geometry.levels import LEVEL_ALGORITHMS, LevelArray, pack_levels
 from .report import SolveReport
 from .runner import bound_components
 from .spec import get_spec, variant_of
 
 __all__ = ["BATCHABLE", "batchable", "portfolio_batch_names", "solve_batched"]
 
-#: Algorithms the stacked arena can pack (level packers; mode order
-#: matches ``repro.kernels.compiled.MODE_NFDH/FFDH/BFDH``).
-BATCHABLE = ("nfdh", "ffdh", "bfdh")
-
-_MODE_OF = {"nfdh": 0, "ffdh": 1, "bfdh": 2}
+#: Algorithms the stacked arena can pack (the level packers).
+BATCHABLE = LEVEL_ALGORITHMS
 
 
 def batchable(
@@ -67,9 +58,7 @@ def batchable(
 ) -> bool:
     """Whether this exact (instances, algorithm, params) batch may take
     the stacked path without changing any report field but ``wall_time``."""
-    if algorithm not in _MODE_OF or params:
-        return False
-    if _kernels.use_reference():
+    if algorithm not in BATCHABLE or params:
         return False
     spec = get_spec(algorithm)
     return all(
@@ -82,51 +71,16 @@ def portfolio_batch_names(
 ) -> list[str]:
     """The subset of portfolio entrants solvable in one stacked call
     (empty unless at least two qualify — one entrant gains nothing)."""
-    if _kernels.use_reference() or variant_of(instance) != "plain":
+    if variant_of(instance) != "plain":
         return []
     picked = [
         n
         for n in names
-        if n in _MODE_OF
+        if n in BATCHABLE
         and not (params or {}).get(n)
         and get_spec(n).accepts(instance)
     ]
     return picked if len(picked) >= 2 else []
-
-
-def _pack_segment(
-    mode: int,
-    widths: np.ndarray,
-    heights: np.ndarray,
-    order: np.ndarray,
-    lo: int,
-    hi: int,
-    levels: LevelArray,
-    builder: PlacementBuilder,
-) -> None:
-    """Array-tier segment pack: the exact ``nfdh``/``ffdh``/``bfdh`` loop
-    over the shared (reset) arena, rows addressed through the stacked
-    ``order`` slice instead of a per-instance sort."""
-    levels.reset()
-    if hi <= lo:
-        return
-    if mode == 0:  # nfdh: one open level, closed when the next rect misses
-        open_idx = levels.open_level(float(heights[order[lo]]))
-        for t in range(lo, hi):
-            row = int(order[t])
-            w = float(widths[row])
-            if not levels.fits_on(open_idx, w):
-                open_idx = levels.open_level(float(heights[row]))
-            builder.put(row - lo, *levels.place(open_idx, w))
-        return
-    fit = levels.first_fit if mode == 1 else levels.best_fit
-    for t in range(lo, hi):
-        row = int(order[t])
-        w = float(widths[row])
-        idx = fit(w)
-        if idx < 0:
-            idx = levels.open_level(float(heights[row]))
-        builder.put(row - lo, *levels.place(idx, w))
 
 
 def solve_batched(
@@ -154,7 +108,7 @@ def solve_batched(
     if labels is not None and len(labels) != K:
         raise InvalidInstanceError(f"{len(labels)} labels for {K} instances")
     for name in names:
-        if name not in _MODE_OF:
+        if name not in BATCHABLE:
             raise InvalidInstanceError(
                 f"algorithm {name!r} is not batchable; batchable: "
                 + ", ".join(BATCHABLE)
@@ -167,37 +121,17 @@ def solve_batched(
     t0 = time.perf_counter()
     stacked = StackedRectArrays([inst.arrays() for inst in items])
     order = stacked_decreasing_order(stacked)
-    offsets = stacked.offsets
     placements = []
-    if _kernels.use_compiled():
-        from ..kernels.compiled import batched_level_pack
-
-        modes = np.array([_MODE_OF[name] for name in names], dtype=np.int64)
-        out_x, out_y, _ = batched_level_pack(
-            stacked.width, stacked.height, order, offsets, modes, tol.ATOL
+    levels = LevelArray()
+    for k in range(K):
+        lo, hi = stacked.segment(k)
+        builder = PlacementBuilder(stacked.parts[k])
+        levels.reset()
+        pack_levels(
+            names[k], stacked.width, stacked.height, order[lo:hi],
+            levels, builder, offset=lo,
         )
-        for k in range(K):
-            lo, hi = stacked.segment(k)
-            builder = PlacementBuilder(stacked.parts[k])
-            for t in range(lo, hi):
-                builder.put(int(order[t]) - lo, float(out_x[t]), float(out_y[t]))
-            placements.append(builder.build())
-    else:
-        levels = LevelArray()
-        for k in range(K):
-            lo, hi = stacked.segment(k)
-            builder = PlacementBuilder(stacked.parts[k])
-            _pack_segment(
-                _MODE_OF[names[k]],
-                stacked.width,
-                stacked.height,
-                order,
-                lo,
-                hi,
-                levels,
-                builder,
-            )
-            placements.append(builder.build())
+        placements.append(builder.build())
     wall = (time.perf_counter() - t0) / max(K, 1)
 
     reports = []

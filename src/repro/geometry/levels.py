@@ -29,27 +29,36 @@ elementwise image of the reference predicate (``used + w <= 1 + atol``,
 bit-identical to the reference.  ``tests/test_levels_differential.py``
 enforces this.
 
-When the ``compiled`` kernel tier is active (:mod:`repro.kernels`, the
-optional ``[speed]`` extra), :meth:`LevelArray.first_fit` and
-:meth:`LevelArray.best_fit` dispatch to the ``@njit`` scalar scans in
-:mod:`repro.kernels.compiled` — short-circuiting loops over the same
-``used`` column with the same predicates, so decisions stay bit-identical
-across all three tiers.
+:func:`pack_levels` is the one NFDH/FFDH/BFDH loop over a
+:class:`LevelArray`: :func:`level_pack` runs it for the per-instance
+packers (:mod:`repro.packing`) and the batched stacked solve
+(:mod:`repro.engine.stacked`) runs it once per arena segment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .. import kernels as _kernels
 from ..core import tol
+from ..core.arrays import PlacementBuilder, RectArrays, decreasing_order
 from ..core.errors import InvalidPlacementError
 from ..core.placement import Placement
 from ..core.rectangle import Rect
 
-__all__ = ["Level", "LevelStack", "LevelArray"]
+__all__ = [
+    "LEVEL_ALGORITHMS",
+    "Level",
+    "LevelStack",
+    "LevelArray",
+    "pack_levels",
+    "level_pack",
+]
+
+#: The level packers :func:`pack_levels` runs.
+LEVEL_ALGORITHMS = ("nfdh", "ffdh", "bfdh")
 
 
 @dataclass
@@ -222,10 +231,6 @@ class LevelArray:
         n = self._n
         if n == 0:
             return -1
-        if _kernels.use_compiled():
-            from ..kernels.compiled import level_first_fit
-
-            return int(level_first_fit(self._used, n, width, tol.ATOL))
         s = self._sum[:n]
         np.add(self._used[:n], width, out=s)
         m = self._mask[:n]
@@ -244,10 +249,6 @@ class LevelArray:
         n = self._n
         if n == 0:
             return -1
-        if _kernels.use_compiled():
-            from ..kernels.compiled import level_best_fit
-
-            return int(level_best_fit(self._used, n, width, tol.ATOL))
         s = self._sum[:n]
         np.add(self._used[:n], width, out=s)
         m = self._mask[:n]
@@ -272,3 +273,57 @@ class LevelArray:
         x = tol.clamp(used, 0.0, 1.0 - width)
         self._used[idx] = used + width
         return x, float(self._y[idx])
+
+
+def pack_levels(
+    algorithm: str,
+    widths: np.ndarray,
+    heights: np.ndarray,
+    rows: np.ndarray,
+    levels: LevelArray,
+    builder: PlacementBuilder,
+    offset: int = 0,
+) -> None:
+    """Place ``rows`` onto ``levels`` by NFDH, FFDH or BFDH.
+
+    ``rows`` index ``widths``/``heights`` in decreasing-height order; each
+    rectangle is recorded in ``builder`` at row ``row - offset``.  NFDH
+    keeps one open level and opens a new one when the next rectangle
+    misses; FFDH takes the lowest level with room, BFDH the tightest; both
+    open a new level when none fits.
+    """
+    if not len(rows):
+        return
+    ws = widths[rows].tolist()
+    hs = heights[rows].tolist()
+    puts = zip((rows - offset).tolist(), ws, hs)
+    if algorithm == "nfdh":
+        idx = levels.open_level(hs[0])
+        for row, w, h in puts:
+            if not levels.fits_on(idx, w):
+                idx = levels.open_level(h)
+            builder.put(row, *levels.place(idx, w))
+        return
+    fit = {"ffdh": levels.first_fit, "bfdh": levels.best_fit}[algorithm]
+    for row, w, h in puts:
+        idx = fit(w)
+        if idx < 0:
+            idx = levels.open_level(h)
+        builder.put(row, *levels.place(idx, w))
+
+
+def level_pack(
+    algorithm: str, rects: Sequence[Rect] | RectArrays, y: float = 0.0
+) -> tuple[Placement, float]:
+    """Run :func:`pack_levels` over all of ``rects`` from height ``y``;
+    return the placement and the vertical extent used."""
+    arrays = RectArrays.coerce(rects)
+    if not len(arrays):
+        return Placement(), 0.0
+    builder = PlacementBuilder(arrays)
+    levels = LevelArray(base=y)
+    pack_levels(
+        algorithm, arrays.width, arrays.height, decreasing_order(arrays),
+        levels, builder,
+    )
+    return builder.build(), levels.extent

@@ -48,19 +48,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
-from .. import kernels as _kernels
 from ..core import tol
 from ..core.errors import InvalidPlacementError
 
 __all__ = ["Skyline", "SkySegment"]
 
 _ATOL = tol.ATOL
-
-#: Below this many segments the Python fast path beats the list-to-array
-#: conversion the compiled sweep needs; the answer is identical either way.
-_COMPILED_MIN_SEGS = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,22 +224,7 @@ class Skyline:
         everywhere and ``== min_y`` only inside a lowest segment).  The
         full sweep only runs when no lowest segment fits, and even then
         stops early once a support at the floor of what remains is found.
-
-        On the ``compiled`` kernel tier the whole procedure (fast path,
-        candidate generation, deque sweep — predicates verbatim) runs as
-        one ``@njit`` call over array copies of the segment columns; the
-        returned ``(x, y)`` is bit-identical.
         """
-        if len(self._xs) >= _COMPILED_MIN_SEGS and _kernels.use_compiled():
-            from ..kernels.compiled import skyline_lowest
-
-            found, x, y = skyline_lowest(
-                np.array(self._xs), np.array(self._ws), np.array(self._ys),
-                width, _ATOL,
-            )
-            if not found:
-                raise ValueError("no candidate position: width exceeds the strip")
-            return float(x), float(y)
         xs, ws, ys = self._xs, self._ws, self._ys
         m = len(xs)
         atol = _ATOL

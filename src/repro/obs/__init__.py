@@ -11,8 +11,8 @@ Zero-dependency (stdlib only), threaded through every service hop:
   per-phase/per-tenant duration histograms merged into ``/metrics``;
 * :mod:`repro.obs.logging` — the JSON-lines / key=value structured
   logger that is the service's single logging path (request completions,
-  failovers, fault injections, drain transitions, the kernel-tier
-  fallback warning), configured by ``repro serve --log-format --log-file``;
+  failovers, fault injections, drain transitions), configured by
+  ``repro serve --log-format --log-file``;
 * :mod:`repro.obs.pipeline` — dependency-declaring tasks executed in
   :class:`repro.dag.graph.TaskDAG` topological order (the yapim
   ``Task.requires`` idiom);
@@ -38,7 +38,7 @@ from .trace import (
     sanitize_tenant,
     use_trace,
 )
-from .trend import TREND_SCHEMA, run_trend, validate_trend
+from .trend import TREND_SCHEMA, run_trend, validate_trend, write_trend
 
 __all__ = [
     "TRACE_HEADER",
@@ -62,4 +62,5 @@ __all__ = [
     "TREND_SCHEMA",
     "run_trend",
     "validate_trend",
+    "write_trend",
 ]

@@ -1,14 +1,14 @@
 """Structured logging: the service's single logging path.
 
 Every operational line the service emits — request completions,
-failovers, worker rejoin/respawn, fault injections, drain transitions,
-the one-shot kernel-tier fallback warning — is an *event*: a name from
+failovers, worker rejoin/respawn, fault injections, drain transitions —
+is an *event*: a name from
 :data:`EVENT_FIELDS` plus typed fields.  One :class:`StructuredLogger`
 renders events to one of three sinks:
 
 * **unconfigured** (the default): through the stdlib :mod:`logging`
   module, on the logger named per call site (``repro.service.router``,
-  ``repro.kernels``, ...).  Libraries embedding the service keep their
+  ...).  Libraries embedding the service keep their
   handler/caplog behaviour, and a bare process still prints warnings to
   stderr exactly as before;
 * ``repro serve --log-format json`` — one JSON object per line
@@ -61,15 +61,12 @@ EVENT_FIELDS: dict[str, dict[str, tuple]] = {
     "fault_injected": {"site": (str,), "kind": (str,)},
     # Graceful-drain lifecycle of a server.
     "drain": {"stage": (str,)},
-    # The kernel registry's one-shot degrade warning.
-    "kernel_fallback": {"message": (str,)},
 }
 
 #: Default severity per event (overridable per call).
 _EVENT_LEVELS = {
     "failover": "warning",
     "respawn_failed": "warning",
-    "kernel_fallback": "warning",
 }
 
 _LEVELS = {

@@ -34,6 +34,7 @@ __all__ = [
     "DEFAULT_WINDOW",
     "DEFAULT_DRIFT_THRESHOLD",
     "run_trend",
+    "write_trend",
     "validate_trend",
     "trend_table",
 ]
@@ -114,12 +115,9 @@ class Series(Task):
             for run in runs:
                 for pt in run["points"]:
                     key = (pt["label"], int(pt["size"]))
-                    entry = per_point.setdefault(
-                        key, {"medians_s": [], "created": [], "tiers": []}
-                    )
+                    entry = per_point.setdefault(key, {"medians_s": [], "created": []})
                     entry["medians_s"].append(float(pt["median_s"]))
                     entry["created"].append(run["created"])
-                    entry["tiers"].append(run.get("kernel_tier") or "array")
             series[name] = per_point
         self.output["series"] = series
         self.output["run_counts"] = {name: len(runs) for name, runs in by_bench.items()}
@@ -187,7 +185,6 @@ class Report(Task):
                         "runs": len(medians),
                         "medians_s": medians,
                         "created": entry["created"],
-                        "kernel_tiers": entry["tiers"],
                         "baseline_s": baseline,
                         "latest_s": medians[-1],
                         "ratio": (medians[-1] / baseline) if baseline > 0 else None,
@@ -225,12 +222,11 @@ def run_trend(
     window: int = DEFAULT_WINDOW,
     threshold: float = DEFAULT_DRIFT_THRESHOLD,
     min_delta_s: float = DEFAULT_MIN_DELTA_S,
-    out_dir: Path | str | None = None,
 ) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     """Run the trend pipeline; return ``(document, drifts)``.
 
     ``directories`` is the committed artifact dir plus any history dirs;
-    with ``out_dir`` the document is also written as ``BENCH_trend.json``.
+    :func:`write_trend` saves the document.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -247,11 +243,15 @@ def run_trend(
     )
     document = result.outputs["Report"]["document"]
     validate_trend(document)
-    if out_dir is not None:
-        out_path = Path(out_dir) / TREND_FILENAME
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return document, list(document["drifts"])
+
+
+def write_trend(document: dict[str, Any], out_dir: Path | str) -> Path:
+    """Write ``document`` as ``out_dir/BENCH_trend.json``; return the path."""
+    out_path = Path(out_dir) / TREND_FILENAME
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    return out_path
 
 
 def validate_trend(data: Any) -> None:

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .. import kernels as _kernels
-from ..core.arrays import PlacementBuilder, RectArrays, decreasing_order
-from ..core.placement import Placement
+from ..core.arrays import RectArrays
 from ..core.rectangle import Rect
-from ..geometry.levels import LevelArray
+from ..geometry.levels import level_pack
 from .base import PackResult
 
 __all__ = ["bfdh"]
@@ -28,21 +26,4 @@ __all__ = ["bfdh"]
 
 def bfdh(rects: Sequence[Rect] | RectArrays, y: float = 0.0) -> PackResult:
     """Pack ``rects`` (no constraints) starting at height ``y``."""
-    if _kernels.use_reference():
-        from ..geometry.levels_reference import reference_bfdh
-
-        return reference_bfdh(RectArrays.coerce(rects).rects, y)
-    arrays = RectArrays.coerce(rects)
-    if not len(arrays):
-        return PackResult(Placement(), 0.0)
-    widths, heights = arrays.width, arrays.height
-    order = decreasing_order(arrays)
-    builder = PlacementBuilder(arrays)
-    levels = LevelArray(base=y)
-    for row in order:
-        w = float(widths[row])
-        idx = levels.best_fit(w)
-        if idx < 0:
-            idx = levels.open_level(float(heights[row]))
-        builder.put(int(row), *levels.place(idx, w))
-    return PackResult(builder.build(), levels.extent)
+    return PackResult(*level_pack("bfdh", rects, y))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .. import kernels as _kernels
 from ..core.placement import Placement
 from ..core.rectangle import Rect, arrival_order, decreasing_height_order
 from ..geometry.skyline import Skyline
@@ -24,22 +23,11 @@ from .base import PackResult
 __all__ = ["bottom_left", "bottom_left_release"]
 
 
-def _default_skyline_cls() -> type:
-    """The tier-selected skyline kernel: the executable spec on the
-    ``reference`` tier, :class:`~repro.geometry.skyline.Skyline` otherwise
-    (which itself dispatches to the compiled sweep when that tier is on)."""
-    if _kernels.use_reference():
-        from ..geometry.skyline_reference import ReferenceSkyline
-
-        return ReferenceSkyline
-    return Skyline
-
-
 def bottom_left(
     rects: Sequence[Rect],
     y: float = 0.0,
     order: Callable[[Rect], tuple] | None = None,
-    skyline_cls: type | None = None,
+    skyline_cls: type = Skyline,
 ) -> PackResult:
     """Pack ``rects`` bottom-left; ``order`` overrides the sort key
     (default: non-increasing height, then width, then id).
@@ -47,15 +35,13 @@ def bottom_left(
     ``skyline_cls`` swaps the skyline kernel — the differential tests and
     the ``skyline_bottom_left`` bench pass
     :class:`~repro.geometry.skyline_reference.ReferenceSkyline` here to
-    race/compare the optimized kernel against the executable spec.  When
-    ``None`` the active kernel tier picks (reference spec on the
-    ``reference`` tier, the optimized kernel otherwise).
+    race/compare the optimized kernel against the executable spec.
     """
     placement = Placement()
     if not rects:
         return PackResult(placement, 0.0)
     ordered = sorted(rects, key=order) if order else decreasing_height_order(rects)
-    sky = (skyline_cls or _default_skyline_cls())()
+    sky = skyline_cls()
     for r in ordered:
         x, support = sky.lowest_position(r.width)
         sky.place(x, r.width, r.height)
@@ -78,7 +64,7 @@ def bottom_left_release(rects: Sequence[Rect], y: float = 0.0) -> PackResult:
     if not rects:
         return PackResult(placement, 0.0)
     ordered = sorted(rects, key=arrival_order)
-    sky = _default_skyline_cls()()
+    sky = Skyline()
     for r in ordered:
         best = None
         for x, support in sky.candidate_positions(r.width):

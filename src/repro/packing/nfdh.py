@@ -27,11 +27,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .. import kernels as _kernels
-from ..core.arrays import PlacementBuilder, RectArrays, decreasing_order
-from ..core.placement import Placement
+from ..core.arrays import RectArrays
 from ..core.rectangle import Rect
-from ..geometry.levels import LevelArray
+from ..geometry.levels import level_pack
 from .base import PackResult
 
 __all__ = ["nfdh"]
@@ -45,21 +43,4 @@ def nfdh(rects: Sequence[Rect] | RectArrays, y: float = 0.0) -> PackResult:
     sequence or a prebuilt :class:`~repro.core.arrays.RectArrays` (the
     engine passes the instance's cached columns).
     """
-    if _kernels.use_reference():
-        from ..geometry.levels_reference import reference_nfdh
-
-        return reference_nfdh(RectArrays.coerce(rects).rects, y)
-    arrays = RectArrays.coerce(rects)
-    if not len(arrays):
-        return PackResult(Placement(), 0.0)
-    widths, heights = arrays.width, arrays.height
-    order = decreasing_order(arrays)
-    builder = PlacementBuilder(arrays)
-    levels = LevelArray(base=y)
-    open_idx = levels.open_level(float(heights[order[0]]))
-    for row in order:
-        w = float(widths[row])
-        if not levels.fits_on(open_idx, w):
-            open_idx = levels.open_level(float(heights[row]))
-        builder.put(int(row), *levels.place(open_idx, w))
-    return PackResult(builder.build(), levels.extent)
+    return PackResult(*level_pack("nfdh", rects, y))

@@ -1018,15 +1018,9 @@ class RouterServer(HttpServerBase):
         return queue, cache
 
     async def _metrics(self, body: bytes, headers) -> tuple[int, dict[str, str], bytes]:
-        from .. import kernels
-
         workers = await self._worker_snapshots()
         queue, cache = self._aggregate(workers)
         snapshot = self.metrics.snapshot()
-        # The router's own process tier; workers report theirs per-worker
-        # (identical by construction — serve passes --kernel-tier through
-        # the worker config before any worker resolves it).
-        snapshot["kernel"] = kernels.tier_info()
         snapshot["queue"] = queue
         snapshot["cache"] = cache
         snapshot["router"] = {

@@ -280,15 +280,6 @@ def prometheus_samples(
             out.append((name, {**base, **extra}, float(value)))
 
     add("repro_uptime_seconds", snapshot.get("uptime_s"))
-    kernel = snapshot.get("kernel")
-    if kernel:
-        # Info-pattern gauge: constant 1, the tier rides in the labels.
-        add(
-            "repro_kernel_tier",
-            1,
-            tier=kernel.get("active", "array"),
-            requested=kernel.get("requested", "auto"),
-        )
     requests = snapshot.get("requests", {})
     for endpoint, count in sorted(requests.get("by_endpoint", {}).items()):
         add("repro_requests_total", count, endpoint=endpoint)
@@ -639,7 +630,13 @@ class HttpServerBase:
                     f"more than {MAX_HEADERS} header fields",
                 )
             name, _, value = header.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                # RFC 9112 §6.3: differing lengths leave the framing unknown.
+                raise _BadRequest(
+                    HTTPStatus.BAD_REQUEST, "conflicting Content-Length headers"
+                )
+            headers[name] = value
         if "chunked" in headers.get("transfer-encoding", "").lower():
             # No chunked decoding here; misparsing the chunk stream as the
             # next request would desync the connection, so say what we need.
@@ -648,12 +645,11 @@ class HttpServerBase:
                 "chunked transfer encoding is not supported; send Content-Length",
             )
         raw_length = headers.get("content-length", "0") or "0"
-        try:
-            length = int(raw_length)
-        except ValueError:
+        # RFC 9110 §8.6: 1*DIGIT only — int() would also take "+10", "1_0"
+        # and surrounding whitespace.
+        if not (raw_length.isascii() and raw_length.isdigit()):
             raise _BadRequest(HTTPStatus.BAD_REQUEST, f"bad Content-Length: {raw_length!r}")
-        if length < 0:
-            raise _BadRequest(HTTPStatus.BAD_REQUEST, f"bad Content-Length: {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise _BadRequest(
                 HTTPStatus.REQUEST_ENTITY_TOO_LARGE,
@@ -984,10 +980,7 @@ class SolveServer(HttpServerBase):
 
     def metrics_snapshot(self) -> dict[str, Any]:
         """The full ``/metrics`` document (also read by the router)."""
-        from .. import kernels
-
         snapshot = self.metrics.snapshot()
-        snapshot["kernel"] = kernels.tier_info()
         snapshot["queue"] = self.batcher.stats().to_dict()
         snapshot["cache"] = self.cache.stats().to_dict()
         snapshot["cache"]["warm_hits"] = self._warm_hits

@@ -42,18 +42,10 @@ async def _serve(worker_id: int, conn, config: Mapping[str, Any]) -> None:
     from .server import SolveServer
 
     config = dict(config)
-    # The requested kernel tier rides in the config too — worker processes
-    # start from a fresh interpreter, so the parent's tier selection must
-    # be re-applied here (each worker then resolves/falls back on its own).
-    tier = config.pop("kernel_tier", None)
-    if tier is not None:
-        from .. import kernels
-
-        kernels.set_tier(tier)
-    # Observability config rides the same way: every span this process
-    # records is stamped worker=<id>, and the structured-log sink matches
-    # the parent's --log-format/--log-file (workers append to one file;
-    # whole-line writes interleave cleanly).
+    # Observability config rides in the worker config: every span this
+    # process records is stamped worker=<id>, and the structured-log sink
+    # matches the parent's --log-format/--log-file (workers append to one
+    # file; whole-line writes interleave cleanly).
     set_identity(worker_id)
     log_format = config.pop("log_format", None)
     log_file = config.pop("log_file", None)

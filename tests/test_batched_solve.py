@@ -2,9 +2,7 @@
 
 The stacked path (:mod:`repro.engine.stacked`) must be **bit-identical**
 to K independent :func:`repro.engine.run` calls in every report field but
-``wall_time`` — on the array tier and on the compiled tier (driven as
-pure Python when numba is absent; see ``tests/test_kernel_tiers.py``).
-Also pinned here: the stacked sort's per-segment equivalence, the
+``wall_time``.  Also pinned here: the stacked sort's per-segment equivalence, the
 ``stacked=None|True|False`` semantics of
 :func:`repro.engine.batch.solve_many`, the portfolio split, and the
 service micro-batcher engaging the path implicitly.
@@ -15,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.core.arrays import (
     RectArrays,
     StackedRectArrays,
@@ -28,15 +25,7 @@ from repro.core.rectangle import Rect
 from repro.dag.graph import TaskDAG
 from repro.engine import portfolio, run, solve_many
 from repro.engine.stacked import BATCHABLE, batchable, solve_batched
-from repro.kernels import compiled
 from repro.workloads.random_rects import powerlaw_rects, uniform_rects
-
-
-@pytest.fixture(autouse=True)
-def _pristine_registry():
-    kernels._reset_for_testing()
-    yield
-    kernels._reset_for_testing()
 
 
 def _instances(k, seed=0, lo=3, hi=40):
@@ -120,13 +109,10 @@ class TestStackedOrder:
 
 class TestBatchedIdentity:
     @pytest.mark.parametrize("algorithm", BATCHABLE)
-    @pytest.mark.parametrize("tier", ["array", "compiled"])
-    def test_identical_to_independent(self, monkeypatch, algorithm, tier):
-        monkeypatch.setattr(compiled, "AVAILABLE", True)
+    def test_identical_to_independent(self, algorithm):
         instances = _instances(10, seed=7)
-        with kernels.use_tier(tier):
-            batched = solve_many(instances, algorithm, stacked=True)
-            independent = solve_many(instances, algorithm, stacked=False)
+        batched = solve_many(instances, algorithm, stacked=True)
+        independent = solve_many(instances, algorithm, stacked=False)
         assert len(batched) == len(independent) == 10
         for b, i in zip(batched, independent):
             _same_report(b, i)
@@ -211,13 +197,10 @@ class TestStackedSemantics:
         with pytest.raises(InvalidInstanceError, match="stacked=True"):
             solve_many(instances, algorithm, stacked=True, **kwargs)
 
-    def test_stacked_true_rejects_params_and_reference_tier(self):
+    def test_stacked_true_rejects_params(self):
         instances = _instances(3, seed=6)
         with pytest.raises(InvalidInstanceError, match="stacked=True"):
             solve_many(instances, "ffdh", params={"ffdh": {"x": 1}}, stacked=True)
-        with kernels.use_tier("reference"):
-            with pytest.raises(InvalidInstanceError, match="stacked=True"):
-                solve_many(instances, "ffdh", stacked=True)
 
     def test_stacked_true_rejects_empty_batch(self):
         with pytest.raises(InvalidInstanceError, match="non-empty"):

@@ -106,10 +106,8 @@ class TestRunnerAndArtifact:
         validate_artifact(artifact)
         assert artifact["schema"] == SCHEMA
         assert artifact["quick"] is False
-        # every artifact records the tier its numbers were measured on
-        from repro import kernels
-
-        assert artifact["kernel_tier"] == kernels.active_tier()
+        # the legacy kernel_tier field is read, never written
+        assert "kernel_tier" not in artifact
         # 2 sizes x 2 entries
         assert len(artifact["points"]) == 4
         for pt in artifact["points"]:
@@ -204,6 +202,16 @@ class TestCommittedSkylineArtifact:
         for p in artifact["points"]:
             heights.setdefault(p["size"], set()).add(p["metrics"]["height"])
         assert heights and all(len(hs) == 1 for hs in heights.values())
+
+    def test_quick_sizes_overlap_for_ci_compare(self, artifact):
+        """CI diffs a --quick run against this artifact; at least one
+        (label, size) point must overlap or compare_artifacts errors."""
+        from repro.bench import get_bench
+
+        spec = get_bench("skyline_bottom_left")
+        committed = {(p["label"], p["size"]) for p in artifact["points"]}
+        quick = {(e.label, s) for e in spec.entries for s in spec.sweep(quick=True)}
+        assert committed & quick
 
 
 class TestCommittedLevelPackersArtifact:
@@ -420,70 +428,6 @@ class TestCommittedSessionsArtifact:
         assert committed & quick
 
 
-class TestCommittedKernelTiersArtifact:
-    """The checked-in array-vs-compiled tier race."""
-
-    @pytest.fixture(scope="class")
-    def artifact(self):
-        from pathlib import Path
-
-        path = (
-            Path(__file__).resolve().parent.parent
-            / "benchmarks" / "artifacts" / "BENCH_kernel_tiers.json"
-        )
-        return load_artifact(path)  # schema-validates
-
-    def test_header_records_a_tier(self, artifact):
-        assert artifact["kernel_tier"] in ("array", "compiled")
-
-    def test_tier_metrics_honest(self, artifact):
-        """Every point records what actually ran: `array` entries always
-        ran the array tier; `compiled` entries ran whatever the header
-        tier says (the graceful fallback makes them equal without numba)."""
-        for p in artifact["points"]:
-            if p["label"].endswith("[array]"):
-                assert p["metrics"]["tier"] == "array", p["label"]
-            else:
-                assert p["metrics"]["tier"] == artifact["kernel_tier"], p["label"]
-
-    def test_same_heights_across_tiers(self, artifact):
-        """Bit-identity made visible: both tiers pack to equal heights."""
-        heights: dict[tuple[str, int], set[float]] = {}
-        for p in artifact["points"]:
-            if "height" not in p["metrics"]:
-                continue
-            kernel = p["label"].split("[", 1)[0]
-            heights.setdefault((kernel, p["size"]), set()).add(p["metrics"]["height"])
-        assert heights and all(len(hs) == 1 for hs in heights.values())
-
-    def test_compiled_speedup_at_1e5_rects(self, artifact):
-        """ISSUE acceptance: >= 2x compiled-over-array on at least one
-        kernel at n=100000 — gated only when the artifact was actually
-        measured on the compiled tier (the CI [speed] leg re-records and
-        gates; an array-tier artifact records the honest fallback)."""
-        if artifact["kernel_tier"] != "compiled":
-            pytest.skip(
-                "artifact measured without numba "
-                f"(kernel_tier={artifact['kernel_tier']!r}); "
-                "the >= 2x gate runs on the CI [speed] leg"
-            )
-        medians = {(p["label"], p["size"]): p["median_s"] for p in artifact["points"]}
-        speedups = [
-            medians[(f"{kernel}[array]", 100_000)]
-            / medians[(f"{kernel}[compiled]", 100_000)]
-            for kernel in ("ffdh", "bottom_left", "validate")
-        ]
-        assert max(speedups) >= 2.0, speedups
-
-    def test_quick_sizes_overlap_for_ci_compare(self, artifact):
-        from repro.bench import get_bench
-
-        spec = get_bench("kernel_tiers")
-        committed = {(p["label"], p["size"]) for p in artifact["points"]}
-        quick = {(e.label, s) for e in spec.entries for s in spec.sweep(quick=True)}
-        assert committed & quick
-
-
 class TestCommittedBatchedSolveArtifact:
     """The checked-in batched-vs-independent stacked-solve race."""
 
@@ -599,22 +543,14 @@ class TestCompare:
         with pytest.raises(ValueError, match="threshold"):
             compare_artifacts(a, a, threshold=0.9)
 
-    def test_cross_tier_diff_warns(self):
-        baseline = _synthetic_artifact({("a", 10): 0.1})
-        current = dict(_synthetic_artifact({("a", 10): 0.1}), kernel_tier="compiled")
-        result = compare_artifacts(baseline, current)
-        assert result.tier_note is not None
-        assert "'array'" in result.tier_note and "'compiled'" in result.tier_note
-        # a warning, not a failure
-        assert result.ok
-
-    def test_pre_tier_artifacts_read_as_array(self):
-        """An artifact without the field ran the array kernels; diffing it
-        against an explicit array-tier artifact must stay silent."""
-        baseline = _synthetic_artifact({("a", 10): 0.1})  # no kernel_tier
-        current = dict(_synthetic_artifact({("a", 10): 0.1}), kernel_tier="array")
-        assert compare_artifacts(baseline, current).tier_note is None
-        assert compare_artifacts(baseline, baseline).tier_note is None
+    def test_legacy_kernel_tier_field_still_compares(self):
+        """Committed artifacts may carry the legacy ``kernel_tier`` field;
+        they validate and diff against fresh artifacts that do not."""
+        fresh = _synthetic_artifact({("a", 10): 0.1})
+        legacy = dict(_synthetic_artifact({("a", 10): 0.1}), kernel_tier="array")
+        validate_artifact(legacy)
+        assert compare_artifacts(legacy, fresh).ok
+        assert compare_artifacts(fresh, legacy).ok
 
     def test_ill_typed_kernel_tier_rejected(self):
         bad = dict(_synthetic_artifact({("a", 10): 0.1}), kernel_tier=3)

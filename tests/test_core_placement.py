@@ -275,6 +275,57 @@ class TestColumnarValidator:
         with pytest.raises(InvalidPlacementError, match="release violated"):
             validate_placement(inst, p7)
 
+    def defect_case(self, defect):
+        """``(instance, placement, kwargs)``: a valid stack of N rectangles,
+        or the same stack with one ``defect``."""
+        rects, p = self.stack(width=0.9 if defect == "sticks out" else 0.5)
+        kwargs = {}
+        if defect == "height budget":
+            kwargs["max_height"] = self.N - 0.5
+        elif defect == "precedence violated":
+            return PrecedenceInstance(rects, TaskDAG(range(self.N), [(self.N - 1, 0)])), p, kwargs
+        elif defect == "release violated":
+            late = [r.replace(release=50.0) if r.rid == 7 else r for r in rects]
+            p = make_placement([(r, 0.0, float(i)) for i, r in enumerate(late)])
+            return ReleaseInstance(late, K=2), p, kwargs
+        elif defect != "valid":
+            bad = Rect(rid="bad", width=rects[0].width, height=1.0)
+            p.place(bad, *{
+                "overlap": (0.25, 0.5),
+                "sticks out": (0.2, float(self.N)),
+                "below the strip base": (0.0, -0.5),
+            }[defect])
+            rects = rects + [bad]
+        return StripPackingInstance(rects), p, kwargs
+
+    @pytest.mark.parametrize("defect", [
+        "valid", "overlap", "sticks out", "below the strip base",
+        "height budget", "precedence violated", "release violated",
+    ], ids=[
+        "valid", "overlap", "sticks-out", "below-base",
+        "height-budget", "precedence", "release",
+    ])
+    def test_scalar_and_columnar_verdicts_agree(self, monkeypatch, defect):
+        """Both engines accept the valid stack and reject each defect."""
+        import repro.core.placement as placement_module
+
+        instance, p, kwargs = self.defect_case(defect)
+
+        def verdict():
+            try:
+                validate_placement(instance, p, **kwargs)
+            except InvalidPlacementError as exc:
+                return str(exc)
+            return None
+
+        columnar = verdict()
+        monkeypatch.setattr(placement_module, "_COLUMNAR_MIN_N", 10**9)
+        scalar = verdict()
+        if defect == "valid":
+            assert columnar is None and scalar is None
+        else:
+            assert defect in columnar and defect in scalar
+
     @given(rect_lists(min_size=64, max_size=96, max_h=1.5))
     def test_shelf_layouts_valid_both_paths(self, rects):
         """The columnar path accepts what the scalar path accepts."""

@@ -85,6 +85,32 @@ def test_workload_sweeps_identical(fast, ref, generator, n):
     assert_identical(fast(rects), ref(rects), rects)
 
 
+@pytest.mark.parametrize("fast, ref", PAIRS)
+def test_powerlaw_400_identical(fast, ref):
+    """Placement-for-placement equality on a 400-rect power-law workload."""
+    from repro.workloads import powerlaw_rects
+
+    rects = powerlaw_rects(400, np.random.default_rng(13))
+    assert_identical(fast(rects), ref(rects), rects)
+
+
+@pytest.mark.parametrize("fast, ref", PAIRS)
+def test_engine_run_matches_reference(fast, ref):
+    """``engine.run`` places a 150-rect power-law instance exactly as the
+    executable spec does."""
+    from repro.core.instance import StripPackingInstance
+    from repro.engine import run
+    from repro.workloads import powerlaw_rects
+
+    instance = StripPackingInstance(powerlaw_rects(150, np.random.default_rng(9)))
+    report = run(instance, fast.__name__)
+    expected = ref(instance.rects).placement
+    assert report.valid is True
+    assert report.height == expected.height
+    for r in instance.rects:
+        assert report.placement[r.rid] == expected[r.rid], r.rid
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("fast, ref", PAIRS)
 @pytest.mark.parametrize("seed", range(5))
@@ -207,31 +233,3 @@ class TestExecutorDeterminism:
 
         with pytest.raises(InvalidInstanceError, match="jobs"):
             Executor("thread", 0)
-
-
-class TestKernelTierDifferential:
-    """Every tier of the registry lands every rectangle identically.
-
-    The compiled tier is exercised even without numba: the kernel bodies
-    run as plain Python (pass-through ``njit``), which is the same logic
-    the JIT compiles — ``tests/test_kernel_tiers.py`` owns the deeper
-    tier sweeps, this keeps the level-packer suite self-contained.
-    """
-
-    @pytest.mark.parametrize("fast, ref", PAIRS)
-    @pytest.mark.parametrize("tier", ["reference", "array", "compiled"])
-    def test_workload_identical_on_every_tier(self, fast, ref, tier):
-        from repro import kernels
-        from repro.kernels import compiled
-        from repro.workloads import powerlaw_rects
-
-        rects = powerlaw_rects(400, np.random.default_rng(13))
-        expected = ref(rects)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(compiled, "AVAILABLE", True)
-            kernels._reset_for_testing()
-            try:
-                with kernels.use_tier(tier):
-                    assert_identical(fast(rects), expected, rects)
-            finally:
-                kernels._reset_for_testing()

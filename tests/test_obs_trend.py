@@ -25,6 +25,7 @@ from repro.obs.trend import (
     run_trend,
     trend_table,
     validate_trend,
+    write_trend,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -32,7 +33,7 @@ COMMITTED = REPO_ROOT / "benchmarks" / "artifacts"
 
 
 def make_artifact(name: str, created: str, medians: dict[str, float],
-                  size: int = 100, tier: str = "array") -> dict:
+                  size: int = 100) -> dict:
     """A minimal schema-valid artifact: one point per ``medians`` entry."""
     return {
         "schema": SCHEMA,
@@ -43,7 +44,6 @@ def make_artifact(name: str, created: str, medians: dict[str, float],
         "seed": 0,
         "created": created,
         "machine": machine_info(),
-        "kernel_tier": tier,
         "config": {
             "sizes": [size],
             "size_name": "n",
@@ -117,7 +117,8 @@ class TestRunTrend:
     def test_document_written_and_excluded_from_discovery(self, tmp_path):
         dirs = write_history(tmp_path, [{"e": 0.01}, {"e": 0.01}])
         out = tmp_path / "out"
-        document, _ = run_trend(dirs, out_dir=out)
+        document, _ = run_trend(dirs)
+        assert write_trend(document, out) == out / TREND_FILENAME
         on_disk = json.loads((out / TREND_FILENAME).read_text())
         assert on_disk["schema"] == TREND_SCHEMA
         assert on_disk["artifacts"] == document["artifacts"] == 2
@@ -193,8 +194,13 @@ class TestCliBenchTrend:
 
     def test_empty_directory_is_a_usage_error(self, tmp_path):
         out = io.StringIO()
-        code = main(["bench", "trend", "--artifacts", str(tmp_path)], out=out)
+        code = main(
+            ["bench", "trend", "--artifacts", str(tmp_path), "--out", str(tmp_path)],
+            out=out,
+        )
         assert code == 2 and "no BENCH_" in out.getvalue()
+        # rejected input writes no trend document
+        assert not (tmp_path / "BENCH_trend.json").exists()
 
     def test_bad_window_and_threshold_are_usage_errors(self, tmp_path):
         for argv in (

@@ -265,14 +265,36 @@ class TestErrorMapping:
         })
         assert status == 422 and "'eps'" in json.loads(raw)["error"]
 
-    def test_bad_content_length_is_dropped_or_400(self, server):
+    @pytest.mark.parametrize(
+        "lengths",
+        [("-5",), ("1_0",), ("+10",), ("3", "10")],
+        ids=["negative", "underscore", "plus-sign", "differing-duplicates"],
+    )
+    def test_bad_content_length_is_dropped_or_400(self, server, lengths):
+        """Only plain ASCII digits frame a body (RFC 9110 §8.6), and
+        duplicates must agree (RFC 9112 §6.3)."""
         c = http.client.HTTPConnection(server.host, server.port, timeout=10)
         try:
             c.putrequest("POST", "/solve", skip_accept_encoding=True)
-            c.putheader("Content-Length", "-5")
+            for length in lengths:
+                c.putheader("Content-Length", length)
             c.endheaders()
             response = c.getresponse()
             assert response.status == 400
+            assert "Content-Length" in json.loads(response.read())["error"]
+        finally:
+            c.close()
+
+    def test_agreeing_duplicate_content_lengths_are_accepted(self, server):
+        body = json.dumps({"instance": {"type": "plain", "rects": [
+            {"id": "a", "width": 0.5, "height": 1.0}]}}).encode()
+        c = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            c.putrequest("POST", "/solve", skip_accept_encoding=True)
+            c.putheader("Content-Length", str(len(body)))
+            c.putheader("Content-Length", str(len(body)))
+            c.endheaders(body)
+            assert c.getresponse().status == 200
         finally:
             c.close()
 

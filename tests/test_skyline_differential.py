@@ -124,27 +124,30 @@ def test_release_variant_unaffected(seq):
     validate_placement(ReleaseInstance(rects, K=100), result.placement)
 
 
-@pytest.mark.parametrize("tier", ["reference", "array", "compiled"])
-def test_bottom_left_identical_on_every_tier(tier):
-    """The kernel-tier registry never changes a bottom-left placement.
-
-    Runs the compiled candidate sweep as plain Python when numba is
-    absent (pass-through ``njit``) — same logic the JIT compiles.
-    """
-    from repro import kernels
-    from repro.kernels import compiled
+def test_bottom_left_powerlaw_300_identical():
+    """Bottom-left lands a 300-rect power-law workload exactly as over the
+    reference skyline."""
     from repro.workloads import powerlaw_rects
 
     rects = powerlaw_rects(300, np.random.default_rng(17))
+    result = bottom_left(rects)
     expected = bottom_left(rects, skyline_cls=ReferenceSkyline)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(compiled, "AVAILABLE", True)
-        kernels._reset_for_testing()
-        try:
-            with kernels.use_tier(tier):
-                result = bottom_left(rects)
-        finally:
-            kernels._reset_for_testing()
     assert result.extent == expected.extent
     for r in rects:
         assert result.placement[r.rid] == expected.placement[r.rid]
+
+
+def test_engine_bottom_left_matches_reference():
+    """``engine.run`` places a 150-rect power-law instance exactly as
+    bottom-left over the reference skyline does."""
+    from repro.core.instance import StripPackingInstance
+    from repro.engine import run
+    from repro.workloads import powerlaw_rects
+
+    instance = StripPackingInstance(powerlaw_rects(150, np.random.default_rng(9)))
+    report = run(instance, "bottom_left")
+    expected = bottom_left(instance.rects, skyline_cls=ReferenceSkyline).placement
+    assert report.valid is True
+    assert report.height == expected.height
+    for r in instance.rects:
+        assert report.placement[r.rid] == expected[r.rid], r.rid
