@@ -762,11 +762,11 @@ def _cmd_bench_trend(args, out) -> int:
 
 
 def _build_server(args):
-    """A server from serve CLI flags — :class:`SolveServer` for
-    ``--workers 1``, a sharded :class:`RouterServer` above — mapping
+    """A server from serve CLI flags (:func:`~repro.service.router
+    .build_server` picks solo or fleet from ``--workers``), mapping
     configuration mistakes to exit-2 errors."""
     from .core.errors import InvalidInstanceError
-    from .service import RouterServer, SolveServer
+    from .service import SolveServer, build_server
     from .service.cache import DEFAULT_CACHE_BYTES
 
     _check_jobs(args.jobs)
@@ -821,14 +821,13 @@ def _build_server(args):
                     log_format=log_format,
                     log_file=None if log_file is None else str(log_file),
                 )
-            return RouterServer(
-                workers=workers,
-                worker_config=config,
-                request_timeout=request_timeout,
-                retries=retries,
-                backoff_ms=backoff_ms,
-            )
-        return SolveServer(**config)
+        return build_server(
+            workers,
+            config,
+            request_timeout=request_timeout,
+            retries=retries,
+            backoff_ms=backoff_ms,
+        )
     except (InvalidInstanceError, OSError) as exc:
         raise _CliInputError(str(exc)) from exc
 

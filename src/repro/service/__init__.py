@@ -9,13 +9,16 @@ Seven layers, composed bottom-up (each is independently testable):
   micro-batching; compatible requests fan out together through the
   engine's :class:`~repro.engine.batch.Executor` seam;
 * :mod:`repro.service.server`  — stdlib-only asyncio JSON-over-HTTP
-  server (``POST /solve``, ``POST /portfolio``, ``GET /healthz``,
-  ``GET /metrics``) surfaced as ``repro serve``;
+  server: the one request pipeline (``POST /solve``, ``POST
+  /portfolio``, sessions, ``GET /healthz``, ``GET /metrics``) plus the
+  local dispatch stage, surfaced as ``repro serve``;
 * :mod:`repro.service.worker`  — worker-process entry point: one
   :class:`SolveServer` per core, spawn-started, SIGTERM-drained;
-* :mod:`repro.service.router`  — sharded front-end: consistent-hashes
-  each request's ``result_key`` over the worker fleet, fails over around
-  the ring, respawns dead workers; surfaced as ``repro serve --workers N``;
+* :mod:`repro.service.router`  — the fleet's dispatch stage behind the
+  same pipeline: consistent-hashes each request's ``result_key`` over
+  the worker fleet, fails over around the ring, respawns dead workers;
+  surfaced as ``repro serve --workers N``, with :func:`build_server`
+  choosing solo or fleet from the worker count;
 * :mod:`repro.service.loadgen` — closed-/open-loop load generator
   surfaced as ``repro loadtest`` (including ``--workers-sweep``);
 * :mod:`repro.service.faults` + :mod:`repro.service.chaos` — the
@@ -32,7 +35,7 @@ from .cache import DEFAULT_CACHE_BYTES, CacheStats, ResultCache
 from .chaos import ChaosReport, run_chaos
 from .faults import FAULT_SITES, FaultInjector, FaultPlan, FaultSpec
 from .queue import BackpressureError, MicroBatcher, QueueStats
-from .router import HashRing, RouterServer
+from .router import HashRing, RouterServer, build_server
 from .server import InProcessServer, SolveServer, encode_report
 
 __all__ = [
@@ -47,6 +50,7 @@ __all__ = [
     "encode_report",
     "HashRing",
     "RouterServer",
+    "build_server",
     "FAULT_SITES",
     "FaultSpec",
     "FaultPlan",

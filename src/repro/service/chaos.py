@@ -29,8 +29,8 @@ from the plan's ``seed`` — replaying one plan replays one scenario.
 session API: each session replays a deterministic growing-prefix stream
 (:func:`repro.service.loadgen.session_step_bodies`) through ``POST
 /session/{id}/step`` while the plan kills workers mid-session, and the
-invariants become *zero lost steps* (the router's soft session registry
-re-creates the session on the failover worker) plus the same
+invariants become *zero lost steps* (the failover worker re-creates the
+session from the forwarded step, which carries its defaults) plus the same
 byte-identity and recovery checks.  Workers run with warm-starting off —
 its default — so every step's answer must equal the cold baseline.
 """
@@ -116,14 +116,18 @@ def _normalize(raw: bytes):
     return doc
 
 
-def _baseline(payloads: list[bytes]) -> list[Any]:
-    """Fault-free reference answers, computed exactly as a worker would."""
+def _baseline(payloads: list[bytes], algorithm: str | None = None) -> list[Any]:
+    """Fault-free reference answers, computed exactly as a worker would;
+    ``algorithm`` is the session default every step body inherits."""
     from ..engine import run as engine_run
     from .server import encode_report, parse_json_body, resolve_solve_request
 
     out = []
     for body in payloads:
-        _key, name, params, instance = resolve_solve_request(parse_json_body(body))
+        data = parse_json_body(body)
+        if algorithm is not None:
+            data["algorithm"] = algorithm
+        _key, name, params, instance = resolve_solve_request(data)
         report = engine_run(instance, name, params=params)
         out.append(_normalize(encode_report(report)))
     return out
@@ -189,6 +193,97 @@ def _get_json(port: int, path: str) -> dict | None:
         conn.close()
 
 
+def _replay(
+    plan: FaultPlan,
+    workers: int,
+    server,
+    drive,
+    baseline: list[Any],
+    unit: str,
+    *,
+    expect_final_ok: bool,
+    health_deadline_s: float,
+) -> ChaosReport:
+    """Serve ``server`` in-process, drive it, and judge the service.
+
+    ``drive(port)`` returns one ``(status, body)`` per entry of
+    ``baseline``; ``unit`` names what those entries are (``"requests"``,
+    ``"session steps"``) in the violation lines.
+    """
+    from .server import InProcessServer
+
+    started = time.monotonic()
+    with InProcessServer(server) as srv:
+        port = srv.port
+        outcomes = drive(port)
+
+        # Give the supervisor room to finish any in-flight respawn, then
+        # read the fleet's verdict on itself.
+        final_health = "unreachable"
+        recovered = False
+        deadline = time.monotonic() + health_deadline_s
+        while time.monotonic() < deadline:
+            health = _get_json(port, "/healthz")
+            if health is not None:
+                final_health = health.get("status", "unreachable")
+                if final_health == "ok":
+                    recovered = True
+                    break
+            if not expect_final_ok:
+                # No point burning the deadline when degraded is expected.
+                break
+            time.sleep(0.2)
+
+        metrics = _get_json(port, "/metrics") or {}
+
+    router_stats = metrics.get("router", {})
+    faults_injected = router_stats.get(
+        "faults_injected", metrics.get("faults", {}).get("injected", 0)
+    )
+
+    requests = len(baseline)
+    lost = sum(1 for status, _ in outcomes if status != 200)
+    mismatched = sum(
+        1
+        for (status, raw), expected in zip(outcomes, baseline)
+        if status == 200 and raw is not None and _normalize(raw) != expected
+    )
+
+    violations: list[str] = []
+    if lost:
+        statuses = sorted({status for status, _ in outcomes if status != 200})
+        violations.append(
+            f"{lost} of {requests} {unit} were not answered 200 "
+            f"(saw statuses {statuses})"
+        )
+    if mismatched:
+        violations.append(
+            f"{mismatched} answered {unit} differ from the fault-free "
+            "baseline (beyond wall_time)"
+        )
+    if expect_final_ok and not recovered:
+        violations.append(
+            f"/healthz did not recover to ok within {health_deadline_s:g}s "
+            f"(last status: {final_health})"
+        )
+
+    return ChaosReport(
+        plan=plan.to_dict(),
+        workers=workers,
+        requests=requests,
+        answered=requests - lost,
+        lost=lost,
+        mismatched=mismatched,
+        retries=int(router_stats.get("retries", 0)),
+        request_retries=int(router_stats.get("request_retries", 0)),
+        faults_injected=int(faults_injected),
+        final_health=final_health,
+        recovered=recovered,
+        violations=violations,
+        duration_s=time.monotonic() - started,
+    )
+
+
 def run_chaos(
     plan: FaultPlan | Mapping[str, Any] | str | Path,
     *,
@@ -220,8 +315,7 @@ def run_chaos(
     """
     from ..core.errors import InvalidInstanceError
     from .loadgen import solve_payloads
-    from .router import RouterServer
-    from .server import InProcessServer, SolveServer
+    from .router import build_server
 
     if isinstance(plan, (str, Path)):
         plan = FaultPlan.load(plan)
@@ -236,97 +330,29 @@ def run_chaos(
     payloads = solve_payloads(distinct, n_rects=n_rects, seed=seed, algorithm=algorithm)
     baseline = _baseline(payloads)
 
-    started = time.monotonic()
-    if workers == 1:
-        config: dict[str, Any] = {"faults": plan.to_dict()}
-        if cache_bytes is not None:
-            config["cache_bytes"] = cache_bytes
-        if cache_dir is not None:
-            config["cache_dir"] = cache_dir
-        server: Any = SolveServer(**config)
-    else:
-        worker_config: dict[str, Any] = {}
-        if cache_bytes is not None:
-            worker_config["cache_bytes"] = cache_bytes
-        if cache_dir is not None:
-            worker_config["cache_dir"] = cache_dir
-        server = RouterServer(
-            workers=workers,
-            worker_config=worker_config,
-            max_restarts=max_restarts,
-            request_timeout=request_timeout,
-            retries=retries,
-            backoff_ms=backoff_ms,
-            fault_plan=plan,
-        )
-
-    with InProcessServer(server) as srv:
-        port = srv.port
-        outcomes = _drive(port, payloads, requests, concurrency)
-
-        # Give the supervisor room to finish any in-flight respawn, then
-        # read the fleet's verdict on itself.
-        final_health = "unreachable"
-        recovered = False
-        deadline = time.monotonic() + health_deadline_s
-        while time.monotonic() < deadline:
-            health = _get_json(port, "/healthz")
-            if health is not None:
-                final_health = health.get("status", "unreachable")
-                if final_health == "ok":
-                    recovered = True
-                    break
-            if not expect_final_ok:
-                # No point burning the deadline when degraded is expected.
-                break
-            time.sleep(0.2)
-
-        metrics = _get_json(port, "/metrics") or {}
-
-    router_stats = metrics.get("router", {})
-    faults_injected = router_stats.get(
-        "faults_injected", metrics.get("faults", {}).get("injected", 0)
+    config: dict[str, Any] = {}
+    if cache_bytes is not None:
+        config["cache_bytes"] = cache_bytes
+    if cache_dir is not None:
+        config["cache_dir"] = cache_dir
+    server = build_server(
+        workers,
+        config,
+        fault_plan=plan,
+        max_restarts=max_restarts,
+        request_timeout=request_timeout,
+        retries=retries,
+        backoff_ms=backoff_ms,
     )
-
-    lost = sum(1 for status, _ in outcomes if status != 200)
-    mismatched = 0
-    for i, (status, raw) in enumerate(outcomes):
-        if status == 200 and raw is not None:
-            if _normalize(raw) != baseline[i % len(payloads)]:
-                mismatched += 1
-
-    violations: list[str] = []
-    if lost:
-        statuses = sorted({status for status, _ in outcomes if status != 200})
-        violations.append(
-            f"{lost} of {requests} accepted requests were not answered 200 "
-            f"(saw statuses {statuses})"
-        )
-    if mismatched:
-        violations.append(
-            f"{mismatched} answered requests differ from the fault-free "
-            "baseline (beyond wall_time)"
-        )
-    if expect_final_ok and not recovered:
-        violations.append(
-            f"/healthz did not recover to ok within {health_deadline_s:g}s "
-            f"(last status: {final_health})"
-        )
-
-    return ChaosReport(
-        plan=plan.to_dict(),
-        workers=workers,
-        requests=requests,
-        answered=requests - lost,
-        lost=lost,
-        mismatched=mismatched,
-        retries=int(router_stats.get("retries", 0)),
-        request_retries=int(router_stats.get("request_retries", 0)),
-        faults_injected=int(faults_injected),
-        final_health=final_health,
-        recovered=recovered,
-        violations=violations,
-        duration_s=time.monotonic() - started,
+    return _replay(
+        plan,
+        workers,
+        server,
+        lambda port: _drive(port, payloads, requests, concurrency),
+        [baseline[i % len(payloads)] for i in range(requests)],
+        "requests",
+        expect_final_ok=expect_final_ok,
+        health_deadline_s=health_deadline_s,
     )
 
 
@@ -421,16 +447,8 @@ def run_session_chaos(
     survivable kinds make sense there).
     """
     from ..core.errors import InvalidInstanceError
-    from ..engine import run as engine_run
     from .loadgen import session_step_bodies
-    from .router import RouterServer
-    from .server import (
-        InProcessServer,
-        SolveServer,
-        encode_report,
-        parse_json_body,
-        resolve_solve_request,
-    )
+    from .router import build_server
 
     if isinstance(plan, (str, Path)):
         plan = FaultPlan.load(plan)
@@ -442,94 +460,26 @@ def run_session_chaos(
     per_session = session_step_bodies(
         sessions, steps, base_rects=base_rects, step_rects=step_rects, seed=seed
     )
-    baseline: list[list[Any]] = []
-    for bodies in per_session:
-        refs = []
-        for body in bodies:
-            merged = dict(parse_json_body(body))
-            merged["algorithm"] = algorithm  # the session default a step inherits
-            _key, name, params, instance = resolve_solve_request(merged)
-            refs.append(_normalize(encode_report(engine_run(instance, name, params=params))))
-        baseline.append(refs)
-
-    started = time.monotonic()
-    if workers == 1:
-        server: Any = SolveServer(faults=plan.to_dict())
-    else:
-        server = RouterServer(
-            workers=workers,
-            max_restarts=max_restarts,
-            request_timeout=request_timeout,
-            retries=retries,
-            backoff_ms=backoff_ms,
-            fault_plan=plan,
-        )
-
-    with InProcessServer(server) as srv:
-        port = srv.port
-        outcomes = _drive_sessions(port, per_session, algorithm)
-
-        final_health = "unreachable"
-        recovered = False
-        deadline = time.monotonic() + health_deadline_s
-        while time.monotonic() < deadline:
-            health = _get_json(port, "/healthz")
-            if health is not None:
-                final_health = health.get("status", "unreachable")
-                if final_health == "ok":
-                    recovered = True
-                    break
-            if not expect_final_ok:
-                break
-            time.sleep(0.2)
-
-        metrics = _get_json(port, "/metrics") or {}
-
-    router_stats = metrics.get("router", {})
-    faults_injected = router_stats.get(
-        "faults_injected", metrics.get("faults", {}).get("injected", 0)
+    baseline = _baseline([body for bodies in per_session for body in bodies], algorithm)
+    server = build_server(
+        workers,
+        fault_plan=plan,
+        max_restarts=max_restarts,
+        request_timeout=request_timeout,
+        retries=retries,
+        backoff_ms=backoff_ms,
     )
-
-    requests = sessions * steps
-    flat = [(s, j) for s in range(sessions) for j in range(steps)]
-    lost = sum(1 for s, j in flat if outcomes[s][j][0] != 200)
-    mismatched = 0
-    for s, j in flat:
-        status, raw = outcomes[s][j]
-        if status == 200 and raw is not None:
-            if _normalize(raw) != baseline[s][j]:
-                mismatched += 1
-
-    violations: list[str] = []
-    if lost:
-        statuses = sorted({outcomes[s][j][0] for s, j in flat if outcomes[s][j][0] != 200})
-        violations.append(
-            f"{lost} of {requests} session steps were not answered 200 "
-            f"(saw statuses {statuses})"
-        )
-    if mismatched:
-        violations.append(
-            f"{mismatched} answered steps differ from the fault-free "
-            "baseline (beyond wall_time)"
-        )
-    if expect_final_ok and not recovered:
-        violations.append(
-            f"/healthz did not recover to ok within {health_deadline_s:g}s "
-            f"(last status: {final_health})"
-        )
-
-    return ChaosReport(
-        plan=plan.to_dict(),
-        workers=workers,
-        requests=requests,
-        answered=requests - lost,
-        lost=lost,
-        mismatched=mismatched,
-        retries=int(router_stats.get("retries", 0)),
-        request_retries=int(router_stats.get("request_retries", 0)),
-        faults_injected=int(faults_injected),
-        final_health=final_health,
-        recovered=recovered,
-        violations=violations,
-        duration_s=time.monotonic() - started,
+    return _replay(
+        plan,
+        workers,
+        server,
+        lambda port: [
+            outcome
+            for session in _drive_sessions(port, per_session, algorithm)
+            for outcome in session
+        ],
+        baseline,
+        "session steps",
+        expect_final_ok=expect_final_ok,
+        health_deadline_s=health_deadline_s,
     )

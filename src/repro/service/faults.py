@@ -20,14 +20,14 @@ site                 kinds                               seam
 ``router.recv``      ``conn_reset``, ``truncate``,       ``_WorkerClient._round_trip``
                      ``slow``
 ``worker.spawn``     ``error``                           ``WorkerHandle.spawn``
-``worker.pre_solve`` ``crash``, ``hang``, ``slow``,      ``SolveServer._solve``
+``worker.pre_solve`` ``crash``, ``hang``, ``slow``,      ``SolveServer._dispatch_solve``
                      ``error``
-``worker.post_solve`` ``crash``, ``slow``                ``SolveServer._solve``
+``worker.post_solve`` ``crash``, ``slow``                ``SolveServer._dispatch_solve``
 ``cache.spill_read`` ``io_error``, ``corrupt``           ``ResultCache.get``
 ``cache.spill_write`` ``io_error``, ``disk_full``        ``ResultCache._spill``
 ``queue.drain``      ``stall``                           ``MicroBatcher._run_batch``
-``session.create``   ``error``, ``slow``                 ``SolveServer._session_create``
-``session.step``     ``crash``, ``error``, ``slow``      ``SolveServer._session_step``
+``session.create``   ``error``, ``slow``                 ``SolveServer._session_opened``
+``session.step``     ``crash``, ``error``, ``slow``      ``SolveServer._dispatch_step``
 ===================  ==================================  =======================
 
 A plan travels as a plain dict so it pickles through the ``spawn`` start

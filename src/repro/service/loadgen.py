@@ -648,22 +648,17 @@ def sweep_workers(
     ``max_restarts``); it is ignored on the ``count == 1`` single-process
     path, which has no router.
     """
-    from .router import RouterServer
-    from .server import InProcessServer, SolveServer
+    from .router import build_server
+    from .server import InProcessServer
 
     if not counts:
         raise InvalidInstanceError("counts must be non-empty")
     if any(count < 1 for count in counts):
         raise InvalidInstanceError(f"worker counts must be >= 1, got {list(counts)}")
-    config = dict(worker_config or {})
     fleet_kwargs = dict(router_config or {})
     results: list[tuple[int, LoadResult]] = []
     for count in counts:
-        server = (
-            SolveServer(**config)
-            if count == 1
-            else RouterServer(workers=count, worker_config=config, **fleet_kwargs)
-        )
+        server = build_server(count, worker_config, **(fleet_kwargs if count > 1 else {}))
         with InProcessServer(server) as srv:
             result = run_closed_loop(
                 srv.url, payloads, requests=requests, concurrency=concurrency

@@ -2,14 +2,19 @@
 
 ``repro serve --workers N`` puts this in front of N worker processes
 (each a full :class:`~repro.service.server.SolveServer`, see
-:mod:`repro.service.worker`).  Every ``/solve`` and ``/portfolio`` body is
-resolved to its canonical content-addressed ``result_key`` — the *same*
-resolution the worker performs — and the key is consistent-hashed over a
-:class:`HashRing` of workers.  Key affinity is the whole game: one key
-always lands on one worker, so that worker's in-memory LRU is an
-effective L1 cache and its in-flight coalescing still collapses
-concurrent identical misses, even though the fleet shares nothing but a
-disk-spill directory (the L2 tier).
+:mod:`repro.service.worker`).  The public protocol is not re-implemented
+here: :class:`RouterServer` shares the solo server's request pipeline
+(:class:`~repro.service.server.HttpServerBase` — parse, key, coalesce,
+dispatch) and supplies only the fleet's *dispatch stage*.  Every
+``/solve`` and ``/portfolio`` body is resolved to its canonical
+content-addressed ``result_key`` — the *same* resolution the worker
+performs — and the key is consistent-hashed over a :class:`HashRing` of
+workers.  Key affinity is the whole game: one key always lands on one
+worker, so that worker's in-memory LRU is an effective L1 cache and its
+in-flight coalescing still collapses concurrent identical misses, even
+though the fleet shares nothing but a disk-spill directory (the L2 tier).
+The shared coalescer runs at the front door too, so a worker respawn
+storm or a hot key never multiplies into duplicate solves downstream.
 
 Failure handling is ring-shaped, and it distinguishes *dead* from
 *slow*.  A connection-level failure (refused, reset, truncated response)
@@ -26,7 +31,8 @@ dead workers (bounded by ``max_restarts``), splices them back into the
 ring, and re-rings live workers that transient connection faults
 wrongly benched; ``/healthz`` reports ``degraded`` while the fleet is
 short-handed and ``ok`` again after recovery, with the restart count
-alongside.
+alongside.  A worker's error answer reaches the client as the same error
+(status, ``{"error": ...}`` body, ``Retry-After`` on a 503).
 
 For chaos testing, a :class:`~repro.service.faults.FaultPlan` passed as
 ``fault_plan`` arms deterministic injection seams on both sides of the
@@ -34,28 +40,24 @@ wire: the router's client send/recv and worker spawn (this module), and
 the worker's pre/post-solve, cache-spill, and queue-drain seams (the
 plan is forwarded inside ``worker_config``).
 
-The router adds a second coalescing layer above the workers: concurrent
-identical misses collapse at the front door too, so a worker respawn
-storm or a hot key never multiplies into duplicate solves downstream.
-
-Sessions ride the same ring: ``POST /session`` registers the session's
-solve defaults in the router and creates mirror state on the worker that
-owns the affinity key ``session|{id}``, and every ``POST
-/session/{id}/step`` forwards to that owner — so one session's stream of
-near-duplicate instances keeps hitting one worker's L1 and neighbor
-index (the warm-start locality story).  Steps bypass the front-door
-coalescing on purpose: distinct steps of one session are distinct
-solves that merely share an affinity key.  The router enriches each
-forwarded step with the session's defaults, so when the owning worker
-dies mid-session the ring successor rebuilds the session from the step
-body itself — failover loses zero steps.  While draining, new sessions
-are refused (503); registered sessions keep stepping until the listener
-closes.
+Sessions ride the same ring.  The front door's session registry holds
+each session's solve defaults and step count; the router mirrors the
+session on the worker that owns the affinity key ``session|{id}`` and
+forwards every ``POST /session/{id}/step`` there — so one session's
+stream of near-duplicate instances keeps hitting one worker's L1 and
+neighbor index (the warm-start locality story).  Each forwarded step
+carries the session's defaults, so when the owning worker dies
+mid-session the ring successor rebuilds the session from the step body
+itself — failover loses zero steps, and ``DELETE`` still reports every
+step because the router counts them.
 
 ``/metrics`` aggregates the fleet — summed queue/cache counters keep the
 single-process document shape, with per-worker detail nested under
 ``"workers"`` and router-level counters under ``"router"`` (in Prometheus
 form: the same metric names with a ``worker="i"`` label).
+
+:func:`build_server` is the one place that picks between the solo server
+and a fleet for a worker count.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ import json
 import logging
 import multiprocessing
 import random
-import re
 import time
 from http import HTTPStatus
 from typing import Any, Iterable, Mapping
@@ -78,18 +79,16 @@ from ..obs.trace import TRACE_HEADER, current_trace
 from .faults import FaultInjector, FaultPlan
 from .server import (
     HttpServerBase,
-    PROMETHEUS_CONTENT_TYPE,
+    SolveServer,
     _BadRequest,
-    _wants_prometheus,
     parse_json_body,
     prometheus_samples,
-    render_prometheus,
     resolve_portfolio_request,
     resolve_solve_request,
 )
 from .worker import worker_main
 
-__all__ = ["HashRing", "WorkerHandle", "RouterServer"]
+__all__ = ["HashRing", "WorkerHandle", "RouterServer", "build_server"]
 
 #: Stdlib logger name the structured events fall back to when no explicit
 #: sink is configured (``repro serve --log-format/--log-file``); kept so
@@ -414,13 +413,19 @@ class RouterServer(HttpServerBase):
     every worker at one ``cache_dir`` to give the fleet a shared L2 cache
     tier under the key-affine per-worker L1s.
 
-    Speaks exactly the single-process server's protocol (same routes,
-    same error mapping, same ``X-Repro-Cache`` header), so clients and
-    the load generator cannot tell one worker from eight.
+    The public protocol — routes, handlers, coalescing, the session
+    registry — is :class:`~repro.service.server.HttpServerBase`'s, so
+    clients and the load generator cannot tell one worker from eight.
+    This class is only the fleet's dispatch stage: the hash ring, the
+    worker processes and their loopback clients, forwarding with
+    failover, the supervisor, and fleet-wide aggregation.
     """
 
     #: The front-door hop's root span (vs the worker's ``server.request``).
     SPAN_ROOT = "router.request"
+
+    #: Drain events share the failover and respawn events' logger.
+    LOGGER = LOG_NAME
 
     #: How long a request keeps walking the ring before giving up with 503.
     FAILOVER_TIMEOUT_S = 10.0
@@ -472,13 +477,6 @@ class RouterServer(HttpServerBase):
         self._handles: dict[int, WorkerHandle] = {}
         self._clients: dict[int, _WorkerClient] = {}
         self._ring = HashRing(replicas=replicas)
-        self._inflight: dict[str, asyncio.Future] = {}
-        # Session registry: id -> {"algorithm", "params"}.  The router is
-        # the source of truth; worker-side session state is a soft mirror
-        # rebuilt on failover from the enriched step bodies.
-        self._sessions: dict[str, dict[str, Any]] = {}
-        self._session_seq = 0
-        self._session_steps = 0
         self._retries = 0
         self._request_retries = 0
         self._respawns_inflight: set[int] = set()
@@ -566,15 +564,8 @@ class RouterServer(HttpServerBase):
         if client is not None:
             client.close()
 
-    async def drain(self, bound: asyncio.Server, timeout: float = 30.0) -> None:
-        """Graceful fleet shutdown: stop accepting, finish in-flight
-        requests, SIGTERM every worker (each drains its own queue), reap.
-        """
-        _event("drain", stage="begin")
-        self.begin_drain()
-        bound.close()
-        await bound.wait_closed()
-        await self.drain_requests(timeout)
+    async def _drain_dispatch(self, timeout: float) -> None:
+        """SIGTERM every worker (each drains its own queue) and reap."""
         if self._supervisor is not None:
             self._supervisor.cancel()
             self._supervisor = None
@@ -585,8 +576,6 @@ class RouterServer(HttpServerBase):
                 for handle in self._handles.values()
             )
         )
-        self.close()
-        _event("drain", stage="complete")
 
     def close(self) -> None:
         """Tear the fleet down hard (idempotent; safe off the loop).
@@ -723,99 +712,44 @@ class RouterServer(HttpServerBase):
                         )
                     break
 
-    async def _routed(self, key: str, path: str, body: bytes):
-        """Route with front-door coalescing: concurrent identical keys
-        ride the leader's forward instead of hitting the worker N times.
+    # -- the dispatch stage -------------------------------------------------
+    #
+    # The front door parses and keys with *this* module's names
+    # (parse_json_body, resolve_solve_request), inside the router.route
+    # span: the service benchmark times the router's hop through exactly
+    # these attributes.
 
-        Returns ``(status, headers, payload, source)`` where ``source``
-        is the worker's ``X-Repro-Cache`` verdict for the leader and
-        ``"coalesced"`` for followers.  Error responses (non-200) resolve
-        the leader future empty, so each follower retries independently —
-        same contract as the worker-level coalescing.
-        """
-        existing = self._inflight.get(key)
-        if existing is not None:
-            result = await asyncio.shield(existing)
-            if result is not None:
-                status, headers, payload = result
-                return status, headers, payload, "coalesced"
-        leader: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = leader
-        result = None
-        try:
-            status, headers, payload = await self._forward(key, path, body)
-            if status == 200:
-                result = (status, headers, payload)
-            return status, headers, payload, headers.get("x-repro-cache", "miss")
-        finally:
-            if self._inflight.get(key) is leader:
-                del self._inflight[key]
-            if not leader.done():
-                leader.set_result(result)
-
-    # -- endpoints ---------------------------------------------------------
-
-    ROUTES = {
-        ("GET", "/healthz"): "_healthz",
-        ("GET", "/metrics"): "_metrics",
-        ("POST", "/solve"): "_solve",
-        ("POST", "/portfolio"): "_portfolio",
-        ("POST", "/session"): "_session_create",
-    }
-    ENDPOINTS = frozenset(path for _, path in ROUTES)
-    DYNAMIC_ROUTES = (
-        (
-            "POST",
-            re.compile(r"/session/(?P<session_id>[^/]+)/step"),
-            "_session_step",
-            "/session/{id}/step",
-        ),
-        (
-            "DELETE",
-            re.compile(r"/session/(?P<session_id>[^/]+)"),
-            "_session_delete",
-            "/session/{id}",
-        ),
-        (
-            "GET",
-            re.compile(r"/debug/trace/(?P<trace_id>[^/]+)"),
-            "_debug_trace",
-            "/debug/trace/{id}",
-        ),
-    )
-
-    async def _debug_trace(
-        self, body: bytes, headers, trace_id: str
-    ) -> tuple[int, dict[str, str], bytes]:
-        """The fleet-merged span tree of one trace: the router's own spans
-        plus every live worker's, sorted into one document."""
-        doc = recorder().trace_document(trace_id)
-        spans = list(doc["spans"])
-
-        async def fetch(worker_id: int):
-            try:
-                status, _headers, payload = await self._clients[worker_id].request(
-                    "GET", f"/debug/trace/{trace_id}"
-                )
-            except (ConnectionError, asyncio.IncompleteReadError, OSError):
-                return []
-            if status != 200:
-                return []
-            try:
-                return json.loads(payload).get("spans", [])
-            except (json.JSONDecodeError, AttributeError):
-                return []
-
-        order = sorted(
-            worker_id
-            for worker_id, handle in self._handles.items()
-            if handle.alive() and worker_id in self._ring
+    def _route_span(self):
+        ctx = current_trace()
+        return recorder().span(
+            ctx.trace_id if ctx is not None else None,
+            "router.route",
+            tenant=ctx.tenant if ctx is not None else "default",
         )
-        for worker_spans in await asyncio.gather(*(fetch(w) for w in order)):
-            spans.extend(worker_spans)
-        spans.sort(key=lambda s: s.get("start_s", 0.0))
-        merged = {"trace": trace_id, "spans": spans}
-        return 200, {}, json.dumps(merged, sort_keys=True).encode("utf-8")
+
+    def _resolve_solve(self, body: bytes):
+        with self._route_span():
+            return resolve_solve_request(parse_json_body(body))
+
+    def _resolve_portfolio(self, body: bytes):
+        with self._route_span():
+            return resolve_portfolio_request(parse_json_body(body))
+
+    async def _relay(self, key: str, path: str, body: bytes) -> tuple[bytes, str]:
+        """Forward to ``key``'s shard; a worker's error answer is re-raised
+        as the same error, so the client sees the status, the body and the
+        headers (``Retry-After`` on a 503) the worker's own front door
+        would have sent."""
+        status, headers, payload = await self._forward(key, path, body)
+        if status != 200:
+            raise _BadRequest(HTTPStatus(status), json.loads(payload)["error"])
+        return payload, headers.get("x-repro-cache", "miss")
+
+    async def _dispatch_solve(self, request, body: bytes) -> tuple[bytes, str]:
+        return await self._relay(request[0], "/solve", body)
+
+    async def _dispatch_portfolio(self, request, body: bytes) -> tuple[bytes, str]:
+        return await self._relay(request[0], "/portfolio", body)
 
     @staticmethod
     def _session_key(session_id: str) -> str:
@@ -823,128 +757,36 @@ class RouterServer(HttpServerBase):
         of the session routes to the same worker (until it dies)."""
         return f"session|{session_id}"
 
-    async def _session_create(
-        self, body: bytes, headers
-    ) -> tuple[int, dict[str, str], bytes]:
-        if self._draining:
-            raise _BadRequest(
-                HTTPStatus.SERVICE_UNAVAILABLE,
-                "draining: not accepting new sessions",
-            )
-        data = parse_json_body(body)
-        algorithm = data.get("algorithm")
-        if algorithm is not None and not isinstance(algorithm, str):
-            raise _BadRequest(HTTPStatus.BAD_REQUEST, "'algorithm' must be a string")
-        params = data.get("params")
-        if params is not None and not isinstance(params, dict):
-            raise _BadRequest(HTTPStatus.BAD_REQUEST, "'params' must be an object")
-        self._session_seq += 1
-        session_id = f"s{self._session_seq:06d}"
-        # Forward with an explicit id so the owning worker mirrors the
-        # session under the same name the client will step it by.
-        forwarded = dict(data)
-        forwarded["id"] = session_id
-        status, _resp_headers, payload = await self._forward(
-            self._session_key(session_id),
-            "/session",
-            json.dumps(forwarded).encode("utf-8"),
-        )
-        if status == 200:
-            self._sessions[session_id] = {"algorithm": algorithm, "params": params}
-        return status, {}, payload
-
-    async def _session_step(
-        self, body: bytes, headers, session_id: str
-    ) -> tuple[int, dict[str, str], bytes]:
-        session = self._sessions.get(session_id)
-        if session is None:
-            raise _BadRequest(HTTPStatus.NOT_FOUND, f"no such session: {session_id}")
-        data = parse_json_body(body)
-        # Enrich with the session's solve defaults: the worker resolves
-        # the step exactly like a one-shot /solve, and — crucially — a
-        # failover successor can rebuild the session from this body alone.
-        enriched = dict(data)
-        if "algorithm" not in enriched and session["algorithm"] is not None:
-            enriched["algorithm"] = session["algorithm"]
-        if "params" not in enriched and session["params"] is not None:
-            enriched["params"] = session["params"]
-        # No front-door coalescing here: distinct steps of one session
-        # share the affinity key, and coalescing them would wrongly serve
-        # one step's placement for another.
-        status, resp_headers, payload = await self._forward(
+    async def _dispatch_step(
+        self, session_id: str, data: dict[str, Any]
+    ) -> tuple[bytes, str]:
+        # Steps skip the front-door coalescer: distinct steps of one
+        # session are distinct solves that merely share an affinity key.
+        return await self._relay(
             self._session_key(session_id),
             f"/session/{session_id}/step",
-            json.dumps(enriched).encode("utf-8"),
+            json.dumps(data).encode("utf-8"),
         )
-        self._session_steps += 1
-        extra = (
-            {"X-Repro-Cache": resp_headers.get("x-repro-cache", "miss")}
-            if status == 200
-            else {}
+
+    async def _session_opened(self, session_id: str, data: dict[str, Any]) -> None:
+        # Mirror the session on its owner under the id the client will
+        # step it by.
+        await self._relay(
+            self._session_key(session_id),
+            "/session",
+            json.dumps({**data, "id": session_id}).encode("utf-8"),
         )
-        return status, extra, payload
 
-    async def _session_delete(
-        self, body: bytes, headers, session_id: str
-    ) -> tuple[int, dict[str, str], bytes]:
-        session = self._sessions.pop(session_id, None)
-        if session is None:
-            raise _BadRequest(HTTPStatus.NOT_FOUND, f"no such session: {session_id}")
+    async def _session_closed(self, session_id: str) -> None:
+        """Drop the owner's mirror: one attempt, because the soft state
+        dies with the worker anyway."""
+        owner = self._ring.node_for(self._session_key(session_id))
+        if owner is None:
+            return
         try:
-            status, _resp_headers, payload = await self._forward_delete(session_id)
-        except _BadRequest:
-            # The owner is gone and its soft state with it — the registry
-            # removal above already completed the teardown.
-            status, payload = 0, b""
-        if status != 200:
-            payload = json.dumps(
-                {"deleted": session_id, "steps": None},
-                sort_keys=True,
-                separators=(",", ":"),
-            ).encode("utf-8")
-        return 200, {}, payload
-
-    async def _forward_delete(self, session_id: str):
-        """DELETE has no retry semantics to honour — one attempt at the
-        owner is enough (soft state dies with the worker anyway)."""
-        key = self._session_key(session_id)
-        order = self._ring.preference(key)
-        if not order:
-            raise _BadRequest(HTTPStatus.SERVICE_UNAVAILABLE, "no workers available")
-        client = self._clients[order[0]]
-        try:
-            return await client.request("DELETE", f"/session/{session_id}")
-        except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
-            raise _BadRequest(
-                HTTPStatus.SERVICE_UNAVAILABLE, f"worker unavailable: {exc}"
-            )
-
-    async def _solve(self, body: bytes, headers) -> tuple[int, dict[str, str], bytes]:
-        ctx = current_trace()
-        with recorder().span(
-            ctx.trace_id if ctx is not None else None,
-            "router.route",
-            tenant=ctx.tenant if ctx is not None else "default",
-        ):
-            data = parse_json_body(body)
-            key, name, _params, _instance = resolve_solve_request(data)
-        self.metrics.count_algorithm(name)
-        status, _resp_headers, payload, source = await self._routed(key, "/solve", body)
-        extra = {"X-Repro-Cache": source} if status == 200 else {}
-        return status, extra, payload
-
-    async def _portfolio(self, body: bytes, headers) -> tuple[int, dict[str, str], bytes]:
-        ctx = current_trace()
-        with recorder().span(
-            ctx.trace_id if ctx is not None else None,
-            "router.route",
-            tenant=ctx.tenant if ctx is not None else "default",
-        ):
-            data = parse_json_body(body)
-            key, _instance, _algorithms, _params = resolve_portfolio_request(data)
-        status, _resp_headers, payload, source = await self._routed(key, "/portfolio", body)
-        extra = {"X-Repro-Cache": source} if status == 200 else {}
-        return status, extra, payload
+            await self._clients[owner].request("DELETE", f"/session/{session_id}")
+        except (ConnectionError, asyncio.IncompleteReadError, OSError):
+            pass
 
     def _fleet_counts(self) -> dict[str, int]:
         alive = sum(1 for handle in self._handles.values() if handle.alive())
@@ -954,22 +796,16 @@ class RouterServer(HttpServerBase):
             "restarts": sum(handle.restarts for handle in self._handles.values()),
         }
 
-    async def _healthz(self, body: bytes, headers) -> tuple[int, dict[str, str], bytes]:
-        from .. import __version__
-
+    def _health(self) -> dict[str, Any]:
         counts = self._fleet_counts()
-        payload = json.dumps(
-            {
-                "status": "ok" if counts["alive"] == counts["total"] else "degraded",
-                "version": __version__,
-                "uptime_s": self.metrics.uptime_s,
-                "workers": counts,
-            }
-        ).encode("utf-8")
-        return 200, {}, payload
+        return {
+            "status": "ok" if counts["alive"] == counts["total"] else "degraded",
+            "workers": counts,
+        }
 
-    async def _worker_snapshots(self) -> dict[str, dict]:
-        """Fetch ``/metrics`` from every live worker concurrently."""
+    async def _from_workers(self, path: str) -> dict[str, Any]:
+        """``GET path`` from every live worker concurrently: worker id ->
+        decoded JSON body (unreachable or failing workers are left out)."""
         order = sorted(
             worker_id
             for worker_id, handle in self._handles.items()
@@ -979,18 +815,25 @@ class RouterServer(HttpServerBase):
         async def fetch(worker_id: int):
             try:
                 status, _headers, payload = await self._clients[worker_id].request(
-                    "GET", "/metrics"
+                    "GET", path
                 )
             except (ConnectionError, asyncio.IncompleteReadError, OSError):
                 return None
-            return json.loads(payload) if status == 200 else None
+            if status != 200:
+                return None
+            try:
+                return json.loads(payload)
+            except json.JSONDecodeError:
+                return None
 
-        snapshots = await asyncio.gather(*(fetch(worker_id) for worker_id in order))
+        docs = await asyncio.gather(*(fetch(worker_id) for worker_id in order))
         return {
-            str(worker_id): snap
-            for worker_id, snap in zip(order, snapshots)
-            if snap is not None
+            str(worker_id): doc for worker_id, doc in zip(order, docs) if doc is not None
         }
+
+    async def _peer_spans(self, trace_id: str) -> list[dict[str, Any]]:
+        docs = await self._from_workers(f"/debug/trace/{trace_id}")
+        return [span for doc in docs.values() for span in doc.get("spans", [])]
 
     @staticmethod
     def _aggregate(workers: dict[str, dict]) -> tuple[dict, dict]:
@@ -1017,50 +860,67 @@ class RouterServer(HttpServerBase):
         )
         return queue, cache
 
-    async def _metrics(self, body: bytes, headers) -> tuple[int, dict[str, str], bytes]:
-        workers = await self._worker_snapshots()
-        queue, cache = self._aggregate(workers)
-        snapshot = self.metrics.snapshot()
-        snapshot["queue"] = queue
-        snapshot["cache"] = cache
+    async def _snapshot(self, snapshot: dict[str, Any]) -> None:
+        workers = await self._from_workers("/metrics")
+        snapshot["queue"], snapshot["cache"] = self._aggregate(workers)
         snapshot["router"] = {
             "workers": self._fleet_counts(),
             "retries": self._retries,
             "request_retries": self._request_retries,
-            "sessions": {
-                "active": len(self._sessions),
-                "created": self._session_seq,
-                "steps": self._session_steps,
-            },
+            "sessions": snapshot["sessions"],
         }
-        snapshot["sessions"] = snapshot["router"]["sessions"]
-        snapshot["spans"] = recorder().histogram_snapshot()
         if self.faults is not None:
             snapshot["router"]["faults_injected"] = self.faults.fired + sum(
                 snap.get("faults", {}).get("injected", 0) for snap in workers.values()
             )
         snapshot["workers"] = workers
-        if _wants_prometheus(headers):
-            samples = prometheus_samples(snapshot)
-            counts = snapshot["router"]["workers"]
-            samples.append(("repro_workers_total", {}, float(counts["total"])))
-            samples.append(("repro_workers_alive", {}, float(counts["alive"])))
-            samples.append(("repro_worker_restarts_total", {}, float(counts["restarts"])))
-            samples.append(("repro_router_retries_total", {}, float(self._retries)))
-            samples.append(("repro_retries_total", {}, float(self._request_retries)))
-            if self.faults is not None:
-                samples.append((
-                    "repro_faults_injected_total",
-                    {"scope": "fleet"},
-                    float(snapshot["router"]["faults_injected"]),
-                ))
-            for worker_id, snap in workers.items():
-                samples.extend(prometheus_samples(snap, labels={"worker": worker_id}))
-            # Stable output: group samples by metric name so each # TYPE
-            # header precedes all of its series, fleet and per-worker.
-            rank: dict[str, int] = {}
-            for name, _, _ in samples:
-                rank.setdefault(name, len(rank))
-            samples.sort(key=lambda s: (rank[s[0]], str(s[1])))
-            return 200, {"Content-Type": PROMETHEUS_CONTENT_TYPE}, render_prometheus(samples)
-        return 200, {}, json.dumps(snapshot, sort_keys=True).encode("utf-8")
+
+    def _prometheus(self, snapshot: dict[str, Any]) -> list:
+        samples = prometheus_samples(snapshot)
+        counts = snapshot["router"]["workers"]
+        samples.append(("repro_workers_total", {}, float(counts["total"])))
+        samples.append(("repro_workers_alive", {}, float(counts["alive"])))
+        samples.append(("repro_worker_restarts_total", {}, float(counts["restarts"])))
+        samples.append(("repro_router_retries_total", {}, float(self._retries)))
+        samples.append(("repro_retries_total", {}, float(self._request_retries)))
+        if self.faults is not None:
+            samples.append((
+                "repro_faults_injected_total",
+                {"scope": "fleet"},
+                float(snapshot["router"]["faults_injected"]),
+            ))
+        for worker_id, snap in snapshot["workers"].items():
+            samples.extend(prometheus_samples(snap, labels={"worker": worker_id}))
+        # Stable output: group samples by metric name so each # TYPE
+        # header precedes all of its series, fleet and per-worker.
+        rank: dict[str, int] = {}
+        for name, _, _ in samples:
+            rank.setdefault(name, len(rank))
+        samples.sort(key=lambda s: (rank[s[0]], str(s[1])))
+        return samples
+
+
+def build_server(
+    workers: int = 1,
+    worker_config: Mapping[str, Any] | None = None,
+    *,
+    fault_plan: "FaultPlan | Mapping[str, Any] | None" = None,
+    **fleet: Any,
+) -> HttpServerBase:
+    """The solve service for ``workers``: the one place that picks solo or
+    fleet.
+
+    ``workers == 1`` is a single :class:`SolveServer` built from
+    ``worker_config``; more is a :class:`RouterServer` over that many
+    worker processes, each built from ``worker_config``.  ``fault_plan``
+    is armed on whichever topology is built (the solo server's seams, or
+    both sides of the fleet's wire).  ``fleet`` holds the
+    :class:`RouterServer`-only kwargs (``request_timeout``, ``retries``,
+    ``backoff_ms``, ``max_restarts``), which one process has no use for.
+    """
+    config = dict(worker_config or {})
+    if workers == 1:
+        return SolveServer(faults=fault_plan, **config)
+    return RouterServer(
+        workers=workers, worker_config=config, fault_plan=fault_plan, **fleet
+    )

@@ -6,11 +6,13 @@ third-party web framework, per the repo's no-new-deps rule), solve traffic
 flows ``client → queue → micro-batcher → Executor → cache → response``,
 and operational state is always one ``GET /metrics`` away.
 
-The HTTP machinery lives in :class:`HttpServerBase` so the sharded
-front-end (:class:`repro.service.router.RouterServer`) speaks the same
-wire protocol with the same error mapping and the same metrics shapes —
-``SolveServer`` is "the worker" and the router is "the fleet", but a
-client cannot tell them apart.
+:class:`HttpServerBase` is the one request pipeline of both topologies:
+the HTTP machinery, the route table and every endpoint handler, the
+in-flight coalescer and the session registry (parse → key → coalesce →
+dispatch).  ``SolveServer`` ("the worker") and the sharded
+:class:`repro.service.router.RouterServer` ("the fleet") differ only in
+their *dispatch stage* — answer locally, or forward over a hash ring —
+so a client cannot tell them apart.
 
 Endpoints
 ---------
@@ -34,12 +36,15 @@ Endpoints
     (body ``{"algorithm"?: str, "params"?: {...}}``) registers per-session
     solve defaults and returns ``{"session": {...}}``; each *step* posts
     ``{"instance": {...}}`` and is answered exactly like ``/solve`` with
-    the session's defaults merged in.  Session state is *soft*: a step
-    for an unknown id (re)creates it from the step body, which is what
-    lets the router migrate a session to a ring successor mid-stream
-    after a worker crash without losing a step.  Creating sessions is
-    refused with 503 once a drain began (teardown-aware), existing
-    sessions may finish their in-flight steps.
+    the session's defaults merged in; ``DELETE`` reports the session's
+    step count.  A client may choose the id (``{"id": ...}``: a
+    non-empty string without ``/``, else 400).  On a ``SolveServer``
+    session state is *soft*: a step for an unknown id (re)creates it
+    from the step body, which is what lets the router migrate a session
+    to a ring successor mid-stream after a worker crash without losing a
+    step; the router itself answers 404 for an unknown id.  Creating
+    sessions is refused with 503 once a drain began (teardown-aware),
+    existing sessions may finish their in-flight steps.
 ``GET /healthz``
     Liveness: ``{"status": "ok", "version": ..., "uptime_s": ...}``.
 ``GET /metrics``
@@ -414,34 +419,99 @@ def resolve_portfolio_request(data: dict[str, Any]):
     return key, instance, algorithms, params
 
 
+def _session_defaults(data: dict[str, Any]) -> tuple[str | None, dict | None]:
+    """Validate the per-session solve defaults out of a JSON body."""
+    algorithm = data.get("algorithm")
+    if algorithm is not None and not isinstance(algorithm, str):
+        raise _BadRequest(HTTPStatus.BAD_REQUEST, "'algorithm' must be a string")
+    params = data.get("params")
+    if params is not None and not isinstance(params, dict):
+        raise _BadRequest(HTTPStatus.BAD_REQUEST, "'params' must be an object")
+    if algorithm is not None:
+        from ..engine import get_spec
+
+        try:
+            get_spec(algorithm)
+        except ReproError as exc:
+            raise _BadRequest(HTTPStatus.UNPROCESSABLE_ENTITY, str(exc))
+    return algorithm, params
+
+
+def _compact_json(doc: Mapping[str, Any]) -> bytes:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 class HttpServerBase:
-    """The stdlib HTTP/1.1 front-end shared by worker and router servers.
+    """The one request pipeline behind both topologies.
 
-    Subclasses define ``ROUTES``/``ENDPOINTS`` plus the handler
-    coroutines (``handler(body, headers) -> (status, extra_headers,
-    payload)``) and may hook the lifecycle:
+    The stdlib HTTP/1.1 front-end, the route table, every endpoint
+    handler, the in-flight coalescer and the session registry live here,
+    so the solo server and the fleet router answer the public protocol
+    through the same code: parse → key → coalesce → dispatch.  A subclass
+    supplies only its *dispatch stage* — how a resolved request gets
+    answered: :class:`SolveServer` locally (cache, warm start,
+    micro-batcher, engine), :class:`~repro.service.router.RouterServer`
+    by forwarding over its hash ring of worker processes:
 
-    * :meth:`_before_bind` — async setup that must precede accepting
-      traffic (the router spawns its worker fleet here);
-    * :meth:`_after_bind` — sync setup tied to a successful bind (the
-      worker server starts its micro-batcher here, so a failed bind
-      leaks no thread).
+    * ``_resolve_solve(body)`` / ``_resolve_portfolio(body)`` — parse and
+      validate a body into its request tuple (key first);
+    * ``_dispatch_solve(request, body)``, ``_dispatch_portfolio(request,
+      body)`` and ``_dispatch_step(session_id, data)`` — produce
+      ``(payload, X-Repro-Cache source)`` or raise :class:`_BadRequest`;
+    * ``_session_opened``, ``_session_missing`` and ``_session_closed`` —
+      what a session create, a step for an unknown id, and a delete
+      mean beyond the registry;
+    * ``_health``, ``_snapshot``, ``_prometheus`` and ``_peer_spans`` —
+      the topology's part of ``/healthz``, ``/metrics`` and
+      ``/debug/trace``;
+    * ``_drain_dispatch(timeout)`` — flush the stage during a drain.
 
-    Graceful drain support: :meth:`begin_drain` stops keep-alive reuse,
-    and :meth:`drain_requests` awaits in-flight dispatches.
+    The lifecycle hooks :meth:`_before_bind` (async setup that must
+    precede accepting traffic: the router spawns its fleet) and
+    :meth:`_after_bind` (sync setup tied to a successful bind: the solo
+    server starts its micro-batcher, so a failed bind leaks no thread)
+    complete the contract.
     """
 
     #: (method, path) -> handler name; also the metrics cardinality bound.
-    ROUTES: dict[tuple[str, str], str] = {}
-    ENDPOINTS: frozenset[str] = frozenset()
+    ROUTES = {
+        ("GET", "/healthz"): "_healthz",
+        ("GET", "/metrics"): "_metrics",
+        ("POST", "/solve"): "_solve",
+        ("POST", "/portfolio"): "_portfolio",
+        ("POST", "/session"): "_session_create",
+    }
+    ENDPOINTS = frozenset(path for _, path in ROUTES)
     #: Path-parameterised routes: (method, compiled pattern, handler name,
     #: endpoint label).  The label replaces the raw path in metrics, so
     #: ``/session/<anything>/step`` is one bounded series, not one per id.
-    DYNAMIC_ROUTES: tuple[tuple[str, "re.Pattern[str]", str, str], ...] = ()
+    DYNAMIC_ROUTES = (
+        (
+            "POST",
+            re.compile(r"/session/(?P<session_id>[^/]+)/step"),
+            "_session_step",
+            "/session/{id}/step",
+        ),
+        (
+            "DELETE",
+            re.compile(r"/session/(?P<session_id>[^/]+)"),
+            "_session_delete",
+            "/session/{id}",
+        ),
+        (
+            "GET",
+            re.compile(r"/debug/trace/(?P<trace_id>[^/]+)"),
+            "_debug_trace",
+            "/debug/trace/{id}",
+        ),
+    )
 
     #: Name of the per-request root span (the router overrides it, so a
     #: merged trace distinguishes the front-door hop from the worker hop).
     SPAN_ROOT = "server.request"
+
+    #: Logger the drain events go to.
+    LOGGER = "repro.service"
 
     def __init__(self) -> None:
         self.metrics = ServiceMetrics()
@@ -449,6 +519,17 @@ class HttpServerBase:
         self.port: int | None = None
         self._active_requests = 0
         self._draining = False
+        # In-flight coalescing: result-key -> future payload of the request
+        # currently producing it.  Only the event loop touches this dict,
+        # so no lock is needed; concurrent identical requests join the
+        # leader instead of duplicating its work.
+        self._inflight: dict[str, asyncio.Future] = {}
+        # Sessions: id -> {"algorithm", "params", "steps"}, touched only on
+        # the event loop.
+        self._sessions: dict[str, dict[str, Any]] = {}
+        self._session_seq = 0
+        self._sessions_created = 0
+        self._session_steps = 0
 
     # -- lifecycle ------------------------------------------------------
 
@@ -499,6 +580,23 @@ class HttpServerBase:
         deadline = time.monotonic() + timeout
         while self._active_requests > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
+
+    async def drain(self, bound: asyncio.Server, timeout: float = 30.0) -> None:
+        """Graceful shutdown: stop accepting, answer, flush, close.
+
+        The contract behind SIGTERM on ``repro serve``: every request the
+        listener accepted is answered (in-flight handlers finish, then the
+        dispatch stage flushes what it still holds) before resources are
+        torn down.
+        """
+        get_logger().event("drain", logger=self.LOGGER, stage="begin")
+        self.begin_drain()
+        bound.close()
+        await bound.wait_closed()
+        await self.drain_requests(timeout)
+        await self._drain_dispatch(timeout)
+        self.close()
+        get_logger().event("drain", logger=self.LOGGER, stage="complete")
 
     # -- HTTP front-end --------------------------------------------------
 
@@ -739,18 +837,182 @@ class HttpServerBase:
         headers = {"Retry-After": "1"} if status == HTTPStatus.SERVICE_UNAVAILABLE else {}
         return int(status), headers, payload
 
-    @staticmethod
-    def _json_body(body: bytes) -> dict[str, Any]:
-        return parse_json_body(body)
+    # -- the pipeline: parse → key → coalesce → dispatch --------------------
+
+    async def _coalesced(self, key: str, produce, *args) -> tuple[bytes, str]:
+        """Answer ``key`` by joining its in-flight leader, or by leading.
+
+        Returns ``(payload, source)``: ``"coalesced"`` for a follower,
+        otherwise whatever ``await produce(*args)`` says (the dispatch
+        stage's ``hit`` / ``warm`` / ``miss``).  Followers await the
+        leader shielded, so one slow client's disconnect never cancels
+        work others are waiting on.  A failed leader resolves its future
+        with ``None`` and each follower starts over as if it had just
+        arrived — errors are never coalesced into unrelated requests.
+
+        The leader registers *before* its dispatch stage reads any cache:
+        a follower answered ``coalesced`` never touches the cache, so the
+        ``X-Repro-Cache`` headers and the ``/metrics`` cache counters
+        agree for the whole coalescing window (pinned by tests).
+        """
+        while (existing := self._inflight.get(key)) is not None:
+            payload = await asyncio.shield(existing)
+            if payload is not None:
+                return payload, "coalesced"
+        leader: asyncio.Future = asyncio.get_running_loop().create_future()
+        self._inflight[key] = leader
+        payload = None
+        try:
+            payload, source = await produce(*args)
+            return payload, source
+        finally:
+            if self._inflight.get(key) is leader:
+                del self._inflight[key]
+            if not leader.done():
+                leader.set_result(payload)
+
+    async def _solve(self, body: bytes, headers) -> tuple[int, dict[str, str], bytes]:
+        request = self._resolve_solve(body)
+        self.metrics.count_algorithm(request[1])
+        payload, source = await self._coalesced(
+            request[0], self._dispatch_solve, request, body
+        )
+        return 200, {"X-Repro-Cache": source}, payload
+
+    async def _portfolio(self, body: bytes, headers) -> tuple[int, dict[str, str], bytes]:
+        request = self._resolve_portfolio(body)
+        payload, source = await self._coalesced(
+            request[0], self._dispatch_portfolio, request, body
+        )
+        return 200, {"X-Repro-Cache": source}, payload
+
+    # -- sessions ----------------------------------------------------------
+
+    def _register_session(
+        self, session_id: str, algorithm: str | None, params: dict | None
+    ) -> dict[str, Any]:
+        session = {"algorithm": algorithm, "params": params, "steps": 0}
+        self._sessions[session_id] = session
+        self._sessions_created += 1
+        return session
+
+    async def _session_create(
+        self, body: bytes, headers
+    ) -> tuple[int, dict[str, str], bytes]:
+        if self._draining:
+            raise _BadRequest(
+                HTTPStatus.SERVICE_UNAVAILABLE,
+                "draining: not accepting new sessions",
+            )
+        data = parse_json_body(body)
+        algorithm, params = _session_defaults(data)
+        session_id = data.get("id")
+        if session_id is None:
+            self._session_seq += 1
+            session_id = f"s{self._session_seq:06d}"
+        elif not isinstance(session_id, str) or not session_id or "/" in session_id:
+            raise _BadRequest(
+                HTTPStatus.BAD_REQUEST, "'id' must be a non-empty string without '/'"
+            )
+        await self._session_opened(session_id, data)
+        session = self._register_session(session_id, algorithm, params)
+        return 200, {}, _compact_json({"session": {"id": session_id, **session}})
+
+    async def _session_step(
+        self, body: bytes, headers, session_id: str
+    ) -> tuple[int, dict[str, str], bytes]:
+        data = parse_json_body(body)
+        session = self._sessions.get(session_id)
+        if session is None:
+            session = self._session_missing(session_id, data)
+        # Merge the session's solve defaults: the step then resolves like
+        # a one-shot /solve, and a forwarded step body is self-contained
+        # enough for a failover worker to rebuild the session from it.
+        merged = dict(data)
+        if "algorithm" not in merged and session["algorithm"] is not None:
+            merged["algorithm"] = session["algorithm"]
+        if "params" not in merged and session["params"] is not None:
+            merged["params"] = session["params"]
+        payload, source = await self._dispatch_step(session_id, merged)
+        session["steps"] += 1
+        self._session_steps += 1
+        return 200, {"X-Repro-Cache": source}, payload
+
+    async def _session_delete(
+        self, body: bytes, headers, session_id: str
+    ) -> tuple[int, dict[str, str], bytes]:
+        session = self._sessions.pop(session_id, None)
+        if session is None:
+            raise _BadRequest(HTTPStatus.NOT_FOUND, f"no such session: {session_id}")
+        await self._session_closed(session_id)
+        return 200, {}, _compact_json({"deleted": session_id, "steps": session["steps"]})
+
+    # -- operations ----------------------------------------------------------
+
+    async def _healthz(self, body: bytes, headers) -> tuple[int, dict[str, str], bytes]:
+        from .. import __version__
+
+        health = {"status": "ok", "version": __version__, "uptime_s": self.metrics.uptime_s}
+        health.update(self._health())
+        return 200, {}, json.dumps(health).encode("utf-8")
+
+    async def _metrics(self, body: bytes, headers) -> tuple[int, dict[str, str], bytes]:
+        snapshot = self.metrics.snapshot()
+        snapshot["sessions"] = {
+            "active": len(self._sessions),
+            "created": self._sessions_created,
+            "steps": self._session_steps,
+        }
+        snapshot["spans"] = recorder().histogram_snapshot()
+        await self._snapshot(snapshot)
+        if _wants_prometheus(headers):
+            payload = render_prometheus(self._prometheus(snapshot))
+            return 200, {"Content-Type": PROMETHEUS_CONTENT_TYPE}, payload
+        return 200, {}, json.dumps(snapshot, sort_keys=True).encode("utf-8")
+
+    async def _debug_trace(
+        self, body: bytes, headers, trace_id: str
+    ) -> tuple[int, dict[str, str], bytes]:
+        """The recorded spans of ``trace_id`` — this process's and its
+        peers', sorted by start (an unknown id answers an empty span
+        list, not a 404: the ring may simply have evicted it)."""
+        spans = recorder().trace_document(trace_id)["spans"]
+        spans.extend(await self._peer_spans(trace_id))
+        spans.sort(key=lambda s: s.get("start_s", 0.0))
+        doc = {"trace": trace_id, "spans": spans}
+        return 200, {}, json.dumps(doc, sort_keys=True).encode("utf-8")
+
+    # -- dispatch-stage defaults ---------------------------------------------
+
+    def _session_missing(self, session_id: str, data: dict[str, Any]) -> dict[str, Any]:
+        """A step for an unregistered id: 404, unless the stage can
+        rebuild the session from the step body."""
+        raise _BadRequest(HTTPStatus.NOT_FOUND, f"no such session: {session_id}")
+
+    async def _session_closed(self, session_id: str) -> None:
+        """Release what a session holds beyond the registry (nothing)."""
+
+    def _health(self) -> dict[str, Any]:
+        """Fields that override or extend the ``/healthz`` document."""
+        return {}
+
+    def _prometheus(self, snapshot: dict[str, Any]) -> list[Sample]:
+        return prometheus_samples(snapshot)
+
+    async def _peer_spans(self, trace_id: str) -> list[dict[str, Any]]:
+        """Spans of ``trace_id`` recorded by other processes (none)."""
+        return []
 
 
 class SolveServer(HttpServerBase):
     """The single-process serving stack: HTTP + batcher + cache + metrics.
 
-    Constructor knobs mirror the ``repro serve`` flags; all have serving-
-    friendly defaults.  ``backend``/``jobs`` select the engine executor
-    micro-batches fan out over (the same seam as ``repro batch``).  With
-    ``repro serve --workers N`` this class is the per-worker shard behind
+    Its dispatch stage answers locally: content-addressed cache, opt-in
+    warm start, micro-batched engine solve.  Constructor knobs mirror the
+    ``repro serve`` flags; all have serving-friendly defaults.
+    ``backend``/``jobs`` select the engine executor micro-batches fan out
+    over (the same seam as ``repro batch``).  With ``repro serve
+    --workers N`` this class is the per-worker shard behind
     :class:`~repro.service.router.RouterServer`; a shared ``cache_dir``
     then acts as the common L2 cache tier under each worker's L1 memory.
     """
@@ -789,11 +1051,6 @@ class SolveServer(HttpServerBase):
         # through their own executor); two workers keep /portfolio off the
         # event loop without competing with the batcher for cores.
         self._pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="repro-portfolio")
-        # In-flight coalescing: result-key -> future payload of the request
-        # currently solving it.  Only the event loop touches this dict, so
-        # no lock is needed; concurrent identical misses join the leader's
-        # solve instead of duplicating it.
-        self._inflight: dict[str, asyncio.Future] = {}
         self._backend = backend
         self._jobs = jobs
         # Warm-start delta solving is opt-in (warm_delta=None keeps every
@@ -805,14 +1062,6 @@ class SolveServer(HttpServerBase):
         self.warm_delta = warm_delta
         self.neighbors = NeighborIndex() if warm_delta is not None else None
         self._warm_hits = 0
-        # Long-lived sessions: id -> {"algorithm", "params", "steps"}.
-        # Soft state touched only on the event loop — a step for an
-        # unknown id recreates it, so losing this dict (worker crash)
-        # costs nothing but the recreate.
-        self._sessions: dict[str, dict[str, Any]] = {}
-        self._session_seq = 0
-        self._sessions_created = 0
-        self._session_steps = 0
 
     # -- lifecycle ------------------------------------------------------
 
@@ -826,70 +1075,21 @@ class SolveServer(HttpServerBase):
         self.batcher.stop()
         self._pool.shutdown(wait=False, cancel_futures=True)
 
-    async def drain(self, bound: asyncio.Server, timeout: float = 30.0) -> None:
-        """Graceful shutdown: stop accepting, flush queued solves, close.
-
-        The contract behind SIGTERM on ``repro serve``: every request the
-        listener accepted is answered (in-flight handlers finish, the
-        micro-batcher drains its queue) before resources are torn down.
-        """
-        get_logger().event("drain", logger="repro.service", stage="begin")
-        self.begin_drain()
-        bound.close()
-        await bound.wait_closed()
-        await self.drain_requests(timeout)
+    async def _drain_dispatch(self, timeout: float) -> None:
         await asyncio.get_running_loop().run_in_executor(
-            None, lambda: self.batcher.drain(timeout)
+            None, self.batcher.drain, timeout
         )
-        self.close()
-        get_logger().event("drain", logger="repro.service", stage="complete")
+
+    async def _fire(self, site: str) -> None:
+        """Run one fault seam on the executor, so an injected ``slow`` or
+        ``hang`` stalls this request without blocking the loop (a
+        ``crash`` hard-kills the process from any thread anyway)."""
+        if self.faults is not None:
+            await asyncio.get_running_loop().run_in_executor(
+                None, self.faults.fire_sync, site
+            )
 
     # -- caching helpers --------------------------------------------------
-
-    async def _coalesced(self, key: str, produce) -> tuple[bytes, str]:
-        """Serve ``key`` from cache, a joined in-flight solve, or ``produce``.
-
-        Returns ``(payload, "hit" | "coalesced" | "miss")``.  The leader
-        (first miss) registers a future, runs ``produce`` (an async
-        callable returning payload bytes), caches, and resolves the future;
-        followers await it shielded, so one slow client's disconnect never
-        cancels work others are waiting on.  A failed leader resolves the
-        future with ``None`` and each follower retries independently —
-        errors are never coalesced into unrelated requests.
-
-        In-flight is probed *before* the cache: a follower that will be
-        answered ``coalesced`` must not also count a cache miss, or the
-        ``X-Repro-Cache`` headers and the ``/metrics`` cache counters
-        disagree for the whole coalescing window.  Header↔counter
-        consistency is pinned by tests; keep the probe order.
-        """
-        existing = self._inflight.get(key)
-        if existing is not None:
-            payload = await asyncio.shield(existing)
-            if payload is not None:
-                return payload, "coalesced"
-        cached = await self._cache_get(key)
-        if cached is not None:
-            return cached, "hit"
-        # The spill-tier lookup awaited: someone may have become leader
-        # meanwhile.  Join them rather than racing a duplicate solve.
-        existing = self._inflight.get(key)
-        if existing is not None:
-            payload = await asyncio.shield(existing)
-            if payload is not None:
-                return payload, "coalesced"
-        leader: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = leader
-        payload = None
-        try:
-            payload = await produce()
-            await self._cache_put(key, payload)
-            return payload, "miss"
-        finally:
-            if self._inflight.get(key) is leader:
-                del self._inflight[key]
-            if not leader.done():
-                leader.set_result(payload)
 
     async def _cache_get(self, key: str) -> bytes | None:
         """Cache lookup that keeps spill-tier disk reads off the event loop.
@@ -930,79 +1130,112 @@ class SolveServer(HttpServerBase):
                 None, self.cache.put, key, payload
             )
 
-    # -- endpoints ---------------------------------------------------------
+    # -- the dispatch stage -------------------------------------------------
 
-    ROUTES = {
-        ("GET", "/healthz"): "_healthz",
-        ("GET", "/metrics"): "_metrics",
-        ("POST", "/solve"): "_solve",
-        ("POST", "/portfolio"): "_portfolio",
-        ("POST", "/session"): "_session_create",
-    }
-    ENDPOINTS = frozenset(path for _, path in ROUTES)
-    DYNAMIC_ROUTES = (
-        (
-            "POST",
-            re.compile(r"/session/(?P<session_id>[^/]+)/step"),
-            "_session_step",
-            "/session/{id}/step",
-        ),
-        (
-            "DELETE",
-            re.compile(r"/session/(?P<session_id>[^/]+)"),
-            "_session_delete",
-            "/session/{id}",
-        ),
-        (
-            "GET",
-            re.compile(r"/debug/trace/(?P<trace_id>[^/]+)"),
-            "_debug_trace",
-            "/debug/trace/{id}",
-        ),
-    )
+    def _resolve_solve(self, body: bytes):
+        return resolve_solve_request(parse_json_body(body))
 
-    async def _debug_trace(
-        self, body: bytes, headers, trace_id: str
-    ) -> tuple[int, dict[str, str], bytes]:
-        """This process's recorded spans for ``trace_id`` (an unknown id
-        answers an empty span list, not a 404 — the ring may simply have
-        evicted it)."""
-        doc = recorder().trace_document(trace_id)
-        return 200, {}, json.dumps(doc, sort_keys=True).encode("utf-8")
+    def _resolve_portfolio(self, body: bytes):
+        return resolve_portfolio_request(parse_json_body(body))
 
-    async def _healthz(self, body: bytes, headers) -> tuple[int, dict[str, str], bytes]:
-        from .. import __version__
+    async def _dispatch_solve(self, request, body: bytes | None) -> tuple[bytes, str]:
+        """Cache → warm start (opt-in) → micro-batched cold solve.
 
-        payload = json.dumps(
-            {"status": "ok", "version": __version__, "uptime_s": self.metrics.uptime_s}
-        ).encode("utf-8")
-        return 200, {}, payload
+        Returns ``(payload, "hit" | "warm" | "miss")``.
+        """
+        key, name, params, instance = request
+        cached = await self._cache_get(key)
+        if cached is not None:
+            return cached, "hit"
+        loop = asyncio.get_running_loop()
+        await self._fire("worker.pre_solve")
+        state: dict[str, Any] = {}
+        payload = None
+        if self.neighbors is not None:
+            payload = await loop.run_in_executor(
+                None, self._warm_attempt, key, name, params, instance, state
+            )
+        source = "warm" if payload is not None else "miss"
+        if payload is None:
+            try:
+                future = self.batcher.submit(instance, name, params)
+                # The queue can also shed this request *after* accepting
+                # it (shutdown drains pending futures) — still 503.
+                report = await asyncio.wrap_future(future)
+            except BackpressureError as exc:
+                raise _BadRequest(HTTPStatus.SERVICE_UNAVAILABLE, str(exc))
+            if report.placement is None:
+                raise _BadRequest(
+                    HTTPStatus.UNPROCESSABLE_ENTITY, report.error or "solve failed"
+                )
+            payload = encode_report(report)
+        await self._fire("worker.post_solve")
+        if source == "warm":
+            self._warm_hits += 1
+        elif self.neighbors is not None:
+            await loop.run_in_executor(
+                None, self._remember_neighbor, key, instance, state
+            )
+        await self._cache_put(key, payload)
+        return payload, source
 
-    def metrics_snapshot(self) -> dict[str, Any]:
-        """The full ``/metrics`` document (also read by the router)."""
-        snapshot = self.metrics.snapshot()
+    async def _dispatch_portfolio(self, request, body: bytes) -> tuple[bytes, str]:
+        key, instance, algorithms, params = request
+        cached = await self._cache_get(key)
+        if cached is not None:
+            return cached, "hit"
+        from ..engine import portfolio
+
+        try:
+            result = await asyncio.get_running_loop().run_in_executor(
+                self._pool,
+                lambda: portfolio(
+                    instance,
+                    algorithms,
+                    params=params,
+                    backend=self._backend,
+                    jobs=self._jobs,
+                ),
+            )
+        except ReproError as exc:
+            raise _BadRequest(HTTPStatus.UNPROCESSABLE_ENTITY, str(exc))
+        best = result.best
+        payload = _compact_json(
+            {
+                "winner": json.loads(encode_report(best)) if best is not None else None,
+                "entrants": [r.to_dict() for r in result.reports],
+            }
+        )
+        await self._cache_put(key, payload)
+        return payload, "miss"
+
+    async def _dispatch_step(
+        self, session_id: str, data: dict[str, Any]
+    ) -> tuple[bytes, str]:
+        await self._fire("session.step")
+        request = resolve_solve_request(data)
+        self.metrics.count_algorithm(request[1])
+        return await self._coalesced(request[0], self._dispatch_solve, request, None)
+
+    async def _session_opened(self, session_id: str, data: dict[str, Any]) -> None:
+        await self._fire("session.create")
+
+    def _session_missing(self, session_id: str, data: dict[str, Any]) -> dict[str, Any]:
+        # Soft state: recreate the session from the step body.  The router
+        # forwards steps with the session's solve defaults merged in, so
+        # after a worker crash the ring successor picks the stream up
+        # mid-flight without losing a step.
+        return self._register_session(session_id, *_session_defaults(data))
+
+    async def _snapshot(self, snapshot: dict[str, Any]) -> None:
         snapshot["queue"] = self.batcher.stats().to_dict()
         snapshot["cache"] = self.cache.stats().to_dict()
         snapshot["cache"]["warm_hits"] = self._warm_hits
-        snapshot["sessions"] = {
-            "active": len(self._sessions),
-            "created": self._sessions_created,
-            "steps": self._session_steps,
-        }
-        snapshot["spans"] = recorder().histogram_snapshot()
         if self.faults is not None:
             snapshot["faults"] = {
                 "injected": self.faults.fired,
                 "sites": self.faults.stats(),
             }
-        return snapshot
-
-    async def _metrics(self, body: bytes, headers) -> tuple[int, dict[str, str], bytes]:
-        snapshot = self.metrics_snapshot()
-        if _wants_prometheus(headers):
-            payload = render_prometheus(prometheus_samples(snapshot))
-            return 200, {"Content-Type": PROMETHEUS_CONTENT_TYPE}, payload
-        return 200, {}, json.dumps(snapshot, sort_keys=True).encode("utf-8")
 
     # -- warm-start plumbing ----------------------------------------------
 
@@ -1067,210 +1300,6 @@ class SolveServer(HttpServerBase):
         self.neighbors.add(
             key, bucket=bucket, sketch=sketch, instance=instance_to_dict(instance)
         )
-
-    async def _solve_payload(
-        self, key: str, name: str, params, instance
-    ) -> tuple[bytes, str]:
-        """The shared ``/solve`` + session-step engine path: cache →
-        coalesce → warm-start (opt-in) → micro-batched cold solve.
-
-        Returns ``(payload, "hit" | "coalesced" | "warm" | "miss")``.
-        """
-        warmed = {}
-        state: dict[str, Any] = {}
-
-        async def produce() -> bytes:
-            # The pre/post-solve seams run on the executor so an injected
-            # `slow`/`hang` stalls this request without blocking the loop
-            # (a `crash` hard-kills the process from any thread anyway).
-            loop = asyncio.get_running_loop()
-            if self.faults is not None:
-                await loop.run_in_executor(
-                    None, self.faults.fire_sync, "worker.pre_solve"
-                )
-            if self.neighbors is not None:
-                payload = await loop.run_in_executor(
-                    None, self._warm_attempt, key, name, params, instance, state
-                )
-                if payload is not None:
-                    warmed["warm"] = True
-                    if self.faults is not None:
-                        await loop.run_in_executor(
-                            None, self.faults.fire_sync, "worker.post_solve"
-                        )
-                    return payload
-            try:
-                future = self.batcher.submit(instance, name, params)
-                # The queue can also shed this request *after* accepting
-                # it (shutdown drains pending futures) — still 503.
-                report = await asyncio.wrap_future(future)
-            except BackpressureError as exc:
-                raise _BadRequest(HTTPStatus.SERVICE_UNAVAILABLE, str(exc))
-            if report.placement is None:
-                raise _BadRequest(
-                    HTTPStatus.UNPROCESSABLE_ENTITY, report.error or "solve failed"
-                )
-            if self.faults is not None:
-                await loop.run_in_executor(
-                    None, self.faults.fire_sync, "worker.post_solve"
-                )
-            if self.neighbors is not None:
-                await loop.run_in_executor(
-                    None, self._remember_neighbor, key, instance, state
-                )
-            return encode_report(report)
-
-        payload, source = await self._coalesced(key, produce)
-        if source == "miss" and warmed:
-            source = "warm"
-            self._warm_hits += 1
-        return payload, source
-
-    async def _solve(self, body: bytes, headers) -> tuple[int, dict[str, str], bytes]:
-        data = self._json_body(body)
-        key, name, params, instance = resolve_solve_request(data)
-        self.metrics.count_algorithm(name)
-        payload, source = await self._solve_payload(key, name, params, instance)
-        return 200, {"X-Repro-Cache": source}, payload
-
-    # -- sessions ----------------------------------------------------------
-
-    @staticmethod
-    def _session_defaults(data: dict[str, Any]) -> tuple[str | None, dict | None]:
-        """Validate the per-session solve defaults out of a JSON body."""
-        algorithm = data.get("algorithm")
-        if algorithm is not None and not isinstance(algorithm, str):
-            raise _BadRequest(HTTPStatus.BAD_REQUEST, "'algorithm' must be a string")
-        params = data.get("params")
-        if params is not None and not isinstance(params, dict):
-            raise _BadRequest(HTTPStatus.BAD_REQUEST, "'params' must be an object")
-        if algorithm is not None:
-            from ..engine import get_spec
-
-            try:
-                get_spec(algorithm)
-            except ReproError as exc:
-                raise _BadRequest(HTTPStatus.UNPROCESSABLE_ENTITY, str(exc))
-        return algorithm, params
-
-    @staticmethod
-    def _session_payload(session_id: str, session: Mapping[str, Any]) -> bytes:
-        return json.dumps(
-            {
-                "session": {
-                    "id": session_id,
-                    "algorithm": session["algorithm"],
-                    "params": session["params"],
-                    "steps": session["steps"],
-                }
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
-
-    async def _session_create(
-        self, body: bytes, headers
-    ) -> tuple[int, dict[str, str], bytes]:
-        if self._draining:
-            raise _BadRequest(
-                HTTPStatus.SERVICE_UNAVAILABLE,
-                "draining: not accepting new sessions",
-            )
-        data = self._json_body(body)
-        if self.faults is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.faults.fire_sync, "session.create"
-            )
-        algorithm, params = self._session_defaults(data)
-        session_id = data.get("id")
-        if session_id is None:
-            self._session_seq += 1
-            session_id = f"s{self._session_seq:06d}"
-        elif not isinstance(session_id, str) or not session_id or "/" in session_id:
-            raise _BadRequest(
-                HTTPStatus.BAD_REQUEST, "'id' must be a non-empty string without '/'"
-            )
-        session = {"algorithm": algorithm, "params": params, "steps": 0}
-        self._sessions[session_id] = session
-        self._sessions_created += 1
-        return 200, {}, self._session_payload(session_id, session)
-
-    async def _session_step(
-        self, body: bytes, headers, session_id: str
-    ) -> tuple[int, dict[str, str], bytes]:
-        data = self._json_body(body)
-        if self.faults is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.faults.fire_sync, "session.step"
-            )
-        session = self._sessions.get(session_id)
-        if session is None:
-            # Soft state: recreate the session from the step body.  The
-            # router enriches forwarded steps with the session's solve
-            # defaults, so after a worker crash the ring successor picks
-            # the stream up mid-flight without losing a step.
-            algorithm, params = self._session_defaults(data)
-            session = {"algorithm": algorithm, "params": params, "steps": 0}
-            self._sessions[session_id] = session
-            self._sessions_created += 1
-        merged = dict(data)
-        if "algorithm" not in merged and session["algorithm"] is not None:
-            merged["algorithm"] = session["algorithm"]
-        if "params" not in merged and session["params"] is not None:
-            merged["params"] = session["params"]
-        key, name, params, instance = resolve_solve_request(merged)
-        self.metrics.count_algorithm(name)
-        payload, source = await self._solve_payload(key, name, params, instance)
-        session["steps"] += 1
-        self._session_steps += 1
-        return 200, {"X-Repro-Cache": source}, payload
-
-    async def _session_delete(
-        self, body: bytes, headers, session_id: str
-    ) -> tuple[int, dict[str, str], bytes]:
-        session = self._sessions.pop(session_id, None)
-        if session is None:
-            raise _BadRequest(HTTPStatus.NOT_FOUND, f"no such session: {session_id}")
-        payload = json.dumps(
-            {"deleted": session_id, "steps": session["steps"]},
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
-        return 200, {}, payload
-
-    async def _portfolio(self, body: bytes, headers) -> tuple[int, dict[str, str], bytes]:
-        data = self._json_body(body)
-        key, instance, algorithms, params = resolve_portfolio_request(data)
-
-        async def produce() -> bytes:
-            from ..engine import portfolio
-
-            loop = asyncio.get_running_loop()
-            try:
-                result = await loop.run_in_executor(
-                    self._pool,
-                    lambda: portfolio(
-                        instance,
-                        algorithms,
-                        params=params,
-                        backend=self._backend,
-                        jobs=self._jobs,
-                    ),
-                )
-            except ReproError as exc:
-                raise _BadRequest(HTTPStatus.UNPROCESSABLE_ENTITY, str(exc))
-            best = result.best
-            return json.dumps(
-                {
-                    "winner": json.loads(encode_report(best)) if best is not None else None,
-                    "entrants": [r.to_dict() for r in result.reports],
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            ).encode("utf-8")
-
-        payload, source = await self._coalesced(key, produce)
-        return 200, {"X-Repro-Cache": source}, payload
 
 
 class InProcessServer:

@@ -277,6 +277,78 @@ class TestFleetMetrics:
         assert by_algorithm.get("nfdh", 0) >= 1
 
 
+class TestFrontDoorSeams:
+    def test_router_parses_and_keys_through_its_own_module_names(self, conn, monkeypatch):
+        """The service benchmark times the router's hop by wrapping
+        ``router.parse_json_body`` / ``router.resolve_solve_request``
+        (perfbench/launch.py).  The shared front door must look those up
+        in the router module when it runs in the router process — calling
+        the ``server.*`` names instead would shrink ``router.route_ms``
+        to the ring lookup without failing anything else."""
+        from repro.service import router as router_module
+        from repro.service import server as server_module
+
+        calls: dict[str, int] = {}
+
+        def counting(label, fn):
+            def wrapper(*args, **kwargs):
+                calls[label] = calls.get(label, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (router_module, server_module):
+            for name in ("parse_json_body", "resolve_solve_request"):
+                label = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+                monkeypatch.setattr(module, name, counting(label, getattr(module, name)))
+        status, _, _ = _request(conn, "POST", "/solve", _solve_body(seed=16))
+        assert status == 200
+        assert calls == {"router.parse_json_body": 1, "router.resolve_solve_request": 1}
+
+
+class TestWorkerErrorRelay:
+    def test_worker_503_reaches_the_client_with_retry_after(self):
+        """A worker that sheds load answers 503 + ``Retry-After: 1``; the
+        fleet relays the same error, header included, as solo does."""
+        import threading
+
+        from repro.service.loadgen import solve_payloads
+
+        plan = {
+            "seed": 1,
+            "faults": [
+                {"site": "queue.drain", "kind": "stall", "delay_s": 1.0, "count": 1}
+            ],
+        }
+        router = RouterServer(
+            workers=2, worker_config={"queue_size": 1}, fault_plan=plan
+        )
+        payloads = solve_payloads(10, n_rects=8, seed=3, algorithm="ffdh")
+        answers: list[tuple[int, dict]] = []
+        lock = threading.Lock()
+        with InProcessServer(router) as srv:
+
+            def send(body):
+                c = http.client.HTTPConnection(srv.host, srv.port, timeout=30)
+                try:
+                    status, headers, _ = _request(c, "POST", "/solve", body)
+                finally:
+                    c.close()
+                with lock:
+                    answers.append((status, headers))
+
+            threads = [threading.Thread(target=send, args=(b,)) for b in payloads]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        shed = [headers for status, headers in answers if status == 503]
+        assert len(answers) == 10 and shed
+        assert {status for status, _ in answers} <= {200, 503}
+        assert all(headers.get("Retry-After") == "1" for headers in shed)
+
+
 # ----------------------------------------------------------------------
 # failure handling: kill, failover, respawn
 # ----------------------------------------------------------------------
@@ -353,6 +425,34 @@ class TestWorkerDeath:
             assert result.errors == 0
             assert result.ok == result.requests == 30
             assert set(result.status_counts) == {"200"}
+
+    def test_delete_reports_every_step_across_a_failover(self):
+        """Kill a session's owner mid-stream: the later steps land on a
+        worker that rebuilt the session from the step body, yet DELETE
+        reports all four steps — the front door counts them itself."""
+        from repro.service.loadgen import session_step_bodies
+
+        steps = session_step_bodies(
+            sessions=1, steps=4, base_rects=8, step_rects=2, seed=23
+        )[0]
+        router = RouterServer(workers=2)
+        with InProcessServer(router) as srv:
+            c = http.client.HTTPConnection(srv.host, srv.port, timeout=30)
+            try:
+                _, _, raw = _request(c, "POST", "/session", {"algorithm": "release_bl"})
+                sid = json.loads(raw)["session"]["id"]
+                for body in steps[:2]:
+                    assert _request(c, "POST", f"/session/{sid}/step", body)[0] == 200
+                victim = router._handles[router._ring.node_for(f"session|{sid}")]
+                victim.process.kill()
+                victim.process.join(timeout=10)
+                for body in steps[2:]:
+                    assert _request(c, "POST", f"/session/{sid}/step", body)[0] == 200
+                status, _, raw = _request(c, "DELETE", f"/session/{sid}")
+            finally:
+                c.close()
+        assert status == 200
+        assert json.loads(raw) == {"deleted": sid, "steps": 4}
 
 
 # ----------------------------------------------------------------------

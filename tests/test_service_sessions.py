@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.service import InProcessServer, RouterServer, SolveServer
+from repro.service import InProcessServer, RouterServer, SolveServer, build_server
 from repro.service.loadgen import session_step_bodies
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -74,8 +74,12 @@ class TestSessionLifecycle:
             status, _, _ = _request(srv, "DELETE", f"/session/{sid}")
             assert status == 404
 
-    def test_client_chosen_id_and_bad_ids(self):
-        with InProcessServer(SolveServer()) as srv:
+    @pytest.mark.parametrize(
+        "workers", [pytest.param(1, id="solo"), pytest.param(2, id="fleet")]
+    )
+    def test_client_chosen_id_and_bad_ids(self, workers):
+        """Both topologies share one session front door: same id rules."""
+        with InProcessServer(build_server(workers)) as srv:
             status, _, raw = _request(srv, "POST", "/session", {"id": "mine"})
             assert status == 200
             assert json.loads(raw)["session"]["id"] == "mine"
