@@ -250,10 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="most requests one micro-batch drains (default 16)",
     )
     p_serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="longest a lone request waits for batch-mates (default 2 ms)",
-    )
-    p_serve.add_argument(
         "--queue-size", type=int, default=512,
         help="pending-request bound; beyond it requests get 503 (default 512)",
     )
@@ -800,7 +796,6 @@ def _build_server(args):
         backend=args.backend,
         jobs=args.jobs if args.jobs > 1 or args.backend else None,
         max_batch=args.max_batch,
-        max_wait_s=args.max_wait_ms / 1e3,
         queue_size=args.queue_size,
         cache_bytes=cache_bytes,
         cache_dir=args.cache_dir,

@@ -11,10 +11,27 @@ server would send), not to live report objects:
 * values are opaque here, so the cache also stores portfolio responses or
   any future endpoint's payloads without schema knowledge.
 
+The memory tier holds each value compressed — raw deflate at level 9
+with the ``Z_FILTERED`` strategy — behind a 4-byte prefix recording its
+*wire* length, i.e. the uncompressed length; ``put`` compresses and
+``get``/``get_memory`` decompress, outside the lock.  The first payload
+the tier admits becomes the preset dictionary of every later compression,
+so a small answer need not spell out the JSON structure it shares with
+all the others: a 16-rect answer is held in ~0.24 of its wire length, a
+200-rect one in ~0.26.  Entries are keyed by the SHA-256 digest of the
+key, as an int (its hex form names the entry's spill file), in a two-dict
+LRU map rather than an ``OrderedDict``.  All told, a cached 16-rect
+answer costs ~0.37x its wire length in memory, against ~1.1x for raw
+bytes under the key string in an ``OrderedDict``.  The budget
+(``max_bytes``), the oversized-payload rule, eviction and the ``bytes``
+counter all still count wire bytes, exactly as if values were held raw;
+``stored_bytes`` reports what the memory tier actually holds.
+
 Eviction is LRU by access order.  With a ``spill_dir``, evicted entries
 are written to disk (one ``<sha256(key)>.json`` file each) and a later
 ``get`` quietly promotes them back into memory — a warm restart directory
-doubles as a second cache tier.  Spill files carry an integrity header
+doubles as a second cache tier.  Spill files hold the raw payload, never
+the compressed form, inside an integrity header
 (``repro-spill/1 <sha256-of-payload>``): a truncated or garbage file —
 torn write, full disk, stray editor — fails verification and is treated
 as a *miss* (recompute + overwrite), never an error.  All counters needed
@@ -32,7 +49,10 @@ deterministically.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import struct
 import threading
+import zlib
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -48,11 +68,86 @@ __all__ = [
     "DEFAULT_NEIGHBOR_ENTRIES",
 ]
 
-#: Default in-memory budget: plenty for ~10k typical solve payloads.
+#: Default in-memory budget, in wire bytes: ~33k 16-rect or ~3.7k
+#: 200-rect solve answers (held compressed, in well under half that memory).
 DEFAULT_CACHE_BYTES = 32 * 1024 * 1024
 
 #: Integrity-header magic of the spill file format.
 SPILL_MAGIC = b"repro-spill/1"
+
+#: Compression level and strategy of memory-tier values.  Answers are
+#: mostly float digits, where deflate's short string matches cost more
+#: than the literals they replace; ``Z_FILTERED`` drops those matches.
+_LEVEL = 9
+_STRATEGY = zlib.Z_FILTERED
+
+#: Raw deflate: no zlib header or checksum on values that never leave memory.
+_WBITS = -zlib.MAX_WBITS
+
+#: Prefix of a held value: the value's wire length.
+_WIRE_LEN = struct.Struct(">I")
+
+
+def _digest(key: str) -> int:
+    """The memory-tier key of ``key``: its SHA-256 digest as an int.
+
+    A 256-bit int is a 64-byte object, against 80 for the digest as bytes
+    and ~128 for a result-key string; its 64-digit hex form is the name of
+    the key's spill file.
+    """
+    return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest(), "big")
+
+
+class _LruMap:
+    """A map in exact least-recently-used order, built on two plain dicts.
+
+    An ``OrderedDict`` costs ~50 bytes more per entry than a ``dict``,
+    and a cached 16-rect answer costs only ~370 bytes in all.  ``older``
+    holds entries that are all less recently used than any in
+    ``recent``, *most* recent first, so ``older.popitem()`` is the least
+    recently used entry of the map; ``recent`` holds the rest, least
+    recent first.  When ``older`` runs dry, the least recent eighth of
+    ``recent`` moves over, reversed: a small ``older`` keeps the move
+    from doubling the map's memory, and every operation stays amortised
+    O(1).  Not thread-safe: the owner serialises access.
+    """
+
+    def __init__(self) -> None:
+        self.recent: dict[int, bytes] = {}
+        self.older: dict[int, bytes] = {}
+
+    def __len__(self) -> int:
+        return len(self.recent) + len(self.older)
+
+    def __contains__(self, key: int) -> bool:
+        return key in self.recent or key in self.older
+
+    def pop(self, key: int) -> bytes | None:
+        """Remove ``key``; its value, or ``None`` if absent."""
+        value = self.recent.pop(key, None)
+        return value if value is not None else self.older.pop(key, None)
+
+    def touch(self, key: int) -> bytes | None:
+        """The value of ``key``, now the most recently used; ``None`` if absent."""
+        value = self.pop(key)
+        if value is not None:
+            self.recent[key] = value
+        return value
+
+    def add(self, key: int, value: bytes) -> None:
+        """Insert an absent ``key`` as the most recently used."""
+        self.recent[key] = value
+
+    def pop_lru(self) -> tuple[int, bytes]:
+        """Remove and return the least recently used entry."""
+        if not self.older:
+            chunk = list(itertools.islice(self.recent, len(self.recent) // 8 + 1))
+            self.older = {key: self.recent.pop(key) for key in reversed(chunk)}
+        return self.older.popitem()
+
+    def clear(self) -> None:
+        self.recent.clear()
+        self.older.clear()
 
 
 @dataclass(frozen=True)
@@ -66,7 +161,10 @@ class CacheStats:
     spill_hits: int
     corruptions: int
     entries: int
+    #: Wire (uncompressed) bytes of the memory tier, the unit of the budget.
     bytes: int
+    #: Bytes the memory tier actually holds: compressed values + prefixes.
+    stored_bytes: int
     max_bytes: int
 
     @property
@@ -84,11 +182,13 @@ class CacheStats:
 class ResultCache:
     """Thread-safe LRU byte cache with a size budget and optional disk spill.
 
-    ``max_bytes`` bounds the summed length of cached values (keys are not
-    charged: they are fixed-size fingerprints, two orders of magnitude
-    smaller than any payload).  ``max_bytes=0`` disables the in-memory
-    tier entirely — with a ``spill_dir`` that degrades to a disk-only
-    cache, without one to a no-op that still counts misses.
+    ``max_bytes`` bounds the summed wire length of cached values (keys
+    are not charged: they are fixed-size fingerprints, two orders of
+    magnitude smaller than any payload); values are held compressed, so
+    the memory behind the budget is smaller still.  ``max_bytes=0``
+    disables the in-memory tier entirely — with a ``spill_dir`` that
+    degrades to a disk-only cache, without one to a no-op that still
+    counts misses.
     """
 
     def __init__(
@@ -101,13 +201,21 @@ class ResultCache:
         if max_bytes < 0:
             raise InvalidInstanceError(f"max_bytes must be >= 0, got {max_bytes}")
         self.max_bytes = int(max_bytes)
+        # A held value records its wire length in the 4-byte prefix, so
+        # nothing longer can live in memory, whatever the budget.
+        self._admit_bytes = min(self.max_bytes, 2 ** (8 * _WIRE_LEN.size) - 1)
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         if self.spill_dir is not None:
             self.spill_dir.mkdir(parents=True, exist_ok=True)
         self._faults = as_injector(faults)
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, bytes] = OrderedDict()
+        # _digest(key) -> held (compressed) value.
+        self._entries = _LruMap()
+        # The preset dictionary, set once by the first admitted payload
+        # and never changed after: every held value depends on it.
+        self._primer: bytes | None = None
         self._bytes = 0
+        self._stored = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -117,11 +225,27 @@ class ResultCache:
 
     # -- key/value plumbing --------------------------------------------
 
-    def _spill_path(self, key: str) -> Path:
-        """Filesystem-safe location for ``key`` (keys contain ``|``)."""
+    def _spill_path(self, digest: int) -> Path:
+        """Filesystem-safe location for a key (keys contain ``|``)."""
         assert self.spill_dir is not None
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return self.spill_dir / f"{digest}.json"
+        return self.spill_dir / f"{digest:064x}.json"
+
+    def _pack(self, payload: bytes) -> bytes:
+        """The memory-tier form of ``payload``: wire length, then deflate."""
+        if self._primer is None:
+            with self._lock:
+                if self._primer is None:
+                    # Deflate never looks further back than its window.
+                    self._primer = payload[-(1 << zlib.MAX_WBITS) :]
+        packer = zlib.compressobj(
+            _LEVEL, zlib.DEFLATED, _WBITS, strategy=_STRATEGY, zdict=self._primer
+        )
+        return _WIRE_LEN.pack(len(payload)) + packer.compress(payload) + packer.flush()
+
+    def _unpack(self, held: bytes) -> bytes:
+        """The original payload bytes of a held value."""
+        unpacker = zlib.decompressobj(_WBITS, zdict=self._primer)
+        return unpacker.decompress(memoryview(held)[_WIRE_LEN.size :])
 
     @staticmethod
     def _frame(payload: bytes) -> bytes:
@@ -143,7 +267,7 @@ class ResultCache:
             return None
         return payload
 
-    def _spill(self, key: str, payload: bytes) -> None:
+    def _spill(self, digest: int, payload: bytes) -> None:
         """Write one evicted/oversized payload to disk (no lock held).
 
         Spill failures (full disk, permissions — or their injected
@@ -156,11 +280,16 @@ class ResultCache:
         try:
             if self._faults is not None:
                 self._faults.fire_sync("cache.spill_write")
-            self._spill_path(key).write_bytes(self._frame(payload))
+            self._spill_path(digest).write_bytes(self._frame(payload))
         except OSError:
             return
         with self._lock:
             self._spills += 1
+
+    def _release_locked(self, held: bytes) -> None:
+        """Uncharge one held value that left the memory tier."""
+        self._bytes -= _WIRE_LEN.unpack_from(held)[0]
+        self._stored -= len(held)
 
     # -- public API -----------------------------------------------------
 
@@ -168,15 +297,15 @@ class ResultCache:
         """Memory-tier-only lookup: counts a hit when found, never a miss.
 
         The serving hot path probes this inline (it is a lock + dict
-        lookup) and only falls to the full :meth:`get` — which may block
-        on spill-tier disk I/O — when it returns ``None``.
+        lookup, then a decompress) and only falls to the full :meth:`get`
+        — which may block on spill-tier disk I/O — when it returns ``None``.
         """
         with self._lock:
-            payload = self._entries.get(key)
-            if payload is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-            return payload
+            held = self._entries.touch(_digest(key))
+            if held is None:
+                return None
+            self._hits += 1
+        return self._unpack(held)
 
     def get(self, key: str) -> bytes | None:
         """The cached payload for ``key``, or ``None`` on a miss.
@@ -186,12 +315,13 @@ class ResultCache:
         outside the lock, so a slow spill device never serialises the
         memory-tier hot path behind it.
         """
+        digest = _digest(key)
         with self._lock:
-            payload = self._entries.get(key)
-            if payload is not None:
-                self._entries.move_to_end(key)
+            held = self._entries.touch(digest)
+            if held is not None:
                 self._hits += 1
-                return payload
+        if held is not None:
+            return self._unpack(held)
         if self.spill_dir is not None:
             kinds = (
                 {spec.kind for spec in self._faults.check("cache.spill_read")}
@@ -201,7 +331,7 @@ class ResultCache:
             raw: bytes | None = None
             if "io_error" not in kinds:
                 try:
-                    raw = self._spill_path(key).read_bytes()
+                    raw = self._spill_path(digest).read_bytes()
                 except OSError:
                     raw = None
             if raw is not None and "corrupt" in kinds:
@@ -215,14 +345,14 @@ class ResultCache:
                     with self._lock:
                         self._corruptions += 1
                     try:
-                        self._spill_path(key).unlink()
+                        self._spill_path(digest).unlink()
                     except OSError:
                         pass
                 else:
                     with self._lock:
                         self._spill_hits += 1
                         self._hits += 1
-                    if len(payload) <= self.max_bytes:
+                    if len(payload) <= self._admit_bytes:
                         # Promote into memory; an entry the budget can't
                         # hold (including the disk-only max_bytes=0
                         # configuration) stays on disk — re-spilling
@@ -241,38 +371,42 @@ class ResultCache:
         A payload larger than the whole budget bypasses memory and goes
         straight to disk (when configured) — admitting it would evict
         everything else for one entry that gets evicted next anyway.
-        Evicted entries are collected under the lock and spilled after it
-        is released.
+        The payload is compressed before the lock is taken; evicted
+        entries are collected under the lock, then decompressed and
+        spilled after it is released.
         """
         if not isinstance(payload, bytes):
             raise InvalidInstanceError(
                 f"cache values are bytes, got {type(payload).__name__}"
             )
-        if len(payload) > self.max_bytes:
+        digest = _digest(key)
+        if len(payload) > self._admit_bytes:
             with self._lock:
                 # An oversized refresh must not leave a stale smaller
                 # value behind in the memory tier.
-                old = self._entries.pop(key, None)
+                old = self._entries.pop(digest)
                 if old is not None:
-                    self._bytes -= len(old)
+                    self._release_locked(old)
             if self.spill_dir is not None:
-                self._spill(key, payload)
+                self._spill(digest, payload)
             return
-        evicted: list[tuple[str, bytes]] = []
+        held = self._pack(payload)
+        evicted: list[tuple[int, bytes]] = []
         with self._lock:
-            old = self._entries.pop(key, None)
+            old = self._entries.pop(digest)
             if old is not None:
-                self._bytes -= len(old)
-            self._entries[key] = payload
+                self._release_locked(old)
+            self._entries.add(digest, held)
             self._bytes += len(payload)
+            self._stored += len(held)
             while self._bytes > self.max_bytes:
-                victim_key, victim = self._entries.popitem(last=False)
-                self._bytes -= len(victim)
+                victim_digest, victim = self._entries.pop_lru()
+                self._release_locked(victim)
                 self._evictions += 1
-                evicted.append((victim_key, victim))
+                evicted.append((victim_digest, victim))
         if self.spill_dir is not None:
-            for victim_key, victim in evicted:
-                self._spill(victim_key, victim)
+            for victim_digest, victim in evicted:
+                self._spill(victim_digest, self._unpack(victim))
 
     def stats(self) -> CacheStats:
         """Consistent counter snapshot (for ``GET /metrics`` and tests)."""
@@ -286,6 +420,7 @@ class ResultCache:
                 corruptions=self._corruptions,
                 entries=len(self._entries),
                 bytes=self._bytes,
+                stored_bytes=self._stored,
                 max_bytes=self.max_bytes,
             )
 
@@ -294,6 +429,7 @@ class ResultCache:
         with self._lock:
             self._entries.clear()
             self._bytes = 0
+            self._stored = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -301,8 +437,9 @@ class ResultCache:
 
     def __contains__(self, key: str) -> bool:
         """Membership in the *memory* tier, without touching counters."""
+        digest = _digest(key)
         with self._lock:
-            return key in self._entries
+            return digest in self._entries
 
 
 #: Default bound on the neighbor index: each entry stores one instance

@@ -1,10 +1,13 @@
 """Bounded request queue with micro-batching over the engine's executor.
 
 The serving hot path must not solve requests one interpreter round-trip at
-a time: arrivals that land close together are drained as one *micro-batch*
-(up to ``max_batch`` requests, waiting at most ``max_wait_s`` after the
-first), grouped by ``(algorithm, params)`` compatibility, and fanned out
-through :func:`repro.engine.batch.solve_many` — the same pluggable
+a time: the drain thread blocks for one request, then adds whatever
+queued while the previous batch ran (up to ``max_batch`` requests) and
+runs them as one *micro-batch*.  It never sleeps waiting for company, so a
+lone request goes straight to the solver while a loaded queue still
+drains in batches.  Each batch is grouped by ``(algorithm, params)``
+compatibility and fanned out through
+:func:`repro.engine.batch.solve_many` — the same pluggable
 ``serial | thread | process`` :class:`~repro.engine.batch.Executor` seam
 the batch CLI uses.  Because ``solve_many`` is bit-identical to looping
 :func:`repro.engine.run` (pinned by the executor determinism suite), a
@@ -101,9 +104,9 @@ class MicroBatcher:
 
     ``backend``/``jobs`` select the engine executor each batch fans out
     over (``None`` keeps ``solve_many``'s serial default).  ``max_batch``
-    caps one drain; ``max_wait_s`` is the most extra latency a lone
-    request pays waiting for company — both trade tail latency against
-    throughput and surface as CLI flags on ``repro serve``.
+    caps one drain (``repro serve --max-batch``).  A batch is whatever
+    queued while the previous batch ran: the drain never holds a request
+    back waiting for batch-mates.
 
     The worker thread is started explicitly (:meth:`start`) so unit tests
     can pre-load the queue and observe a single deterministic drain.
@@ -115,14 +118,11 @@ class MicroBatcher:
         backend: str | None = None,
         jobs: int | None = None,
         max_batch: int = 16,
-        max_wait_s: float = 0.002,
         maxsize: int = 512,
         faults: FaultInjector | None = None,
     ) -> None:
         if max_batch < 1:
             raise InvalidInstanceError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_s < 0:
-            raise InvalidInstanceError(f"max_wait_s must be >= 0, got {max_wait_s}")
         if maxsize < 1:
             raise InvalidInstanceError(f"maxsize must be >= 1, got {maxsize}")
         if jobs is not None and jobs < 1:
@@ -140,7 +140,6 @@ class MicroBatcher:
         self.backend = backend
         self.jobs = jobs
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_s)
         self._queue: _queue.Queue[SolveRequest] = _queue.Queue(maxsize=int(maxsize))
         self._lock = threading.Lock()
         self._submitted = 0
@@ -287,34 +286,23 @@ class MicroBatcher:
     def _drain_loop(self) -> None:
         while not self._stop.is_set():
             try:
+                # The timeout only bounds how long a stop() goes unseen.
                 first = self._queue.get(timeout=0.05)
             except _queue.Empty:
                 continue
-            batch = [first]
-            deadline = time.monotonic() + self.max_wait_s
-            while len(batch) < self.max_batch:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(self._queue.get(timeout=remaining))
-                except _queue.Empty:
-                    break
-            try:
-                self._run_batch(batch)
-            finally:
-                # task_done only after the futures are resolved, so
-                # drain()'s all_tasks_done wait means "answered", not
-                # merely "dequeued".
-                for _ in batch:
-                    self._queue.task_done()
+            self._run_queued([first])
 
     def drain_once(self) -> int:
         """Synchronously drain up to ``max_batch`` queued requests (tests).
 
         Returns the number of requests drained; 0 when the queue is empty.
         """
-        batch: list[SolveRequest] = []
+        return self._run_queued([])
+
+    def _run_queued(self, batch: list[SolveRequest]) -> int:
+        """Top ``batch`` up with whatever is already queued (up to
+        ``max_batch``, never waiting for more) and run it; returns its size.
+        """
         while len(batch) < self.max_batch:
             try:
                 batch.append(self._queue.get_nowait())
@@ -324,6 +312,9 @@ class MicroBatcher:
             try:
                 self._run_batch(batch)
             finally:
+                # task_done only after the futures are resolved, so
+                # drain()'s all_tasks_done wait means "answered", not
+                # merely "dequeued".
                 for _ in batch:
                     self._queue.task_done()
         return len(batch)

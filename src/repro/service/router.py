@@ -846,7 +846,7 @@ class RouterServer(HttpServerBase):
         cache: dict[str, float] = {
             "hits": 0, "misses": 0, "evictions": 0, "spills": 0,
             "spill_hits": 0, "corruptions": 0, "entries": 0, "bytes": 0,
-            "warm_hits": 0,
+            "stored_bytes": 0, "warm_hits": 0,
         }
         for snap in workers.values():
             wq, wc = snap.get("queue", {}), snap.get("cache", {})

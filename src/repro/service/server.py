@@ -248,6 +248,7 @@ _PROM_TYPES = {
     "repro_cache_corruptions_total": "counter",
     "repro_cache_entries": "gauge",
     "repro_cache_bytes": "gauge",
+    "repro_cache_stored_bytes": "gauge",
     "repro_cache_warm_hits_total": "counter",
     "repro_sessions_active": "gauge",
     "repro_sessions_created_total": "counter",
@@ -309,6 +310,7 @@ def prometheus_samples(
         add(f"repro_cache_{field}_total", cache.get(field))
     add("repro_cache_entries", cache.get("entries"))
     add("repro_cache_bytes", cache.get("bytes"))
+    add("repro_cache_stored_bytes", cache.get("stored_bytes"))
     add("repro_cache_warm_hits_total", cache.get("warm_hits"))
     sessions = snapshot.get("sessions", {})
     add("repro_sessions_active", sessions.get("active"))
@@ -1023,7 +1025,6 @@ class SolveServer(HttpServerBase):
         backend: str | None = None,
         jobs: int | None = None,
         max_batch: int = 16,
-        max_wait_s: float = 0.002,
         queue_size: int = 512,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         cache_dir: Path | str | None = None,
@@ -1043,7 +1044,6 @@ class SolveServer(HttpServerBase):
             backend=backend,
             jobs=jobs,
             max_batch=max_batch,
-            max_wait_s=max_wait_s,
             maxsize=queue_size,
             faults=self.faults,
         )

@@ -416,11 +416,10 @@ class TestServeErrors:
     @pytest.mark.parametrize("argv, message", [
         (["serve", "--jobs", "0"], "--jobs"),
         (["serve", "--max-batch", "0"], "max_batch"),
-        (["serve", "--max-wait-ms", "-1"], "max_wait"),
+        (["serve", "--workers", "2", "--backend", "process"], "--backend process"),
         (["serve", "--queue-size", "0"], "maxsize"),
         (["serve", "--cache-bytes", "-5"], "max_bytes"),
         (["serve", "--workers", "0"], "--workers"),
-        (["serve", "--workers", "2", "--backend", "process"], "--backend process"),
     ])
     def test_bad_parameters_exit_2(self, argv, message):
         code, text = run_cli(argv)

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import gc
+import json
+import os
+import random
+import sys
 import threading
+import tracemalloc
+from collections import OrderedDict
 
+import numpy as np
 import pytest
 
 from repro.core.errors import InvalidInstanceError
-from repro.service.cache import DEFAULT_CACHE_BYTES, CacheStats, ResultCache
+from repro.core.instance import StripPackingInstance
+from repro.engine import run
+from repro.service.cache import DEFAULT_CACHE_BYTES, CacheStats, ResultCache, _LruMap
+from repro.service.server import encode_report
+from repro.workloads.random_rects import powerlaw_rects
 
 
 class TestBasics:
@@ -68,7 +80,8 @@ class TestBasics:
         assert isinstance(stats, CacheStats)
         d = stats.to_dict()
         assert {"hits", "misses", "evictions", "spills", "spill_hits",
-                "entries", "bytes", "max_bytes", "hit_rate"} <= set(d)
+                "entries", "bytes", "stored_bytes", "max_bytes",
+                "hit_rate"} <= set(d)
 
 
 class TestLru:
@@ -221,6 +234,94 @@ class TestSpillCorruption:
         assert cache.stats().to_dict()["corruptions"] == 0
 
 
+class TestCompressedMemoryTier:
+    """Values are held compressed; budget, counters, hits and spill files
+    all still see the wire (uncompressed) bytes."""
+
+    def test_stored_bytes_tracks_what_is_held(self):
+        payload = json.dumps({"values": list(range(300))}).encode()
+        cache = ResultCache(1 << 20)
+        cache.put("k", payload)
+        stats = cache.stats()
+        assert stats.bytes == len(payload)
+        assert 0 < stats.stored_bytes < len(payload)
+        cache.put("k", payload * 2)  # a refresh uncharges the old value
+        assert cache.stats().bytes == 2 * len(payload)
+        assert cache.stats().stored_bytes < 2 * len(payload)
+        cache.clear()
+        assert cache.stats().bytes == cache.stats().stored_bytes == 0
+
+    def test_answers_cost_less_memory_than_their_wire_length(self):
+        rng = np.random.default_rng(0)
+        answers = [
+            (f"k{i}", run(StripPackingInstance(powerlaw_rects(16, rng)), "ffdh"))
+            for i in range(2000)
+        ]
+        cache = ResultCache()
+        wire = 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            # Each answer is created inside the traced window and the cache
+            # keeps the only reference, so `retained` is what holding costs.
+            before = tracemalloc.get_traced_memory()[0]
+            for key, report in answers:
+                payload = encode_report(report)
+                wire += len(payload)
+                cache.put(key, payload)
+            del payload
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # Held raw under their key strings in an OrderedDict, these answers
+        # cost ~1.1x their wire length; as held here, ~0.4x.
+        assert retained < 0.75 * wire
+        stats = cache.stats()
+        assert stats.entries == len(answers) and stats.bytes == wire
+        for key, report in answers:
+            assert cache.get(key) == encode_report(report)
+
+    def test_spill_files_hold_the_raw_payload(self, tmp_path):
+        payload = json.dumps({"values": list(range(300))}).encode()
+        cache = ResultCache(len(payload), spill_dir=tmp_path)
+        cache.put("a", payload)
+        cache.put("b", payload[::-1])  # the wire budget fits one: a spills
+        assert cache.stats().evictions == 1
+        (path,) = tmp_path.iterdir()
+        assert path.read_bytes() == ResultCache._frame(payload)
+        fresh = ResultCache(spill_dir=tmp_path)  # a restart over the directory
+        assert fresh.get("a") == payload and "a" in fresh
+
+
+class TestLruMap:
+    def test_matches_an_ordered_dict_on_random_operations(self):
+        """The two-dict map keeps exactly OrderedDict's LRU order."""
+        rng = random.Random(0)
+        lru, reference = _LruMap(), OrderedDict()
+        for step in range(20000):
+            key = rng.randrange(64)
+            op = rng.random()
+            if op < 0.3:
+                expected = reference.get(key)
+                if expected is not None:
+                    reference.move_to_end(key)
+                assert lru.touch(key) == expected
+            elif op < 0.55:
+                assert lru.pop(key) == reference.pop(key, None)
+            elif op < 0.85:
+                value = str(step).encode()
+                reference.pop(key, None)
+                lru.pop(key)
+                reference[key] = value
+                lru.add(key, value)
+            elif reference:
+                assert lru.pop_lru() == reference.popitem(last=False)
+            assert len(lru) == len(reference)
+            assert (key in lru) == (key in reference)
+        assert {**lru.recent, **lru.older} == dict(reference)
+
+
 class TestThreadSafety:
     def test_concurrent_mixed_workload_stays_consistent(self):
         cache = ResultCache(256)
@@ -238,12 +339,28 @@ class TestThreadSafety:
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        # More threads than cores and a tiny switch interval, so threads
+        # interleave inside put/get as often as the interpreter allows.
+        threads = [
+            threading.Thread(target=worker, args=(s,))
+            for s in range(max(8, 2 * (os.cpu_count() or 1)))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         stats = cache.stats()
         assert stats.bytes <= 256
         assert stats.hits + stats.misses > 0
+        # A lost update to either size counter leaves it off these sums.
+        held = [*cache._entries.recent.values(), *cache._entries.older.values()]
+        assert stats.entries == len(held)
+        assert stats.bytes == sum(len(cache._unpack(h)) for h in held)
+        assert stats.stored_bytes == sum(len(h) for h in held)

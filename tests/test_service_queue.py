@@ -8,6 +8,9 @@ and a full queue sheds load with :class:`BackpressureError`.
 
 from __future__ import annotations
 
+import statistics
+import time
+
 import numpy as np
 import pytest
 
@@ -38,7 +41,7 @@ def _same_report(a, b):
 
 @pytest.fixture
 def batcher():
-    b = MicroBatcher(max_batch=8, max_wait_s=0.001, maxsize=64)
+    b = MicroBatcher(max_batch=8, maxsize=64)
     yield b
     b.stop()
 
@@ -137,6 +140,55 @@ class TestBatching:
             _same_report(a.result(timeout=1), b.result(timeout=1))
 
 
+class TestLiveDrain:
+    """The drain thread never waits for batch-mates: a lone request goes
+    straight to the solver, and a busy queue still drains in batches."""
+
+    def test_lone_request_is_not_held(self):
+        instance = StripPackingInstance(
+            [Rect(rid=0, width=0.5, height=1.0), Rect(rid=1, width=0.5, height=2.0)]
+        )
+        batcher = MicroBatcher().start()
+        elapsed = []
+        try:
+            for _ in range(20):
+                t0 = time.perf_counter()
+                batcher.submit(instance, "nfdh").result(timeout=10)
+                elapsed.append(time.perf_counter() - t0)
+        finally:
+            batcher.stop()
+        # A timed batch window would hold every lone request for its whole
+        # length; without one, submit-to-result is about the solve itself.
+        assert statistics.median(elapsed) < 1.5e-3
+        assert batcher.stats().max_batch == 1
+
+    def test_requests_queued_behind_a_running_batch_drain_together(self):
+        from repro.service.faults import FaultInjector
+
+        injector = FaultInjector(
+            {"faults": [{"site": "queue.drain", "kind": "stall",
+                         "count": 1, "delay_s": 0.3}]}
+        )
+        batcher = MicroBatcher(maxsize=64, faults=injector).start()
+        first, *rest = _instances(6, seed=13)
+        try:
+            held = batcher.submit(first, "nfdh")
+            # Wait until the drain thread has taken the first request and
+            # sits in that batch's stall.
+            deadline = time.monotonic() + 10
+            while (batcher.depth or not injector.fired) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert batcher.depth == 0 and injector.fired == 1
+            futures = [batcher.submit(inst, "nfdh") for inst in rest]
+            _same_report(held.result(timeout=10), run(first, "nfdh"))
+            for fut, inst in zip(futures, rest):
+                _same_report(fut.result(timeout=10), run(inst, "nfdh"))
+        finally:
+            batcher.stop()
+        stats = batcher.stats()
+        assert stats.batches == 2 and stats.max_batch == len(rest)
+
+
 class TestBackpressureAndLifecycle:
     def test_full_queue_rejects(self):
         batcher = MicroBatcher(maxsize=2)
@@ -169,8 +221,8 @@ class TestBackpressureAndLifecycle:
         batcher.stop()
 
     @pytest.mark.parametrize(
-        "kwargs", [{"max_batch": 0}, {"max_wait_s": -1}, {"maxsize": 0},
-                   {"backend": "warp"}, {"jobs": 0}]
+        "kwargs", [{"max_batch": 0}, {"backend": "thread", "jobs": 0},
+                   {"maxsize": 0}, {"backend": "warp"}, {"jobs": 0}]
     )
     def test_bad_construction_rejected(self, kwargs):
         with pytest.raises(InvalidInstanceError):
@@ -181,7 +233,7 @@ class TestGracefulDrain:
     def test_drain_answers_everything_accepted(self):
         """drain() with a live thread: accepted requests all resolve to
         reports (never BackpressureError), then the batcher is stopped."""
-        batcher = MicroBatcher(max_batch=4, max_wait_s=0.001, maxsize=64)
+        batcher = MicroBatcher(max_batch=4, maxsize=64)
         instances = _instances(10, seed=8)
         batcher.start()
         futures = [batcher.submit(inst, "nfdh") for inst in instances]
@@ -232,9 +284,7 @@ class TestGracefulDrain:
             {"faults": [{"site": "queue.drain", "kind": "stall",
                          "count": 0, "delay_s": 0.05}]}
         )
-        batcher = MicroBatcher(
-            max_batch=2, max_wait_s=0.001, maxsize=64, faults=injector
-        )
+        batcher = MicroBatcher(max_batch=2, maxsize=64, faults=injector)
         instances = _instances(8, seed=12)
         futures = [batcher.submit(inst, "nfdh") for inst in instances]
         batcher.drain(timeout=30)  # queue is non-empty when drain begins

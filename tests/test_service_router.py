@@ -248,7 +248,9 @@ class TestFleetMetrics:
         assert {"depth", "submitted", "completed", "rejected", "batches",
                 "max_batch", "mean_batch"} <= set(data["queue"])
         assert {"hits", "misses", "evictions", "spills",
-                "spill_hits", "entries", "bytes"} <= set(data["cache"])
+                "spill_hits", "entries", "bytes", "stored_bytes"} <= set(data["cache"])
+        stored = [w["cache"]["stored_bytes"] for w in data["workers"].values()]
+        assert data["cache"]["stored_bytes"] == sum(stored) > 0
         assert data["router"]["workers"]["total"] == 2
         assert set(data["workers"]) == {"0", "1"}
         per_worker = sum(w["queue"]["completed"] for w in data["workers"].values())
