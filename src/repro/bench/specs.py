@@ -770,68 +770,6 @@ register_bench(BenchSpec(
 ))
 
 # ----------------------------------------------------------------------
-# batched stacked-instance solving: one arena pass vs K dispatches
-# ----------------------------------------------------------------------
-
-def _stacked_workload(k, rng):
-    """``k`` small plain instances (16 rects each) for the batch race.
-
-    Instances are deliberately small: batching amortises the *per
-    dispatch* fixed cost (spec lookup, sort, level-array allocation,
-    report assembly), so the smaller each instance, the larger the
-    fraction of the wall time the stacked path saves.
-    """
-    from ..core.instance import StripPackingInstance
-    from ..workloads.random_rects import powerlaw_rects
-
-    return [
-        StripPackingInstance(powerlaw_rects(16, rng)) for _ in range(k)
-    ]
-
-
-def _stacked_solve(stacked):
-    """solve_many with the stacked path forced on or off.
-
-    Bounds/validation are skipped on both sides so the measurement
-    isolates what batching changes: K sorts + K dispatches vs one
-    stacked sort + one arena pass.
-    """
-
-    def run(instances):
-        from ..engine import solve_many
-
-        reports = solve_many(
-            instances,
-            "ffdh",
-            validate=False,
-            compute_bounds=False,
-            stacked=stacked,
-        )
-        return {"total_height": float(sum(r.height for r in reports))}
-
-    run.__name__ = "batched" if stacked else "independent"
-    return run
-
-
-register_bench(BenchSpec(
-    name="batched_solve",
-    title="Batched stacked-instance solve: one arena pass vs K dispatches",
-    workload=_stacked_workload,
-    entries=(
-        _call("independent", _stacked_solve(False)),
-        _call("batched", _stacked_solve(True)),
-    ),
-    # Size 16 is shared between full and quick so CI can
-    # `--quick --compare` the committed artifact.
-    sizes=(16, 64, 256),
-    quick_sizes=(8, 16),
-    size_name="instances",
-    repetitions=5,
-    source="engine/stacked.py + geometry/levels.py (pack_levels)",
-))
-
-
-# ----------------------------------------------------------------------
 # lower-bound / fractional-optimum probe (shared by E2/E4/A4 tables)
 # ----------------------------------------------------------------------
 

@@ -39,7 +39,7 @@ Commands
     builds per-series median timelines, writes ``BENCH_trend.json`` to
     ``--out``, and exits 1 on *sustained* drift (the last ``--window``
     runs all slower than baseline by ``--drift-threshold``×).
-``serve [--host H] [--port P] [--workers N] [--backend B --jobs N] [--cache-dir DIR]``
+``serve [--host H] [--port P] [--workers N] [--cache-dir DIR]``
     Run the asyncio JSON-over-HTTP solve service (:mod:`repro.service`):
     ``POST /solve`` and ``POST /portfolio`` with micro-batching and a
     content-addressed result cache, ``GET /healthz`` / ``GET /metrics``
@@ -244,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes behind a consistent-hash router "
              "(default 1 = single-process, no router)",
     )
-    _add_executor_args(p_serve)
     p_serve.add_argument(
         "--max-batch", type=int, default=16,
         help="most requests one micro-batch drains (default 16)",
@@ -765,21 +764,11 @@ def _build_server(args):
     from .service import SolveServer, build_server
     from .service.cache import DEFAULT_CACHE_BYTES
 
-    _check_jobs(args.jobs)
     if not 0 <= args.port <= 65535:
         raise _CliInputError(f"--port must be in [0, 65535], got {args.port}")
     workers = getattr(args, "workers", 1)
     if workers < 1:
         raise _CliInputError(f"--workers must be >= 1, got {workers}")
-    if workers > 1 and args.backend == "process":
-        # Worker processes are daemonic (so a dead router leaks nothing)
-        # and daemonic processes cannot have children of their own; the
-        # fleet already provides the process parallelism anyway.
-        raise _CliInputError(
-            "--backend process cannot nest inside --workers > 1; "
-            "workers already provide process parallelism "
-            "(use --backend thread or drop --backend)"
-        )
     retries = getattr(args, "retries", 2)
     if retries < 0:
         raise _CliInputError(f"--retries must be >= 0, got {retries}")
@@ -793,8 +782,6 @@ def _build_server(args):
         )
     cache_bytes = DEFAULT_CACHE_BYTES if args.cache_bytes is None else args.cache_bytes
     config = dict(
-        backend=args.backend,
-        jobs=args.jobs if args.jobs > 1 or args.backend else None,
         max_batch=args.max_batch,
         queue_size=args.queue_size,
         cache_bytes=cache_bytes,
@@ -850,8 +837,8 @@ def _cmd_serve(args, out) -> int:
     def ready() -> None:
         print(
             f"repro {__version__} serving on http://{server.host}:{server.port} "
-            f"(workers {workers}, queue {args.queue_size}, batch {args.max_batch}, "
-            f"backend {args.backend or 'serial'}) — Ctrl-C to stop",
+            f"(workers {workers}, queue {args.queue_size}, batch {args.max_batch})"
+            " — Ctrl-C to stop",
             file=out,
             flush=True,
         )

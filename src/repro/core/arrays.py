@@ -31,13 +31,7 @@ from .errors import InvalidPlacementError
 from .placement import PlacedRect, Placement
 from .rectangle import Rect
 
-__all__ = [
-    "RectArrays",
-    "StackedRectArrays",
-    "PlacementBuilder",
-    "decreasing_order",
-    "stacked_decreasing_order",
-]
+__all__ = ["RectArrays", "PlacementBuilder", "decreasing_order"]
 
 Node = Hashable
 
@@ -160,70 +154,6 @@ def decreasing_order(arrays: RectArrays) -> np.ndarray:
         return np.empty(0, dtype=np.intp)
     # lexsort sorts by the *last* key first: height desc, width desc, sid asc.
     return np.lexsort((arrays.sid_rank(), -arrays.width, -arrays.height))
-
-
-class StackedRectArrays:
-    """K instances' columns concatenated into one arena.
-
-    The batched solve path (:mod:`repro.engine.stacked`) stacks every
-    instance of a batch into single ``width``/``height`` columns with
-    ``offsets`` marking the K+1 segment bounds, so one stacked sort and
-    one kernel invocation replace K independent dispatches.  Row
-    ``offsets[k] + i`` of the stack is row ``i`` of ``parts[k]``; the
-    per-part :class:`RectArrays` are kept for materialising placements
-    at the object boundary.
-    """
-
-    __slots__ = ("parts", "width", "height", "offsets")
-
-    def __init__(self, parts: Sequence):
-        self.parts: tuple[RectArrays, ...] = tuple(
-            RectArrays.coerce(p) for p in parts
-        )
-        counts = np.array([len(p) for p in self.parts], dtype=np.int64)
-        offsets = np.zeros(len(self.parts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        self.offsets = offsets
-        if self.parts and offsets[-1]:
-            self.width = np.concatenate([p.width for p in self.parts])
-            self.height = np.concatenate([p.height for p in self.parts])
-        else:
-            self.width = np.empty(0, dtype=np.float64)
-            self.height = np.empty(0, dtype=np.float64)
-
-    def __len__(self) -> int:
-        """Total stacked row count (sum over parts)."""
-        return int(self.offsets[-1])
-
-    def segment(self, k: int) -> tuple[int, int]:
-        """Global row bounds ``[lo, hi)`` of part ``k``."""
-        return int(self.offsets[k]), int(self.offsets[k + 1])
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"StackedRectArrays(parts={len(self.parts)}, n={len(self)})"
-
-
-def stacked_decreasing_order(stacked: StackedRectArrays) -> np.ndarray:
-    """Stacked row permutation: per-part decreasing-height order, parts
-    kept contiguous and in input order.
-
-    One ``lexsort`` with the part index as the *major* key; the minor
-    keys are exactly :func:`decreasing_order`'s.  ``np.lexsort`` is
-    stable, so slicing the result at ``stacked.offsets`` yields, segment
-    by segment, the same permutation :func:`decreasing_order` computes
-    for each part alone (shifted by the part's row offset) — the
-    stacked-order differential test pins this equivalence.
-    """
-    n = len(stacked)
-    if not n:
-        return np.empty(0, dtype=np.intp)
-    # Ranks are per part; the part index is the major key, so they never
-    # compare across parts.
-    ranks = np.concatenate([p.sid_rank() for p in stacked.parts])
-    part_idx = np.repeat(
-        np.arange(len(stacked.parts), dtype=np.int64), np.diff(stacked.offsets)
-    )
-    return np.lexsort((ranks, -stacked.width, -stacked.height, part_idx))
 
 
 class PlacementBuilder:

@@ -33,7 +33,7 @@ pool of ``N`` workers, exactly as before the seam existed.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..core.errors import InvalidInstanceError, ReproError
@@ -61,21 +61,12 @@ class Executor:
     engine work (batch items, portfolio entrants).
 
     ``jobs`` is the worker count for the pooled backends (``None`` lets
-    the pool pick its default); the serial backend ignores it.
-
-    One-shot use needs no ceremony: :meth:`map` spins an ephemeral pool
-    per call.  Long-lived callers (the service micro-batcher draining
-    thousands of small batches) call :meth:`open` once to keep a
-    persistent pool — pool startup, especially process fork/spawn, would
-    otherwise dominate every micro-batch — and :meth:`close` on shutdown.
+    the pool pick its default); the serial backend ignores it.  Each
+    :meth:`map` call runs on its own ephemeral pool.
     """
 
     backend: str = "serial"
     jobs: int | None = None
-    # Mutable pool handle on a frozen value object: the (backend, jobs)
-    # identity stays immutable/hashable/comparable while the pool rides
-    # along outside equality, like a cache.
-    _pool: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -85,25 +76,6 @@ class Executor:
         if self.jobs is not None and self.jobs < 1:
             raise InvalidInstanceError(f"jobs must be >= 1, got {self.jobs}")
 
-    def _make_pool(self):
-        if self.backend == "thread":
-            return ThreadPoolExecutor(max_workers=self.jobs)
-        return ProcessPoolExecutor(max_workers=self.jobs)
-
-    def open(self) -> "Executor":
-        """Start a persistent pool reused by every :meth:`map` (idempotent;
-        a no-op for the serial backend).  Returns self for chaining."""
-        if self.backend != "serial" and self._pool is None:
-            object.__setattr__(self, "_pool", self._make_pool())
-        return self
-
-    def close(self) -> None:
-        """Shut the persistent pool down (idempotent)."""
-        pool = self._pool
-        if pool is not None:
-            object.__setattr__(self, "_pool", None)
-            pool.shutdown(wait=False, cancel_futures=True)
-
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
         """Apply ``fn`` to every item, results in input order.
 
@@ -112,15 +84,16 @@ class Executor:
         backend always runs through its pool — even for one item or one
         worker — so an explicit ``backend="process"`` request really
         exercises the pickling path instead of silently degrading to
-        in-process execution.  Runs on the persistent pool when
-        :meth:`open` was called, on an ephemeral one otherwise.
+        in-process execution.
         """
         items = list(items)
         if not items or self.backend == "serial":
             return [fn(it) for it in items]
-        if self._pool is not None:
-            return list(self._pool.map(fn, items))
-        with self._make_pool() as pool:
+        if self.backend == "thread":
+            pool = ThreadPoolExecutor(max_workers=self.jobs)
+        else:
+            pool = ProcessPoolExecutor(max_workers=self.jobs)
+        with pool:
             return list(pool.map(fn, items))
 
 
@@ -200,56 +173,21 @@ def solve_many(
     compute_bounds: bool = True,
     labels: Sequence[str] | None = None,
     strict: bool = True,
-    executor: Executor | None = None,
-    stacked: bool | None = None,
 ) -> list[SolveReport]:
     """Solve every instance, returning reports in input order.
 
     ``backend``/``jobs`` select the :class:`Executor` (see
-    :func:`resolve_executor`); passing a pre-built ``executor`` (e.g. one
-    held open by the service micro-batcher) overrides both and reuses its
-    persistent pool.  ``labels`` (parallel to ``instances``)
+    :func:`resolve_executor`).  ``labels`` (parallel to ``instances``)
     tags each report, e.g. with the source file name.  With
     ``strict=False`` a per-instance
     :class:`~repro.core.errors.ReproError` (e.g. forcing a release-only
     algorithm onto a plain instance) becomes an error report instead of
     aborting the whole batch — the mode the CLI serves with.
-
-    ``stacked`` controls the batched stacked-instance fast path
-    (:mod:`repro.engine.stacked`): ``None`` (default) auto-engages it
-    when eligible — serial executor, explicit level-packer algorithm, no
-    parameter overrides, plain instances — ``False`` opts out, ``True``
-    requires it (raising :class:`~repro.core.errors.InvalidInstanceError`
-    when the batch is not stackable).  Reports from the stacked path are
-    bit-identical to the per-instance path except for ``wall_time``.
     """
     items = list(instances)
     if labels is not None and len(labels) != len(items):
         raise ValueError(f"{len(labels)} labels for {len(items)} instances")
-    if executor is None:
-        executor = resolve_executor(backend, jobs)
     merged = None if params is None else dict(params)
-    if stacked is not False and items and executor.backend == "serial":
-        from .stacked import batchable, solve_batched
-
-        if batchable(items, algorithm, merged):
-            return solve_batched(
-                items,
-                algorithm,
-                validate=validate,
-                compute_bounds=compute_bounds,
-                labels=labels,
-            )
-        if stacked:
-            raise InvalidInstanceError(
-                "stacked=True but the batch is not stackable (needs a serial "
-                "executor, algorithm in nfdh/ffdh/bfdh with no parameter "
-                "overrides, and plain instances)"
-            )
-    elif stacked:
-        raise InvalidInstanceError(
-            "stacked=True requires the serial executor and a non-empty batch"
-        )
     tasks = [
         (
             inst,
@@ -262,7 +200,7 @@ def solve_many(
         )
         for i, inst in enumerate(items)
     ]
-    return executor.map(_solve_one, tasks)
+    return resolve_executor(backend, jobs).map(_solve_one, tasks)
 
 
 @dataclass(frozen=True)
@@ -302,39 +240,10 @@ def portfolio(
     if not names:
         raise InvalidInstanceError("portfolio has no candidate algorithms")
 
-    executor = resolve_executor(backend, jobs)
     tasks = [
         (instance, name, (params or {}).get(name), compute_bounds) for name in names
     ]
-    batch_names: list[str] = []
-    if executor.backend == "serial":
-        from .stacked import portfolio_batch_names
-
-        batch_names = portfolio_batch_names(instance, names, params)
-    if batch_names:
-        # Level-packer entrants share one stacked arena pass; the rest
-        # race individually.  Reports keep the entrant order.
-        from .stacked import solve_batched
-
-        by_name = dict(
-            zip(
-                batch_names,
-                solve_batched(
-                    [instance] * len(batch_names),
-                    batch_names,
-                    validate=True,
-                    compute_bounds=compute_bounds,
-                    labels=batch_names,
-                ),
-            )
-        )
-        rest = executor.map(
-            _race_one, [t for t in tasks if t[1] not in by_name]
-        )
-        it = iter(rest)
-        reports = [by_name[n] if n in by_name else next(it) for n in names]
-    else:
-        reports = executor.map(_race_one, tasks)
+    reports = resolve_executor(backend, jobs).map(_race_one, tasks)
 
     valid = [(i, r) for i, r in enumerate(reports) if r.valid]
     best = min(valid, key=lambda ir: (ir[1].height, ir[0]))[1] if valid else None

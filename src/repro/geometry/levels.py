@@ -29,10 +29,8 @@ elementwise image of the reference predicate (``used + w <= 1 + atol``,
 bit-identical to the reference.  ``tests/test_levels_differential.py``
 enforces this.
 
-:func:`pack_levels` is the one NFDH/FFDH/BFDH loop over a
-:class:`LevelArray`: :func:`level_pack` runs it for the per-instance
-packers (:mod:`repro.packing`) and the batched stacked solve
-(:mod:`repro.engine.stacked`) runs it once per arena segment.
+:func:`level_pack` is the one NFDH/FFDH/BFDH loop over a
+:class:`LevelArray`; the packers in :mod:`repro.packing` call it.
 """
 
 from __future__ import annotations
@@ -48,17 +46,7 @@ from ..core.errors import InvalidPlacementError
 from ..core.placement import Placement
 from ..core.rectangle import Rect
 
-__all__ = [
-    "LEVEL_ALGORITHMS",
-    "Level",
-    "LevelStack",
-    "LevelArray",
-    "pack_levels",
-    "level_pack",
-]
-
-#: The level packers :func:`pack_levels` runs.
-LEVEL_ALGORITHMS = ("nfdh", "ffdh", "bfdh")
+__all__ = ["Level", "LevelStack", "LevelArray", "level_pack"]
 
 
 @dataclass
@@ -195,15 +183,6 @@ class LevelArray:
         """Total height consumed by the levels."""
         return self.top - self.base
 
-    def reset(self, base: float = 0.0) -> None:
-        """Empty the stack for reuse.
-
-        The batched stacked solve (:mod:`repro.engine.stacked`) packs K
-        instances through one arena, resetting between segments instead
-        of reallocating; the capacity and scratch buffers survive."""
-        self.base = base
-        self._n = 0
-
     def open_level(self, height: float) -> int:
         """Open a new level of the given height on top; return its index."""
         if self._n == len(self._y):
@@ -275,55 +254,37 @@ class LevelArray:
         return x, float(self._y[idx])
 
 
-def pack_levels(
-    algorithm: str,
-    widths: np.ndarray,
-    heights: np.ndarray,
-    rows: np.ndarray,
-    levels: LevelArray,
-    builder: PlacementBuilder,
-    offset: int = 0,
-) -> None:
-    """Place ``rows`` onto ``levels`` by NFDH, FFDH or BFDH.
+def level_pack(
+    algorithm: str, rects: Sequence[Rect] | RectArrays, y: float = 0.0
+) -> tuple[Placement, float]:
+    """Pack all of ``rects`` from height ``y`` by NFDH, FFDH or BFDH;
+    return the placement and the vertical extent used.
 
-    ``rows`` index ``widths``/``heights`` in decreasing-height order; each
-    rectangle is recorded in ``builder`` at row ``row - offset``.  NFDH
-    keeps one open level and opens a new one when the next rectangle
-    misses; FFDH takes the lowest level with room, BFDH the tightest; both
-    open a new level when none fits.
+    Rectangles go in decreasing-height order.  NFDH keeps one open level
+    and opens a new one when the next rectangle misses; FFDH takes the
+    lowest level with room, BFDH the tightest; both open a new level when
+    none fits.
     """
-    if not len(rows):
-        return
-    ws = widths[rows].tolist()
-    hs = heights[rows].tolist()
-    puts = zip((rows - offset).tolist(), ws, hs)
+    arrays = RectArrays.coerce(rects)
+    if not len(arrays):
+        return Placement(), 0.0
+    builder = PlacementBuilder(arrays)
+    levels = LevelArray(base=y)
+    rows = decreasing_order(arrays)
+    ws = arrays.width[rows].tolist()
+    hs = arrays.height[rows].tolist()
+    puts = zip(rows.tolist(), ws, hs)
     if algorithm == "nfdh":
         idx = levels.open_level(hs[0])
         for row, w, h in puts:
             if not levels.fits_on(idx, w):
                 idx = levels.open_level(h)
             builder.put(row, *levels.place(idx, w))
-        return
-    fit = {"ffdh": levels.first_fit, "bfdh": levels.best_fit}[algorithm]
-    for row, w, h in puts:
-        idx = fit(w)
-        if idx < 0:
-            idx = levels.open_level(h)
-        builder.put(row, *levels.place(idx, w))
-
-
-def level_pack(
-    algorithm: str, rects: Sequence[Rect] | RectArrays, y: float = 0.0
-) -> tuple[Placement, float]:
-    """Run :func:`pack_levels` over all of ``rects`` from height ``y``;
-    return the placement and the vertical extent used."""
-    arrays = RectArrays.coerce(rects)
-    if not len(arrays):
-        return Placement(), 0.0
-    builder = PlacementBuilder(arrays)
-    levels = LevelArray(base=y)
-    pack_levels(
-        algorithm, arrays.width, arrays.height, decreasing_order(arrays),
-        levels, builder,
-    )
+    else:
+        fit = {"ffdh": levels.first_fit, "bfdh": levels.best_fit}[algorithm]
+        for row, w, h in puts:
+            idx = fit(w)
+            if idx < 0:
+                idx = levels.open_level(h)
+            builder.put(row, *levels.place(idx, w))
     return builder.build(), levels.extent

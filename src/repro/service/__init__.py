@@ -5,9 +5,9 @@ Seven layers, composed bottom-up (each is independently testable):
 * :mod:`repro.service.cache`   — content-addressed result cache
   (thread-safe LRU over response bytes, keyed by
   :func:`repro.core.serialize.result_key`, optional disk spill);
-* :mod:`repro.service.queue`   — bounded request queue with
-  micro-batching; compatible requests fan out together through the
-  engine's :class:`~repro.engine.batch.Executor` seam;
+* :mod:`repro.service.queue`   — bounded request queue drained in
+  micro-batches by one solver thread, one :func:`repro.engine.run` call
+  per request;
 * :mod:`repro.service.server`  — stdlib-only asyncio JSON-over-HTTP
   server: the one request pipeline (``POST /solve``, ``POST
   /portfolio``, sessions, ``GET /healthz``, ``GET /metrics``) plus the

@@ -1,17 +1,14 @@
-"""Bounded request queue with micro-batching over the engine's executor.
+"""Bounded request queue drained by one solver thread in micro-batches.
 
-The serving hot path must not solve requests one interpreter round-trip at
-a time: the drain thread blocks for one request, then adds whatever
-queued while the previous batch ran (up to ``max_batch`` requests) and
-runs them as one *micro-batch*.  It never sleeps waiting for company, so a
-lone request goes straight to the solver while a loaded queue still
-drains in batches.  Each batch is grouped by ``(algorithm, params)``
-compatibility and fanned out through
-:func:`repro.engine.batch.solve_many` — the same pluggable
-``serial | thread | process`` :class:`~repro.engine.batch.Executor` seam
-the batch CLI uses.  Because ``solve_many`` is bit-identical to looping
-:func:`repro.engine.run` (pinned by the executor determinism suite), a
-batched request returns exactly the report a direct solve would have.
+A *micro-batch* is one drain tick: the drain thread blocks for one
+request, then takes whatever queued while the previous batch ran (up to
+``max_batch`` requests).  It never sleeps waiting for company, so a lone
+request goes straight to the solver.  The batch's requests are solved one
+at a time, in queue order, each through
+:func:`repro.engine.batch.solve_many` — one :func:`repro.engine.run` call
+per request — and each request's future resolves as soon as its own solve
+ends.  A queued request therefore returns exactly the report a direct
+solve would have, ``wall_time`` aside.
 
 Backpressure is explicit: the internal queue is bounded, and a submit
 against a full queue raises :class:`BackpressureError` immediately instead
@@ -31,7 +28,6 @@ plain threads (the load generator, tests) and the asyncio server (via
 
 from __future__ import annotations
 
-import json
 import queue as _queue
 import threading
 import time
@@ -66,11 +62,6 @@ class SolveRequest:
     #: not visible, so the trace must ride the queue entry itself.
     trace: TraceContext | None = None
 
-    @property
-    def group_key(self) -> tuple[str | None, str]:
-        """Requests with equal keys may share one ``solve_many`` call."""
-        return (self.algorithm, json.dumps(dict(self.params or {}), sort_keys=True, default=repr))
-
 
 @dataclass(frozen=True)
 class QueueStats:
@@ -100,13 +91,12 @@ class QueueStats:
 
 
 class MicroBatcher:
-    """Drain a bounded queue in compatibility-grouped micro-batches.
+    """Drain a bounded queue in micro-batches, one solve at a time.
 
-    ``backend``/``jobs`` select the engine executor each batch fans out
-    over (``None`` keeps ``solve_many``'s serial default).  ``max_batch``
-    caps one drain (``repro serve --max-batch``).  A batch is whatever
-    queued while the previous batch ran: the drain never holds a request
-    back waiting for batch-mates.
+    ``max_batch`` caps one drain tick (``repro serve --max-batch``).  A
+    batch is whatever queued while the previous batch ran: the drain never
+    holds a request back waiting for batch-mates, and within a batch each
+    request is answered before the next one is solved.
 
     The worker thread is started explicitly (:meth:`start`) so unit tests
     can pre-load the queue and observe a single deterministic drain.
@@ -115,8 +105,6 @@ class MicroBatcher:
     def __init__(
         self,
         *,
-        backend: str | None = None,
-        jobs: int | None = None,
         max_batch: int = 16,
         maxsize: int = 512,
         faults: FaultInjector | None = None,
@@ -125,20 +113,7 @@ class MicroBatcher:
             raise InvalidInstanceError(f"max_batch must be >= 1, got {max_batch}")
         if maxsize < 1:
             raise InvalidInstanceError(f"maxsize must be >= 1, got {maxsize}")
-        if jobs is not None and jobs < 1:
-            # The legacy "jobs<=1 means serial" reading is for the batch
-            # CLI's history; a service configured with jobs=0 is a typo.
-            raise InvalidInstanceError(f"jobs must be >= 1, got {jobs}")
-        # Resolve eagerly so a bad backend/jobs pair fails at construction
-        # (CLI time), not on the first request.  The resolved executor is
-        # kept: start()/stop() open and close its persistent pool, so the
-        # serving hot path never pays a per-batch pool spin-up.
-        from ..engine import resolve_executor
-
-        self._executor = resolve_executor(backend, jobs)
         self._faults = faults
-        self.backend = backend
-        self.jobs = jobs
         self.max_batch = int(max_batch)
         self._queue: _queue.Queue[SolveRequest] = _queue.Queue(maxsize=int(maxsize))
         self._lock = threading.Lock()
@@ -158,7 +133,6 @@ class MicroBatcher:
         if self._thread is None or not self._thread.is_alive():
             self._stop.clear()
             self._draining.clear()
-            self._executor.open()
             self._thread = threading.Thread(
                 target=self._drain_loop, name="repro-batcher", daemon=True
             )
@@ -173,7 +147,6 @@ class MicroBatcher:
             thread.join(timeout=timeout)
             self._thread = None
         self._fail_pending()
-        self._executor.close()
 
     def drain(self, timeout: float = 30.0) -> None:
         """Graceful stop: refuse new work, answer everything accepted.
@@ -320,12 +293,12 @@ class MicroBatcher:
         return len(batch)
 
     def _run_batch(self, batch: list[SolveRequest]) -> None:
-        """Group one drained batch by compatibility and fan each group out.
+        """Solve one drained batch, one request at a time in queue order.
 
-        ``solve_many(strict=False)`` turns per-request solver errors
-        (unknown algorithm, variant mismatch) into error reports, so one
-        bad request never poisons its batch-mates.  ``labels=[""] * n``
-        keeps ``SolveReport.label`` at :func:`repro.engine.run`'s default,
+        ``solve_many(strict=False)`` turns a request's solver error
+        (unknown algorithm, variant mismatch) into an error report, so one
+        bad request never poisons its batch-mates.  ``labels=[""]`` keeps
+        ``SolveReport.label`` at :func:`repro.engine.run`'s default,
         preserving report-for-report identity with a direct solve.
         """
         from ..engine import solve_many
@@ -333,54 +306,50 @@ class MicroBatcher:
         if self._faults is not None:
             # The drain-tick seam: a scheduled `stall` holds the batch on
             # the batcher thread — queued work ages exactly as it would
-            # behind a wedged executor — without touching the futures.
+            # behind a wedged solver — without touching the futures.
             self._faults.fire_sync("queue.drain")
         with self._lock:
             self._batches += 1
             self._max_batch_seen = max(self._max_batch_seen, len(batch))
-        drained_at = time.monotonic()
         spans = recorder()
         for request in batch:
-            if request.trace is not None:
+            trace = request.trace
+            if trace is not None:
+                # Waiting ends when this request's own solve starts, so a
+                # batch-mate's solve counts as queueing, not as no span.
                 spans.record(
-                    request.trace.trace_id,
+                    trace.trace_id,
                     "queue.wait",
                     request.enqueued_at,
-                    drained_at - request.enqueued_at,
-                    tenant=request.trace.tenant,
+                    time.monotonic() - request.enqueued_at,
+                    tenant=trace.tenant,
                 )
-        groups: dict[tuple[str | None, str], list[SolveRequest]] = {}
-        for request in batch:
-            groups.setdefault(request.group_key, []).append(request)
-        for (algorithm, _), requests in groups.items():
             try:
-                reports = solve_many(
-                    [r.instance for r in requests],
-                    algorithm,
-                    params=requests[0].params,
-                    executor=self._executor,
-                    labels=[""] * len(requests),
+                (report,) = solve_many(
+                    [request.instance],
+                    request.algorithm,
+                    params=request.params,
+                    labels=[""],
                     strict=False,
                 )
-            except BaseException as exc:  # pragma: no cover - defensive
-                for request in requests:
-                    if not request.future.done():
-                        request.future.set_exception(exc)
+            except Exception as exc:  # pragma: no cover - defensive
+                # A non-ReproError (a solver bug) fails this request only;
+                # the server answers 500 and the drain thread lives on.
+                if not request.future.done():
+                    request.future.set_exception(exc)
                 continue
             with self._lock:
-                self._completed += len(requests)
-            solved_at = time.monotonic()
-            for request, report in zip(requests, reports):
-                if request.trace is not None:
-                    # The engine's own measured wall time, anchored so the
-                    # span ends where the batch's futures resolve.
-                    spans.record(
-                        request.trace.trace_id,
-                        "engine.solve",
-                        solved_at - report.wall_time,
-                        report.wall_time,
-                        tenant=request.trace.tenant,
-                        algorithm=report.algorithm,
-                    )
-                if not request.future.done():
-                    request.future.set_result(report)
+                self._completed += 1
+            if trace is not None:
+                # The engine's own measured wall time, anchored so the
+                # span ends where this request's future resolves.
+                spans.record(
+                    trace.trace_id,
+                    "engine.solve",
+                    time.monotonic() - report.wall_time,
+                    report.wall_time,
+                    tenant=trace.tenant,
+                    algorithm=report.algorithm,
+                )
+            if not request.future.done():
+                request.future.set_result(report)

@@ -3,7 +3,7 @@
 One :class:`SolveServer` wires the serving layers together: requests come
 in over a hand-rolled HTTP/1.1 front-end (``asyncio.start_server`` — no
 third-party web framework, per the repo's no-new-deps rule), solve traffic
-flows ``client → queue → micro-batcher → Executor → cache → response``,
+flows ``client → queue → micro-batcher → engine.run → cache → response``,
 and operational state is always one ``GET /metrics`` away.
 
 :class:`HttpServerBase` is the one request pipeline of both topologies:
@@ -417,6 +417,17 @@ def resolve_portfolio_request(data: dict[str, Any]):
         raise _BadRequest(HTTPStatus.BAD_REQUEST, "'algorithms' must be a list of names")
     if params is not None and not isinstance(params, dict):
         raise _BadRequest(HTTPStatus.BAD_REQUEST, "'params' must be an object")
+    from ..engine import get_spec
+
+    for name, overrides in (params or {}).items():
+        if not isinstance(overrides, dict):
+            raise _BadRequest(
+                HTTPStatus.BAD_REQUEST, f"'params' entry {name!r} must be an object"
+            )
+        try:
+            get_spec(name).check_params(overrides)
+        except ReproError as exc:
+            raise _BadRequest(HTTPStatus.UNPROCESSABLE_ENTITY, str(exc))
     key = result_key(instance, "portfolio", {"algorithms": algorithms, "params": params})
     return key, instance, algorithms, params
 
@@ -1011,10 +1022,8 @@ class SolveServer(HttpServerBase):
 
     Its dispatch stage answers locally: content-addressed cache, opt-in
     warm start, micro-batched engine solve.  Constructor knobs mirror the
-    ``repro serve`` flags; all have serving-friendly defaults.
-    ``backend``/``jobs`` select the engine executor micro-batches fan out
-    over (the same seam as ``repro batch``).  With ``repro serve
-    --workers N`` this class is the per-worker shard behind
+    ``repro serve`` flags; all have serving-friendly defaults.  With
+    ``repro serve --workers N`` this class is the per-worker shard behind
     :class:`~repro.service.router.RouterServer`; a shared ``cache_dir``
     then acts as the common L2 cache tier under each worker's L1 memory.
     """
@@ -1022,8 +1031,6 @@ class SolveServer(HttpServerBase):
     def __init__(
         self,
         *,
-        backend: str | None = None,
-        jobs: int | None = None,
         max_batch: int = 16,
         queue_size: int = 512,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
@@ -1041,18 +1048,12 @@ class SolveServer(HttpServerBase):
         self.faults = as_injector(faults)
         self.cache = ResultCache(cache_bytes, spill_dir=cache_dir, faults=self.faults)
         self.batcher = MicroBatcher(
-            backend=backend,
-            jobs=jobs,
-            max_batch=max_batch,
-            maxsize=queue_size,
-            faults=self.faults,
+            max_batch=max_batch, maxsize=queue_size, faults=self.faults
         )
-        # Portfolio races block a worker thread (they fan out internally
-        # through their own executor); two workers keep /portfolio off the
-        # event loop without competing with the batcher for cores.
+        # A portfolio race runs its entrants serially and blocks a thread;
+        # two threads keep /portfolio off the event loop without
+        # competing with the batcher for cores.
         self._pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="repro-portfolio")
-        self._backend = backend
-        self._jobs = jobs
         # Warm-start delta solving is opt-in (warm_delta=None keeps every
         # answer byte-identical to a cold engine run, which the chaos and
         # differential suites pin).  When enabled, the neighbor index maps
@@ -1188,14 +1189,7 @@ class SolveServer(HttpServerBase):
 
         try:
             result = await asyncio.get_running_loop().run_in_executor(
-                self._pool,
-                lambda: portfolio(
-                    instance,
-                    algorithms,
-                    params=params,
-                    backend=self._backend,
-                    jobs=self._jobs,
-                ),
+                self._pool, lambda: portfolio(instance, algorithms, params=params)
             )
         except ReproError as exc:
             raise _BadRequest(HTTPStatus.UNPROCESSABLE_ENTITY, str(exc))

@@ -428,46 +428,6 @@ class TestCommittedSessionsArtifact:
         assert committed & quick
 
 
-class TestCommittedBatchedSolveArtifact:
-    """The checked-in batched-vs-independent stacked-solve race."""
-
-    @pytest.fixture(scope="class")
-    def artifact(self):
-        from pathlib import Path
-
-        path = (
-            Path(__file__).resolve().parent.parent
-            / "benchmarks" / "artifacts" / "BENCH_batched_solve.json"
-        )
-        return load_artifact(path)  # schema-validates
-
-    def test_batched_beats_independent_at_16_plus(self, artifact):
-        """ISSUE acceptance: one arena pass beats K independent dispatches
-        at every recorded K >= 16 small instances."""
-        medians = {(p["label"], p["size"]): p["median_s"] for p in artifact["points"]}
-        sizes = sorted({s for _, s in medians})
-        assert any(s >= 16 for s in sizes)
-        for size in sizes:
-            if size < 16:
-                continue
-            assert medians[("batched", size)] < medians[("independent", size)], size
-
-    def test_identical_total_heights(self, artifact):
-        """Both paths solved the identical batch to the identical answers."""
-        totals: dict[int, set[float]] = {}
-        for p in artifact["points"]:
-            totals.setdefault(p["size"], set()).add(p["metrics"]["total_height"])
-        assert totals and all(len(ts) == 1 for ts in totals.values())
-
-    def test_quick_sizes_overlap_for_ci_compare(self, artifact):
-        from repro.bench import get_bench
-
-        spec = get_bench("batched_solve")
-        committed = {(p["label"], p["size"]) for p in artifact["points"]}
-        quick = {(e.label, s) for e in spec.entries for s in spec.sweep(quick=True)}
-        assert committed & quick
-
-
 # ----------------------------------------------------------------------
 # comparison mode
 # ----------------------------------------------------------------------

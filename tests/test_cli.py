@@ -414,9 +414,7 @@ class TestServeErrors:
         assert code == 2 and "--port" in text
 
     @pytest.mark.parametrize("argv, message", [
-        (["serve", "--jobs", "0"], "--jobs"),
         (["serve", "--max-batch", "0"], "max_batch"),
-        (["serve", "--workers", "2", "--backend", "process"], "--backend process"),
         (["serve", "--queue-size", "0"], "maxsize"),
         (["serve", "--cache-bytes", "-5"], "max_bytes"),
         (["serve", "--workers", "0"], "--workers"),
@@ -425,6 +423,14 @@ class TestServeErrors:
         code, text = run_cli(argv)
         assert code == 2
         assert text.startswith("error:") and message in text
+
+    @pytest.mark.parametrize("flag", ["--backend thread", "--jobs 2"])
+    def test_executor_flags_are_unknown(self, flag):
+        """Serving parallelism is ``--workers N``; argparse refuses the
+        batch CLI's executor flags on ``serve`` with exit 2."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["serve", *flag.split()])
+        assert exc.value.code == 2
 
 
 class TestLoadtest:

@@ -134,8 +134,6 @@ def test_decreasing_order_matches_sorted(rects):
 def test_nul_suffixed_ids_keep_string_order():
     """``"a"`` sorts before ``"a\x00"`` in Python; a numpy string column
     drops the trailing NUL and would tie them, letting row order decide."""
-    from repro.core.arrays import StackedRectArrays, stacked_decreasing_order
-
     rects = [
         Rect(rid="a\x00", width=0.6, height=0.5),
         Rect(rid="a", width=0.6, height=0.5),
@@ -145,8 +143,6 @@ def test_nul_suffixed_ids_keep_string_order():
     expected = [r.rid for r in decreasing_height_order(rects)]
     assert expected[0] == "a"
     assert [rects[i].rid for i in decreasing_order(arrays)] == expected
-    stacked = stacked_decreasing_order(StackedRectArrays([rects, rects]))
-    assert [rects[i % 3].rid for i in stacked] == expected * 2
     for fast, ref in (p.values[:2] for p in PAIRS):
         assert_identical(fast(rects), ref(rects), rects)
 

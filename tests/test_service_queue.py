@@ -2,8 +2,9 @@
 
 The contract under test: a request submitted through the batcher resolves
 to a report identical to a direct ``engine.run()`` (deterministic fields —
-wall time is measured, not computed), batches group compatible requests,
-and a full queue sheds load with :class:`BackpressureError`.
+wall time is measured, not computed), one drain takes every queued request
+up to ``max_batch`` and answers each as soon as its own solve ends, and a
+full queue sheds load with :class:`BackpressureError`.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class TestResults:
 
 class TestBatching:
     def test_queued_requests_drain_as_one_batch(self):
-        """Pre-load the queue before any drain: one drain, grouped fan-out."""
+        """Pre-load the queue before any drain: one drain answers all."""
         batcher = MicroBatcher(max_batch=8, maxsize=64)
         instances = _instances(6, seed=1)
         futures = [batcher.submit(inst, "nfdh") for inst in instances]
@@ -128,16 +129,24 @@ class TestBatching:
         r1, r2 = f1.result(timeout=30), f2.result(timeout=30)
         assert r1.params["eps"] == 1.0 and r2.params["eps"] == 0.5
 
-    def test_thread_backend_matches_serial(self):
-        serial = MicroBatcher(maxsize=64)
-        threaded = MicroBatcher(backend="thread", jobs=3, maxsize=64)
-        instances = _instances(5, seed=4)
-        fs = [serial.submit(i, "ffdh") for i in instances]
-        ft = [threaded.submit(i, "ffdh") for i in instances]
-        serial.drain_once()
-        threaded.drain_once()
-        for a, b in zip(fs, ft):
-            _same_report(a.result(timeout=1), b.result(timeout=1))
+    def test_each_request_resolves_when_its_own_solve_ends(self):
+        """A small request queued ahead of a large one is answered before
+        the large one is solved, not when the whole batch is done."""
+        batcher = MicroBatcher(max_batch=8, maxsize=64)
+        rng = np.random.default_rng(14)
+        small = StripPackingInstance(powerlaw_rects(8, rng))
+        large = StripPackingInstance(powerlaw_rects(5000, rng))
+        futures = {"small": batcher.submit(small, "ffdh"),
+                   "large": batcher.submit(large, "ffdh")}
+        resolved = {}
+        for name, fut in futures.items():
+            fut.add_done_callback(
+                lambda _, name=name: resolved.setdefault(name, time.perf_counter())
+            )
+        assert batcher.drain_once() == 2
+        assert batcher.stats().batches == 1
+        large_report = futures["large"].result(timeout=0)
+        assert resolved["large"] - resolved["small"] >= large_report.wall_time
 
 
 class TestLiveDrain:
@@ -221,8 +230,7 @@ class TestBackpressureAndLifecycle:
         batcher.stop()
 
     @pytest.mark.parametrize(
-        "kwargs", [{"max_batch": 0}, {"backend": "thread", "jobs": 0},
-                   {"maxsize": 0}, {"backend": "warp"}, {"jobs": 0}]
+        "kwargs", [{"max_batch": 0}, {"maxsize": -1}, {"maxsize": 0}]
     )
     def test_bad_construction_rejected(self, kwargs):
         with pytest.raises(InvalidInstanceError):

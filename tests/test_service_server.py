@@ -196,6 +196,20 @@ class TestPortfolio:
         })
         assert status == 422 and "error" in json.loads(raw)
 
+    def test_portfolio_non_object_entrant_params_is_400(self, conn):
+        status, _, raw = _request(conn, "POST", "/portfolio", {
+            "instance": instance_to_dict(_plain_instance(seed=5)),
+            "params": {"ffdh": 5},
+        })
+        assert status == 400 and "'ffdh'" in json.loads(raw)["error"]
+
+    def test_portfolio_unknown_entrant_param_is_422(self, conn):
+        status, _, raw = _request(conn, "POST", "/portfolio", {
+            "instance": instance_to_dict(_plain_instance(seed=5)),
+            "params": {"ffdh": {"bogus": 1}},
+        })
+        assert status == 422 and "bogus" in json.loads(raw)["error"]
+
 
 class TestErrorMapping:
     def test_malformed_json_is_400(self, conn):
