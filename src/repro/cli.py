@@ -1007,20 +1007,16 @@ def _cmd_loadtest(args, out) -> int:
     def preflight(url: str) -> None:
         """Fail fast (exit 2) when the target is not a live solve service,
         instead of timing out request by request."""
-        import http.client
+        from .service.loadgen import Client
 
-        from .service.loadgen import _parse_url
-
-        host, port = _parse_url(url)
-        try:
-            conn = http.client.HTTPConnection(host, port, timeout=5)
-            conn.request("GET", "/healthz")
-            status = conn.getresponse().status
-            conn.close()
-        except (OSError, http.client.HTTPException) as exc:
-            raise _CliInputError(f"cannot reach {url}: {exc}") from exc
-        if status != 200:
-            raise _CliInputError(f"{url}/healthz answered {status}, not a solve service")
+        with Client(url, timeout=5) as client:
+            answer = client.send("GET", "/healthz")
+        if answer.error:
+            raise _CliInputError(f"cannot reach {url}: {answer.error}")
+        if answer.status != 200:
+            raise _CliInputError(
+                f"{url}/healthz answered {answer.status}, not a solve service"
+            )
 
     try:
         if args.url is None:

@@ -48,6 +48,7 @@ __all__ = [
     "resolve_executor",
     "solve_many",
     "portfolio",
+    "portfolio_entrants",
     "PortfolioResult",
 ]
 
@@ -216,6 +217,28 @@ class PortfolioResult:
         return {r.algorithm: r.height for r in self.reports if r.error is None}
 
 
+def portfolio_entrants(
+    instance: StripPackingInstance,
+    algorithms: Sequence[str] | None = None,
+    params: Mapping[str, Mapping[str, Any]] | None = None,
+) -> list[tuple[str, Mapping[str, Any] | None]]:
+    """A race's entrants as ``(name, overrides)`` pairs, in race order.
+
+    ``algorithms`` defaults to every spec that supports the instance's
+    variant and accepts the instance.  ``overrides`` is the entrant's
+    non-empty entry in ``params``, else ``None``: an empty entry, or one
+    for an algorithm that is not racing, changes nothing.
+    """
+    if algorithms is None:
+        variant = variant_of(instance)
+        names = [s.name for s in specs_for_variant(variant) if s.accepts(instance)]
+    else:
+        names = [get_spec(a).name for a in algorithms]
+    if not names:
+        raise InvalidInstanceError("portfolio has no candidate algorithms")
+    return [(name, (params or {}).get(name) or None) for name in names]
+
+
 def portfolio(
     instance: StripPackingInstance,
     algorithms: Sequence[str] | None = None,
@@ -227,21 +250,13 @@ def portfolio(
 ) -> PortfolioResult:
     """Race a set of algorithms on one instance; best valid placement wins.
 
-    ``algorithms`` defaults to every spec that supports the instance's
-    variant and accepts the instance.  ``params`` maps algorithm name to
-    that entrant's parameter overrides.  Validation is always on — an
-    invalid placement must never win a race.
+    The entrants are :func:`portfolio_entrants`; ``params`` maps
+    algorithm name to that entrant's parameter overrides.  Validation is
+    always on — an invalid placement must never win a race.
     """
-    if algorithms is None:
-        variant = variant_of(instance)
-        names = [s.name for s in specs_for_variant(variant) if s.accepts(instance)]
-    else:
-        names = [get_spec(a).name for a in algorithms]
-    if not names:
-        raise InvalidInstanceError("portfolio has no candidate algorithms")
-
     tasks = [
-        (instance, name, (params or {}).get(name), compute_bounds) for name in names
+        (instance, name, overrides, compute_bounds)
+        for name, overrides in portfolio_entrants(instance, algorithms, params)
     ]
     reports = resolve_executor(backend, jobs).map(_race_one, tasks)
 

@@ -46,10 +46,6 @@ class SolveReport:
     #: :mod:`repro.engine.warmstart`), or ``"cached"`` (verbatim reuse of a
     #: cached placement for an identical instance).
     provenance: str = "cold"
-    #: The trace this solve ran under (``repro.obs``), or ``""`` when no
-    #: trace was ambient.  Empty on every service-cached payload by
-    #: construction — trace ids ride response headers, never cached bytes.
-    trace_id: str = ""
 
     @property
     def ok(self) -> bool:
@@ -65,13 +61,8 @@ class SolveReport:
         return self.height / self.lower_bound
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready summary (placement omitted — serialize it separately).
-
-        ``trace_id`` appears only when set: untraced runs keep the exact
-        historical document, and the serving layer's cached payloads stay
-        byte-identical across requests (its solves run off-context).
-        """
-        doc = {
+        """JSON-ready summary (placement omitted — serialize it separately)."""
+        return {
             "algorithm": self.algorithm,
             "variant": self.variant,
             "n": self.n,
@@ -86,9 +77,6 @@ class SolveReport:
             "label": self.label,
             "provenance": self.provenance,
         }
-        if self.trace_id:
-            doc["trace_id"] = self.trace_id
-        return doc
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         status = "error" if self.error else ("unchecked" if self.valid is None else "valid" if self.valid else "INVALID")

@@ -24,8 +24,7 @@ from ..core.bounds import (
 from ..core.errors import InvalidPlacementError
 from ..core.instance import PrecedenceInstance, ReleaseInstance, StripPackingInstance
 from ..core.placement import validate_placement
-from ..obs import recorder
-from ..obs.trace import current_trace
+from ..obs.spans import record_span
 from .report import SolveReport
 from .spec import default_algorithm, get_spec, variant_of
 
@@ -66,35 +65,22 @@ def run(
     spec.check_instance(instance)
     merged = spec.resolve_params(params)
 
-    # When a trace is ambient (a traced caller on this thread), every
-    # engine phase becomes a span and the report carries the trace id.
-    # Observation happens strictly outside the timed region and never
-    # alters the solve itself.
-    ctx = current_trace()
-    spans = recorder() if ctx is not None else None
-
+    # When a trace is ambient (a traced caller on this thread, or the
+    # service's batcher solving a request), every engine phase becomes a
+    # span.  Observation happens strictly outside the timed region and
+    # never reaches the solve or the report.
     t0 = time.perf_counter()
     placement = spec.runner(instance, **merged)
     wall = time.perf_counter() - t0
-    if spans is not None:
-        spans.record(
-            ctx.trace_id,
-            "engine.solve",
-            time.monotonic() - wall,
-            wall,
-            tenant=ctx.tenant,
-            algorithm=name,
-        )
+    record_span("engine.solve", time.monotonic() - wall, wall, algorithm=name)
 
     t1 = time.monotonic()
     bounds = bound_components(instance) if compute_bounds else {}
     # combined_lower_bound(instance) is exactly the max of these components;
     # taking it from them avoids evaluating every bound twice per solve.
     lb = max(bounds.values()) if compute_bounds else None
-    if spans is not None and compute_bounds:
-        spans.record(
-            ctx.trace_id, "engine.bounds", t1, time.monotonic() - t1, tenant=ctx.tenant
-        )
+    if compute_bounds:
+        record_span("engine.bounds", t1, time.monotonic() - t1)
 
     t2 = time.monotonic()
     valid: bool | None = None
@@ -106,14 +92,7 @@ def run(
         except InvalidPlacementError as exc:
             valid = False
             error = str(exc)
-        if spans is not None:
-            spans.record(
-                ctx.trace_id,
-                "engine.validate",
-                t2,
-                time.monotonic() - t2,
-                tenant=ctx.tenant,
-            )
+        record_span("engine.validate", t2, time.monotonic() - t2)
 
     return SolveReport(
         algorithm=name,
@@ -128,5 +107,4 @@ def run(
         valid=valid,
         error=error,
         label=label,
-        trace_id=ctx.trace_id if ctx is not None else "",
     )

@@ -13,10 +13,7 @@ Zero-dependency (stdlib only), threaded through every service hop:
   logger that is the service's single logging path (request completions,
   failovers, fault injections, drain transitions), configured by
   ``repro serve --log-format --log-file``;
-* :mod:`repro.obs.pipeline` — dependency-declaring tasks executed in
-  :class:`repro.dag.graph.TaskDAG` topological order (the yapim
-  ``Task.requires`` idiom);
-* :mod:`repro.obs.trend`   — the bench-history trend pipeline behind
+* :mod:`repro.obs.trend`   — the bench-history trend gate behind
   ``repro bench trend``: loads every ``BENCH_*.json``, orders runs by
   creation time, and flags *sustained* drift (not just single-baseline
   regressions) into a schema'd ``BENCH_trend.json``.
@@ -27,7 +24,6 @@ across requests (and with observability off) by construction.
 """
 
 from .logging import StructuredLogger, configure_logging, get_logger, validate_event
-from .pipeline import PipelineResult, Task, run_pipeline
 from .spans import Span, SpanRecorder, recorder, set_identity
 from .trace import (
     TRACE_HEADER,
@@ -56,9 +52,6 @@ __all__ = [
     "configure_logging",
     "get_logger",
     "validate_event",
-    "Task",
-    "PipelineResult",
-    "run_pipeline",
     "TREND_SCHEMA",
     "run_trend",
     "validate_trend",

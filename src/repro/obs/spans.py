@@ -27,10 +27,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
+from .trace import current_trace
+
 __all__ = [
     "Span",
     "SpanRecorder",
     "recorder",
+    "record_span",
     "set_identity",
     "HISTOGRAM_BUCKETS_S",
 ]
@@ -213,6 +216,15 @@ _recorder = SpanRecorder()
 
 def recorder() -> SpanRecorder:
     return _recorder
+
+
+def record_span(name: str, start_s: float, duration_s: float, **labels: str) -> None:
+    """Record one span under the ambient trace; a no-op without one."""
+    ctx = current_trace()
+    if ctx is not None:
+        _recorder.record(
+            ctx.trace_id, name, start_s, duration_s, tenant=ctx.tenant, **labels
+        )
 
 
 def set_identity(worker: int | str) -> None:

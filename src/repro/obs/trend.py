@@ -11,22 +11,21 @@ seconds.  One noisy run does not trip the gate; ``window`` consecutive
 ones do.  A bench with a single committed artifact has no history and
 can never drift, so the gate passes trivially on a freshly-seeded repo.
 
-The comparison runs as five dependency-declaring
-:class:`~repro.obs.pipeline.Task` stages over the in-repo DAG subsystem
-(discover → load → series → drift → report); each stage is unit-testable
-with a hand-made input dict.  The output is a schema'd document
-(:data:`TREND_SCHEMA`, written as ``BENCH_trend.json``) and the list of
-drifting series; the CLI exits nonzero iff that list is non-empty.
+The comparison is three plain functions (a loader, a grouper and a
+drift detector), and :func:`run_trend` assembles their results into a
+schema'd document (:data:`TREND_SCHEMA`, written as
+``BENCH_trend.json``) and the list of drifting series; the CLI exits
+nonzero iff that list is non-empty.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Any, Iterable
 
 from ..bench.artifact import BenchArtifactError, load_artifact
-from .pipeline import PipelineResult, Task, run_pipeline
 
 __all__ = [
     "TREND_SCHEMA",
@@ -58,157 +57,85 @@ DEFAULT_MIN_DELTA_S = 1e-3
 
 
 # ----------------------------------------------------------------------
-# pipeline stages
+# loader, grouper, drift detector
 # ----------------------------------------------------------------------
 
 
-class Discover(Task):
-    """Find every ``BENCH_*.json`` under the artifact + history dirs."""
+def _load(directories: Iterable[Path | str]) -> tuple[list[dict[str, Any]], list[str]]:
+    """Parse and schema-validate every ``BENCH_*.json`` in ``directories``.
 
-    def run(self) -> None:
-        paths: list[Path] = []
-        for directory in self.input["directories"]:
-            directory = Path(directory)
-            if not directory.is_dir():
+    Returns the valid artifacts and one error line per artifact that
+    failed to load; the trend document itself is never read.
+    """
+    artifacts: list[dict[str, Any]] = []
+    errors: list[str] = []
+    for directory in map(Path, directories):
+        if not directory.is_dir():
+            continue
+        for path in sorted(directory.glob("BENCH_*.json")):
+            if path.name == TREND_FILENAME:
                 continue
-            for path in sorted(directory.glob("BENCH_*.json")):
-                if path.name != TREND_FILENAME:
-                    paths.append(path)
-        self.output["paths"] = paths
-
-
-class Load(Task):
-    """Parse and schema-validate each discovered artifact."""
-
-    @staticmethod
-    def requires() -> tuple:
-        return (Discover,)
-
-    def run(self) -> None:
-        artifacts: list[dict[str, Any]] = []
-        errors: list[str] = []
-        for path in self.input["paths"]:
             try:
                 artifacts.append(load_artifact(path))
             except BenchArtifactError as exc:
                 errors.append(str(exc))
-        self.output["artifacts"] = artifacts
-        self.output["errors"] = errors
+    return artifacts, errors
 
 
-class Series(Task):
-    """Group artifacts by bench name; order each bench's runs by time."""
-
-    @staticmethod
-    def requires() -> tuple:
-        return (Load,)
-
-    def run(self) -> None:
-        by_bench: dict[str, list[dict[str, Any]]] = {}
-        for artifact in self.input["artifacts"]:
-            by_bench.setdefault(artifact["name"], []).append(artifact)
-        series: dict[str, dict[tuple[str, int], dict[str, list]]] = {}
-        for name, runs in sorted(by_bench.items()):
-            # ISO-8601 UTC strings sort chronologically as strings.
-            runs.sort(key=lambda a: a["created"])
-            per_point: dict[tuple[str, int], dict[str, list]] = {}
-            for run in runs:
-                for pt in run["points"]:
-                    key = (pt["label"], int(pt["size"]))
-                    entry = per_point.setdefault(key, {"medians_s": [], "created": []})
-                    entry["medians_s"].append(float(pt["median_s"]))
-                    entry["created"].append(run["created"])
-            series[name] = per_point
-        self.output["series"] = series
-        self.output["run_counts"] = {name: len(runs) for name, runs in by_bench.items()}
+def _series(artifacts: list[dict[str, Any]]) -> dict[str, dict[tuple[str, int], dict]]:
+    """Per bench, per ``(entry, size)``: medians and timestamps in run order."""
+    by_bench: dict[str, list[dict[str, Any]]] = {}
+    for artifact in artifacts:
+        by_bench.setdefault(artifact["name"], []).append(artifact)
+    series: dict[str, dict[tuple[str, int], dict[str, list]]] = {}
+    for name, runs in sorted(by_bench.items()):
+        # ISO-8601 UTC strings sort chronologically as strings.
+        runs.sort(key=lambda a: a["created"])
+        per_point: dict[tuple[str, int], dict[str, list]] = {}
+        for run in runs:
+            for pt in run["points"]:
+                key = (pt["label"], int(pt["size"]))
+                entry = per_point.setdefault(key, {"medians_s": [], "created": []})
+                entry["medians_s"].append(float(pt["median_s"]))
+                entry["created"].append(run["created"])
+        series[name] = per_point
+    return series
 
 
-class Drift(Task):
-    """Flag series whose last ``window`` runs are all above baseline."""
-
-    @staticmethod
-    def requires() -> tuple:
-        return (Series,)
-
-    def run(self) -> None:
-        window = int(self.input["window"])
-        threshold = float(self.input["threshold"])
-        min_delta_s = float(self.input["min_delta_s"])
-        drifts: list[dict[str, Any]] = []
-        for bench, per_point in self.input["series"].items():
-            for (label, size), entry in per_point.items():
-                medians = entry["medians_s"]
-                # Need a baseline *plus* a full window of newer runs.
-                if len(medians) < window + 1:
-                    continue
-                baseline = medians[0]
-                if baseline <= 0:
-                    continue
-                tail = medians[-window:]
-                if all(
-                    m / baseline > threshold and m - baseline > min_delta_s
-                    for m in tail
-                ):
-                    drifts.append(
-                        {
-                            "bench": bench,
-                            "entry": label,
-                            "size": size,
-                            "baseline_s": baseline,
-                            "latest_s": medians[-1],
-                            "ratio": medians[-1] / baseline,
-                            "window": window,
-                        }
-                    )
-        drifts.sort(key=lambda d: (d["bench"], d["entry"], d["size"]))
-        self.output["drifts"] = drifts
-
-
-class Report(Task):
-    """Assemble the schema'd ``BENCH_trend.json`` document."""
-
-    @staticmethod
-    def requires() -> tuple:
-        return (Load, Series, Drift)
-
-    def run(self) -> None:
-        series_doc: dict[str, Any] = {}
-        for bench, per_point in self.input["series"].items():
-            points = []
-            for (label, size), entry in sorted(per_point.items()):
-                medians = entry["medians_s"]
-                baseline = medians[0]
-                points.append(
+def _drifts(
+    series: dict[str, dict[tuple[str, int], dict]],
+    window: int,
+    threshold: float,
+    min_delta_s: float,
+) -> list[dict[str, Any]]:
+    """Series whose last ``window`` runs are all above their baseline."""
+    drifts: list[dict[str, Any]] = []
+    for bench, per_point in series.items():
+        for (label, size), entry in per_point.items():
+            medians = entry["medians_s"]
+            # Need a baseline *plus* a full window of newer runs.
+            if len(medians) < window + 1:
+                continue
+            baseline = medians[0]
+            if baseline <= 0:
+                continue
+            if all(
+                m / baseline > threshold and m - baseline > min_delta_s
+                for m in medians[-window:]
+            ):
+                drifts.append(
                     {
+                        "bench": bench,
                         "entry": label,
                         "size": size,
-                        "runs": len(medians),
-                        "medians_s": medians,
-                        "created": entry["created"],
                         "baseline_s": baseline,
                         "latest_s": medians[-1],
-                        "ratio": (medians[-1] / baseline) if baseline > 0 else None,
+                        "ratio": medians[-1] / baseline,
+                        "window": window,
                     }
                 )
-            series_doc[bench] = {
-                "runs": self.input["run_counts"][bench],
-                "points": points,
-            }
-        self.output["document"] = {
-            "schema": TREND_SCHEMA,
-            "window": int(self.input["window"]),
-            "threshold": float(self.input["threshold"]),
-            "min_delta_s": float(self.input["min_delta_s"]),
-            "artifacts": len(self.input["artifacts"]),
-            "load_errors": list(self.input["errors"]),
-            "benches": series_doc,
-            "drifts": list(self.input["drifts"]),
-        }
-
-
-#: The trend pipeline, in declaration (not execution) order — the DAG
-#: runner orders them by their ``requires()`` edges.
-TREND_TASKS = (Report, Drift, Series, Load, Discover)
+    drifts.sort(key=lambda d: (d["bench"], d["entry"], d["size"]))
+    return drifts
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +150,7 @@ def run_trend(
     threshold: float = DEFAULT_DRIFT_THRESHOLD,
     min_delta_s: float = DEFAULT_MIN_DELTA_S,
 ) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """Run the trend pipeline; return ``(document, drifts)``.
+    """Load, group and judge the history; return ``(document, drifts)``.
 
     ``directories`` is the committed artifact dir plus any history dirs;
     :func:`write_trend` saves the document.
@@ -232,18 +159,42 @@ def run_trend(
         raise ValueError(f"window must be >= 1, got {window}")
     if threshold <= 1.0:
         raise ValueError(f"threshold must be > 1, got {threshold:g}")
-    result: PipelineResult = run_pipeline(
-        TREND_TASKS,
-        seed={
-            "directories": list(directories),
-            "window": window,
-            "threshold": threshold,
-            "min_delta_s": min_delta_s,
-        },
-    )
-    document = result.outputs["Report"]["document"]
+    window, threshold, min_delta_s = int(window), float(threshold), float(min_delta_s)
+    artifacts, errors = _load(directories)
+    series = _series(artifacts)
+    drifts = _drifts(series, window, threshold, min_delta_s)
+    runs = Counter(artifact["name"] for artifact in artifacts)
+    benches: dict[str, Any] = {}
+    for bench, per_point in series.items():
+        points = []
+        for (label, size), entry in sorted(per_point.items()):
+            medians = entry["medians_s"]
+            baseline = medians[0]
+            points.append(
+                {
+                    "entry": label,
+                    "size": size,
+                    "runs": len(medians),
+                    "medians_s": medians,
+                    "created": entry["created"],
+                    "baseline_s": baseline,
+                    "latest_s": medians[-1],
+                    "ratio": (medians[-1] / baseline) if baseline > 0 else None,
+                }
+            )
+        benches[bench] = {"runs": runs[bench], "points": points}
+    document = {
+        "schema": TREND_SCHEMA,
+        "window": window,
+        "threshold": threshold,
+        "min_delta_s": min_delta_s,
+        "artifacts": len(artifacts),
+        "load_errors": errors,
+        "benches": benches,
+        "drifts": drifts,
+    }
     validate_trend(document)
-    return document, list(document["drifts"])
+    return document, list(drifts)
 
 
 def write_trend(document: dict[str, Any], out_dir: Path | str) -> Path:

@@ -19,8 +19,9 @@ Seven layers, composed bottom-up (each is independently testable):
   the worker fleet, fails over around the ring, respawns dead workers;
   surfaced as ``repro serve --workers N``, with :func:`build_server`
   choosing solo or fleet from the worker count;
-* :mod:`repro.service.loadgen` — closed-/open-loop load generator
-  surfaced as ``repro loadtest`` (including ``--workers-sweep``);
+* :mod:`repro.service.loadgen` — the one HTTP client and its closed-,
+  open-loop and session traffic, surfaced as ``repro loadtest``
+  (including ``--workers-sweep``) and driven by ``repro chaos``;
 * :mod:`repro.service.faults` + :mod:`repro.service.chaos` — the
   correctness harness over all of the above: deterministic
   :class:`FaultPlan` schedules injected at explicit seams in every

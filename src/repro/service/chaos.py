@@ -2,8 +2,8 @@
 
 ``repro chaos PLAN.json`` (and the programmatic :func:`run_chaos`) stands
 up an in-process fleet with the plan armed, drives a deterministic
-closed-loop workload through it, and checks the promises the service
-makes about failures:
+closed-loop workload through it (:func:`repro.service.loadgen.post_solves`),
+and checks the promises the service makes about failures:
 
 1. **nothing lost** — every accepted request is answered 200 (failover,
    retries, and respawn absorb the injected faults; a 5xx or transport
@@ -37,16 +37,15 @@ its default — so every step's answer must equal the cold baseline.
 
 from __future__ import annotations
 
-import http.client
-import itertools
 import json
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from ..core.errors import InvalidInstanceError
 from .faults import FaultPlan
+from .loadgen import Client, post_solves, session_step_bodies, solve_payloads, step_sessions
 
 __all__ = ["ChaosReport", "run_chaos", "run_session_chaos"]
 
@@ -133,66 +132,6 @@ def _baseline(payloads: list[bytes], algorithm: str | None = None) -> list[Any]:
     return out
 
 
-def _drive(
-    port: int, payloads: list[bytes], requests: int, concurrency: int
-) -> list[tuple[int, bytes | None]]:
-    """Closed-loop drive recording ``(status, body)`` per request.
-
-    Transport-level failures (the server never answered) record status
-    599 — from the invariant's point of view they are lost requests just
-    like a 5xx.
-    """
-    outcomes: list[tuple[int, bytes | None]] = [(599, None)] * requests
-    counter = itertools.count()
-
-    def worker() -> None:
-        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
-        try:
-            while True:
-                i = next(counter)
-                if i >= requests:
-                    break
-                body = payloads[i % len(payloads)]
-                try:
-                    conn.request(
-                        "POST",
-                        "/solve",
-                        body=body,
-                        headers={"Content-Type": "application/json"},
-                    )
-                    response = conn.getresponse()
-                    outcomes[i] = (response.status, response.read())
-                except (OSError, http.client.HTTPException):
-                    conn.close()
-                    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
-        finally:
-            conn.close()
-
-    threads = [
-        threading.Thread(target=worker, name=f"chaos-client-{i}", daemon=True)
-        for i in range(max(1, concurrency))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return outcomes
-
-
-def _get_json(port: int, path: str) -> dict | None:
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
-    try:
-        conn.request("GET", path)
-        response = conn.getresponse()
-        if response.status != 200:
-            return None
-        return json.loads(response.read())
-    except (OSError, http.client.HTTPException, json.JSONDecodeError):
-        return None
-    finally:
-        conn.close()
-
-
 def _replay(
     plan: FaultPlan,
     workers: int,
@@ -206,16 +145,16 @@ def _replay(
 ) -> ChaosReport:
     """Serve ``server`` in-process, drive it, and judge the service.
 
-    ``drive(port)`` returns one ``(status, body)`` per entry of
-    ``baseline``; ``unit`` names what those entries are (``"requests"``,
-    ``"session steps"``) in the violation lines.
+    ``drive(url)`` returns one :class:`~repro.service.loadgen.Answer`
+    (with its body) per entry of ``baseline``; ``unit`` names what those
+    entries are (``"requests"``, ``"session steps"``) in the violation
+    lines.
     """
     from .server import InProcessServer
 
     started = time.monotonic()
-    with InProcessServer(server) as srv:
-        port = srv.port
-        outcomes = drive(port)
+    with InProcessServer(server) as srv, Client(srv.url, timeout=10) as client:
+        answers = drive(srv.url)
 
         # Give the supervisor room to finish any in-flight respawn, then
         # read the fleet's verdict on itself.
@@ -223,7 +162,7 @@ def _replay(
         recovered = False
         deadline = time.monotonic() + health_deadline_s
         while time.monotonic() < deadline:
-            health = _get_json(port, "/healthz")
+            health = client.get_json("/healthz")
             if health is not None:
                 final_health = health.get("status", "unreachable")
                 if final_health == "ok":
@@ -234,7 +173,7 @@ def _replay(
                 break
             time.sleep(0.2)
 
-        metrics = _get_json(port, "/metrics") or {}
+        metrics = client.get_json("/metrics") or {}
 
     router_stats = metrics.get("router", {})
     faults_injected = router_stats.get(
@@ -242,16 +181,16 @@ def _replay(
     )
 
     requests = len(baseline)
-    lost = sum(1 for status, _ in outcomes if status != 200)
+    lost = sum(1 for answer in answers if answer.status != 200)
     mismatched = sum(
         1
-        for (status, raw), expected in zip(outcomes, baseline)
-        if status == 200 and raw is not None and _normalize(raw) != expected
+        for answer, expected in zip(answers, baseline)
+        if answer.status == 200 and _normalize(answer.body) != expected
     )
 
     violations: list[str] = []
     if lost:
-        statuses = sorted({status for status, _ in outcomes if status != 200})
+        statuses = sorted({answer.status for answer in answers if answer.status != 200})
         violations.append(
             f"{lost} of {requests} {unit} were not answered 200 "
             f"(saw statuses {statuses})"
@@ -313,8 +252,6 @@ def run_chaos(
     for plans that intentionally exhaust ``max_restarts`` — lost-request
     and byte-identity checks still apply.
     """
-    from ..core.errors import InvalidInstanceError
-    from .loadgen import solve_payloads
     from .router import build_server
 
     if isinstance(plan, (str, Path)):
@@ -325,6 +262,8 @@ def run_chaos(
         raise InvalidInstanceError(f"workers must be >= 1, got {workers}")
     if requests < 1:
         raise InvalidInstanceError(f"requests must be >= 1, got {requests}")
+    if concurrency < 1:
+        raise InvalidInstanceError(f"concurrency must be >= 1, got {concurrency}")
 
     distinct = min(requests, 8) if distinct is None else min(distinct, requests)
     payloads = solve_payloads(distinct, n_rects=n_rects, seed=seed, algorithm=algorithm)
@@ -348,73 +287,15 @@ def run_chaos(
         plan,
         workers,
         server,
-        lambda port: _drive(port, payloads, requests, concurrency),
+        lambda url: post_solves(
+            url, payloads, requests=requests, concurrency=concurrency, timeout=60,
+            keep_bodies=True,
+        ),
         [baseline[i % len(payloads)] for i in range(requests)],
         "requests",
         expect_final_ok=expect_final_ok,
         health_deadline_s=health_deadline_s,
     )
-
-
-def _drive_sessions(
-    port: int, per_session: list[list[bytes]], algorithm: str
-) -> list[list[tuple[int, bytes | None]]]:
-    """One thread per session: create, step through every body, delete.
-
-    A session whose create never succeeds (after a few attempts) marks
-    every step 599 — from the invariant's point of view the whole session
-    was lost.  A step whose connection dies reconnects and records 599
-    for that step only.
-    """
-    outcomes: list[list[tuple[int, bytes | None]]] = [
-        [(599, None)] * len(bodies) for bodies in per_session
-    ]
-    create_body = json.dumps({"algorithm": algorithm}).encode()
-    headers = {"Content-Type": "application/json"}
-
-    def worker(s: int) -> None:
-        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
-        try:
-            sid = None
-            for _ in range(3):
-                try:
-                    conn.request("POST", "/session", body=create_body, headers=headers)
-                    response = conn.getresponse()
-                    raw = response.read()
-                    if response.status == 200:
-                        sid = json.loads(raw)["session"]["id"]
-                        break
-                except (OSError, http.client.HTTPException):
-                    conn.close()
-                    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
-            if sid is None:
-                return
-            path = f"/session/{sid}/step"
-            for j, body in enumerate(per_session[s]):
-                try:
-                    conn.request("POST", path, body=body, headers=headers)
-                    response = conn.getresponse()
-                    outcomes[s][j] = (response.status, response.read())
-                except (OSError, http.client.HTTPException):
-                    conn.close()
-                    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
-            try:
-                conn.request("DELETE", f"/session/{sid}", headers=headers)
-                conn.getresponse().read()
-            except (OSError, http.client.HTTPException):
-                pass
-        finally:
-            conn.close()
-
-    threads = [
-        threading.Thread(target=worker, args=(s,), name=f"chaos-session-{s}", daemon=True)
-        for s in range(len(per_session))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return outcomes
 
 
 def run_session_chaos(
@@ -446,8 +327,6 @@ def run_session_chaos(
     :class:`~repro.service.server.SolveServer` (no failover — only
     survivable kinds make sense there).
     """
-    from ..core.errors import InvalidInstanceError
-    from .loadgen import session_step_bodies
     from .router import build_server
 
     if isinstance(plan, (str, Path)):
@@ -469,15 +348,22 @@ def run_session_chaos(
         retries=retries,
         backoff_ms=backoff_ms,
     )
+    create = json.dumps({"algorithm": algorithm}).encode()
+
+    def drive(url: str) -> list:
+        stepped = step_sessions(url, per_session, create=create, timeout=60, keep_bodies=True)
+        # A session that never opened loses every one of its steps.
+        return [
+            answer
+            for (opened, answered), bodies in zip(stepped, per_session)
+            for answer in (answered or [opened] * len(bodies))
+        ]
+
     return _replay(
         plan,
         workers,
         server,
-        lambda port: [
-            outcome
-            for session in _drive_sessions(port, per_session, algorithm)
-            for outcome in session
-        ],
+        drive,
         baseline,
         "session steps",
         expect_final_ok=expect_final_ok,

@@ -20,14 +20,18 @@ Three traffic modes:
   ``warm_delta``-enabled server most steps should come back ``X-Repro-
   Cache: warm`` (counted separately as ``warm_hits``).
 
-All modes reuse ``http.client`` over keep-alive connections, record
-per-request latency, count cache hits via the server's ``X-Repro-Cache``
-header, and summarise into a :class:`LoadResult` (p50/p95/p99 and a
-log-scaled latency histogram the CLI renders).  Every response also
-carries an ``X-Repro-Trace`` id; the generator keeps the id alongside
-each latency sample and, after the run, pulls the span breakdown of the
-three slowest requests from the server's ``/debug/trace/{id}`` ring so a
-load report ends with "here is where the tail spent its time".
+Every request goes through one keep-alive :class:`Client`, and the
+traffic takes one of two shapes: :func:`post_solves` (the ``/solve``
+loop, closed or open) and :func:`step_sessions` (the session replay).
+The chaos runner (:mod:`repro.service.chaos`) and the ``repro loadtest``
+preflight use the same client and shapes.  Each mode turns its
+:class:`Answer` list into a :class:`LoadResult`: latency percentiles, a
+log-scaled histogram the CLI renders, and cache hits from the server's
+``X-Repro-Cache`` header.  Every response also carries an
+``X-Repro-Trace`` id; after the run the generator pulls the span
+breakdown of the three slowest requests from the server's
+``/debug/trace/{id}`` ring, so a load report ends with "here is where
+the tail spent its time".
 
 Payloads come from :func:`solve_payloads`: ``distinct`` seeded instances
 cycled across ``requests`` posts, so ``distinct=1`` measures the pure
@@ -41,14 +45,19 @@ import itertools
 import json
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
 from ..core.errors import InvalidInstanceError
 
 __all__ = [
+    "Answer",
+    "Client",
     "LoadResult",
+    "post_solves",
+    "step_sessions",
     "solve_payloads",
     "session_step_bodies",
     "arrival_offsets",
@@ -276,7 +285,7 @@ class LoadResult:
 
 
 # ----------------------------------------------------------------------
-# the two loops
+# the client and its two traffic shapes
 # ----------------------------------------------------------------------
 
 def _parse_url(url: str) -> tuple[str, int]:
@@ -286,97 +295,216 @@ def _parse_url(url: str) -> tuple[str, int]:
     return parts.hostname, parts.port or 80
 
 
-class _Recorder:
-    """Shared, locked accumulation of per-request outcomes."""
+class Answer(NamedTuple):
+    """One request's outcome as the client saw it.
 
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.latencies: list[float] = []
-        self.lateness: list[float] = []
-        self.traced: list[tuple[float, str]] = []
-        self.status_counts: dict[str, int] = {}
-        self.ok = 0
-        self.errors = 0
-        self.cache_hits = 0
-        self.warm_hits = 0
+    A transport failure (the server never answered) is status ``599``
+    with the failure's text in ``error``.  ``lateness_s`` is set only by
+    the open loop: how far the send trailed its scheduled time.
+    """
 
-    def record(self, status: int, latency_s: float, cache_header: str | None,
-               lateness_s: float | None = None, trace_id: str | None = None) -> None:
-        with self.lock:
-            self.latencies.append(latency_s)
-            if trace_id:
-                self.traced.append((latency_s, trace_id))
-            key = str(status)
-            self.status_counts[key] = self.status_counts.get(key, 0) + 1
-            if status == 200:
-                self.ok += 1
-            else:
-                self.errors += 1
-            if cache_header in ("hit", "coalesced"):
-                # Both mean "no dedicated solve ran for this request".
-                self.cache_hits += 1
-            elif cache_header == "warm":
-                # A dedicated (but repair-only) solve ran: count separately.
-                self.warm_hits += 1
-            if lateness_s is not None:
-                self.lateness.append(lateness_s)
+    status: int
+    latency_s: float
+    body: bytes | None = None
+    cache: str | None = None
+    trace: str | None = None
+    error: str = ""
+    lateness_s: float | None = None
 
 
-def _trace_of(response) -> str | None:
-    """The trace id from an ``X-Repro-Trace: <id>;<span>;<tenant>`` header."""
-    header = response.getheader("X-Repro-Trace")
-    if not header:
-        return None
-    return header.split(";", 1)[0] or None
+_JSON_HEADERS = {"Content-Type": "application/json"}
 
 
-def _post_one(
-    conn: http.client.HTTPConnection, payload: bytes
-) -> tuple[int, str | None, str | None]:
-    conn.request(
-        "POST", "/solve", body=payload, headers={"Content-Type": "application/json"}
-    )
-    response = conn.getresponse()
-    response.read()  # drain so the keep-alive connection is reusable
-    return response.status, response.getheader("X-Repro-Cache"), _trace_of(response)
+class Client:
+    """One keep-alive connection to the service.
+
+    After a transport failure the connection is closed, and
+    ``http.client`` reopens it on the next request.
+    """
+
+    def __init__(self, url: str, *, timeout: float = 30.0) -> None:
+        host, port = _parse_url(url)
+        self._conn = http.client.HTTPConnection(host, port, timeout=timeout)
+
+    def send(self, method: str, path: str, body: bytes | None = None) -> Answer:
+        t0 = time.perf_counter()
+        try:
+            self._conn.request(method, path, body=body, headers=_JSON_HEADERS)
+            response = self._conn.getresponse()
+            raw = response.read()  # drain so the connection is reusable
+        except (OSError, http.client.HTTPException) as exc:
+            self._conn.close()
+            return Answer(599, time.perf_counter() - t0, error=str(exc) or repr(exc))
+        # X-Repro-Trace: <trace id>;<span id>;<tenant>
+        trace = (response.getheader("X-Repro-Trace") or "").split(";", 1)[0]
+        return Answer(
+            response.status, time.perf_counter() - t0, raw,
+            response.getheader("X-Repro-Cache"), trace or None,
+        )
+
+    def get_json(self, path: str) -> Any:
+        """The decoded body of ``GET path``; ``None`` unless a 200 with JSON."""
+        answer = self.send("GET", path)
+        try:
+            return json.loads(answer.body) if answer.status == 200 else None
+        except ValueError:
+            return None
+
+    def close(self) -> None:
+        self._conn.close()
+
+    def __enter__(self) -> "Client":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
-def _slow_traces(
-    host: str, port: int, recorder: _Recorder, *, top: int = 3, timeout: float = 10.0
-) -> tuple:
+def _in_threads(target, clients: Sequence[Client]) -> None:
+    """Run ``target(index, client)`` on one thread per client; close them."""
+    threads = [
+        threading.Thread(target=target, args=(i, client), daemon=True)
+        for i, client in enumerate(clients)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for client in clients:
+        client.close()
+
+
+def post_solves(
+    url: str,
+    payloads: Sequence[bytes],
+    *,
+    requests: int,
+    concurrency: int,
+    offsets: Sequence[float] | None = None,
+    timeout: float = 30.0,
+    keep_bodies: bool = False,
+) -> list[Answer]:
+    """The one ``POST /solve`` loop; answers come back in request order.
+
+    Request ``i`` sends ``payloads[i % len(payloads)]`` over one of
+    ``min(concurrency, requests)`` keep-alive clients.  Without
+    ``offsets`` it is a closed loop: each client sends its next request
+    when the previous answer lands.  With ``offsets`` it is an open loop:
+    request ``i`` leaves ``offsets[i]`` seconds after the start (or when a
+    client frees up, whichever is later), and its lateness is recorded.
+    Response bodies are dropped unless ``keep_bodies``, so a long run
+    holds one small tuple per request.
+    """
+    if requests < 1:
+        raise InvalidInstanceError(f"requests must be >= 1, got {requests}")
+    if concurrency < 1:
+        raise InvalidInstanceError(f"concurrency must be >= 1, got {concurrency}")
+    if not payloads:
+        raise InvalidInstanceError("payloads must be non-empty")
+    clients = [Client(url, timeout=timeout) for _ in range(min(concurrency, requests))]
+    answers: list[Answer] = [Answer(599, 0.0)] * requests
+    counter = itertools.count()
+    started = time.perf_counter()
+
+    def drive(_index: int, client: Client) -> None:
+        while (i := next(counter)) < requests:
+            lateness = None
+            if offsets is not None:
+                wait = offsets[i] - (time.perf_counter() - started)
+                if wait > 0:
+                    time.sleep(wait)
+                lateness = max(0.0, time.perf_counter() - started - offsets[i])
+            answer = client.send("POST", "/solve", payloads[i % len(payloads)])
+            answers[i] = answer._replace(
+                body=answer.body if keep_bodies else None, lateness_s=lateness
+            )
+
+    _in_threads(drive, clients)
+    return answers
+
+
+def _open_session(client: Client, create: bytes) -> tuple[Answer, str | None]:
+    """``POST /session`` up to three times; the last answer and the id."""
+    for _ in range(3):
+        answer = client.send("POST", "/session", create)
+        if answer.status == 200:
+            try:
+                return answer, json.loads(answer.body)["session"]["id"]
+            except (ValueError, KeyError, TypeError):
+                answer = answer._replace(status=599, error="create answer has no session id")
+    return answer, None
+
+
+def step_sessions(
+    url: str,
+    per_session: Sequence[Sequence[bytes]],
+    *,
+    create: bytes,
+    timeout: float = 30.0,
+    keep_bodies: bool = False,
+) -> list[tuple[Answer, list[Answer]]]:
+    """One client per session: open it, post every step, then delete it.
+
+    Returns ``(create answer, step answers)`` per session, in input order.
+    A session that never opened has no step answers.  The closing
+    ``DELETE`` is best-effort and not returned.
+    """
+    clients = [Client(url, timeout=timeout) for _ in per_session]
+    results: list[tuple[Answer, list[Answer]]] = [(Answer(599, 0.0), [])] * len(clients)
+
+    def drive(s: int, client: Client) -> None:
+        opened, sid = _open_session(client, create)
+        steps: list[Answer] = []
+        if sid is not None:
+            for body in per_session[s]:
+                answer = client.send("POST", f"/session/{sid}/step", body)
+                steps.append(answer if keep_bodies else answer._replace(body=None))
+            client.send("DELETE", f"/session/{sid}")
+        results[s] = (opened, steps)
+
+    _in_threads(drive, clients)
+    return results
+
+
+def _slow_traces(url: str, answers: Sequence[Answer], *, top: int = 3,
+                 timeout: float = 10.0) -> tuple:
     """Span breakdowns for the ``top`` slowest traced requests.
 
     Best-effort by design: the run's samples are already complete, so a
     server that has shut down, trimmed its span ring, or never traced
-    simply yields fewer (or zero) entries rather than an error.
+    simply yields fewer (or zero) spans rather than an error.
     """
-    slowest = sorted(recorder.traced, key=lambda pair: pair[0], reverse=True)[:top]
-    if not slowest:
-        return ()
-    entries = []
-    conn = http.client.HTTPConnection(host, port, timeout=timeout)
-    try:
-        for latency_s, trace_id in slowest:
-            spans: list = []
-            try:
-                conn.request("GET", f"/debug/trace/{trace_id}")
-                response = conn.getresponse()
-                raw = response.read()
-                if response.status == 200:
-                    spans = json.loads(raw).get("spans", [])
-            except (OSError, http.client.HTTPException, ValueError):
-                conn.close()
-                conn = http.client.HTTPConnection(host, port, timeout=timeout)
-            entries.append(
-                {
-                    "trace": trace_id,
-                    "latency_ms": latency_s * 1e3,
-                    "spans": spans,
-                }
-            )
-    finally:
-        conn.close()
-    return tuple(entries)
+    traced = [a for a in answers if a.trace]
+    slowest = sorted(traced, key=lambda a: a.latency_s, reverse=True)[:top]
+    with Client(url, timeout=timeout) as client:
+        docs = [client.get_json(f"/debug/trace/{a.trace}") or {} for a in slowest]
+    return tuple(
+        {"trace": a.trace, "latency_ms": a.latency_s * 1e3, "spans": doc.get("spans", [])}
+        for a, doc in zip(slowest, docs)
+    )
+
+
+def _load_result(
+    mode: str, url: str, answers: Sequence[Answer], duration_s: float, timeout: float
+) -> LoadResult:
+    """Summarise one run's answers (in request order) into a LoadResult."""
+    status_counts = dict(Counter(str(a.status) for a in answers))
+    ok = status_counts.get("200", 0)
+    return LoadResult(
+        mode=mode,
+        requests=len(answers),
+        ok=ok,
+        errors=len(answers) - ok,
+        # "hit" and "coalesced" both mean no dedicated solve ran; "warm"
+        # means a repair-only one did, so it is counted apart.
+        cache_hits=sum(a.cache in ("hit", "coalesced") for a in answers),
+        duration_s=duration_s,
+        latencies_s=tuple(a.latency_s for a in answers),
+        lateness_s=tuple(a.lateness_s for a in answers if a.lateness_s is not None),
+        status_counts=status_counts,
+        warm_hits=sum(a.cache == "warm" for a in answers),
+        slow_traces=_slow_traces(url, answers, timeout=timeout),
+    )
 
 
 def run_closed_loop(
@@ -388,54 +516,11 @@ def run_closed_loop(
     timeout: float = 30.0,
 ) -> LoadResult:
     """``concurrency`` workers, each firing its next request on response."""
-    if requests < 1:
-        raise InvalidInstanceError(f"requests must be >= 1, got {requests}")
-    if concurrency < 1:
-        raise InvalidInstanceError(f"concurrency must be >= 1, got {concurrency}")
-    if not payloads:
-        raise InvalidInstanceError("payloads must be non-empty")
-    host, port = _parse_url(url)
-    recorder = _Recorder()
-    counter = itertools.count()
-
-    def worker() -> None:
-        conn = http.client.HTTPConnection(host, port, timeout=timeout)
-        try:
-            while True:
-                i = next(counter)
-                if i >= requests:
-                    break
-                t0 = time.perf_counter()
-                try:
-                    status, cache, trace = _post_one(conn, payloads[i % len(payloads)])
-                except (OSError, http.client.HTTPException):
-                    conn.close()
-                    conn = http.client.HTTPConnection(host, port, timeout=timeout)
-                    recorder.record(599, time.perf_counter() - t0, None)
-                    continue
-                recorder.record(status, time.perf_counter() - t0, cache, trace_id=trace)
-        finally:
-            conn.close()
-
     started = time.perf_counter()
-    threads = [threading.Thread(target=worker, daemon=True) for _ in range(concurrency)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    duration = time.perf_counter() - started
-    return LoadResult(
-        mode="closed",
-        requests=len(recorder.latencies),
-        ok=recorder.ok,
-        errors=recorder.errors,
-        cache_hits=recorder.cache_hits,
-        duration_s=duration,
-        latencies_s=tuple(recorder.latencies),
-        status_counts=recorder.status_counts,
-        warm_hits=recorder.warm_hits,
-        slow_traces=_slow_traces(host, port, recorder, timeout=timeout),
+    answers = post_solves(
+        url, payloads, requests=requests, concurrency=concurrency, timeout=timeout
     )
+    return _load_result("closed", url, answers, time.perf_counter() - started, timeout)
 
 
 def run_open_loop(
@@ -456,67 +541,13 @@ def run_open_loop(
     recorded, so overload shows up as growing lateness rather than as the
     silently shrinking offered rate a closed loop would produce.
     """
-    if requests < 1:
-        raise InvalidInstanceError(f"requests must be >= 1, got {requests}")
-    if max_workers < 1:
-        raise InvalidInstanceError(f"max_workers must be >= 1, got {max_workers}")
-    if not payloads:
-        raise InvalidInstanceError("payloads must be non-empty")
-    host, port = _parse_url(url)
     offsets = arrival_offsets(requests, rate=rate, seed=seed, stream=stream)
-    recorder = _Recorder()
-    schedule: list[tuple[float, bytes]] = [
-        (offset, payloads[i % len(payloads)]) for i, offset in enumerate(offsets)
-    ]
-    position = itertools.count()
     started = time.perf_counter()
-
-    def worker() -> None:
-        conn = http.client.HTTPConnection(host, port, timeout=timeout)
-        try:
-            while True:
-                i = next(position)
-                if i >= len(schedule):
-                    break
-                offset, payload = schedule[i]
-                now = time.perf_counter() - started
-                if offset > now:
-                    time.sleep(offset - now)
-                lateness = max(0.0, (time.perf_counter() - started) - offset)
-                t0 = time.perf_counter()
-                try:
-                    status, cache, trace = _post_one(conn, payload)
-                except (OSError, http.client.HTTPException):
-                    conn.close()
-                    conn = http.client.HTTPConnection(host, port, timeout=timeout)
-                    recorder.record(599, time.perf_counter() - t0, None, lateness)
-                    continue
-                recorder.record(
-                    status, time.perf_counter() - t0, cache, lateness, trace_id=trace
-                )
-        finally:
-            conn.close()
-
-    workers = min(max_workers, requests)
-    threads = [threading.Thread(target=worker, daemon=True) for _ in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    duration = time.perf_counter() - started
-    return LoadResult(
-        mode="open",
-        requests=len(recorder.latencies),
-        ok=recorder.ok,
-        errors=recorder.errors,
-        cache_hits=recorder.cache_hits,
-        duration_s=duration,
-        latencies_s=tuple(recorder.latencies),
-        lateness_s=tuple(recorder.lateness),
-        status_counts=recorder.status_counts,
-        warm_hits=recorder.warm_hits,
-        slow_traces=_slow_traces(host, port, recorder, timeout=timeout),
+    answers = post_solves(
+        url, payloads, requests=requests, concurrency=max_workers, offsets=offsets,
+        timeout=timeout,
     )
+    return _load_result("open", url, answers, time.perf_counter() - started, timeout)
 
 
 def run_session_loop(
@@ -534,89 +565,32 @@ def run_session_loop(
     """One thread per session: create, replay a stream step by step, delete.
 
     Only the ``/session/{id}/step`` posts are recorded as samples — the
-    create/delete envelope is bookkeeping, not the workload.  A failed
-    create is recorded as one error sample and the session is abandoned;
-    a step whose connection dies is recorded as a synthetic ``599`` and
-    the loop reconnects and continues (the server's session registry is
-    soft state, so a retried step on a fresh connection still lands).
+    create/delete envelope is bookkeeping, not the workload.  A session
+    that never opens (three create attempts) is recorded as one error
+    sample and abandoned; a step whose connection dies is recorded as a
+    synthetic ``599`` and the loop reconnects and continues (the server's
+    session registry is soft state, so a retried step on a fresh
+    connection still lands).
     """
     if sessions < 1:
         raise InvalidInstanceError(f"sessions must be >= 1, got {sessions}")
     if steps < 1:
         raise InvalidInstanceError(f"steps must be >= 1, got {steps}")
-    host, port = _parse_url(url)
     per_session = session_step_bodies(
         sessions, steps, base_rects=base_rects, step_rects=step_rects, seed=seed
     )
-    create_body: dict = {}
+    create: dict = {}
     if algorithm is not None:
-        create_body["algorithm"] = algorithm
+        create["algorithm"] = algorithm
     if params is not None:
-        create_body["params"] = params
-    create_payload = json.dumps(create_body).encode("utf-8")
-    headers = {"Content-Type": "application/json"}
-    recorder = _Recorder()
-
-    def worker(bodies: list[bytes]) -> None:
-        conn = http.client.HTTPConnection(host, port, timeout=timeout)
-        try:
-            t0 = time.perf_counter()
-            try:
-                conn.request("POST", "/session", body=create_payload, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
-                if response.status != 200:
-                    recorder.record(response.status, time.perf_counter() - t0, None)
-                    return
-                sid = json.loads(raw)["session"]["id"]
-            except (OSError, http.client.HTTPException, KeyError, ValueError):
-                recorder.record(599, time.perf_counter() - t0, None)
-                return
-            path = f"/session/{sid}/step"
-            for payload in bodies:
-                t0 = time.perf_counter()
-                try:
-                    conn.request("POST", path, body=payload, headers=headers)
-                    response = conn.getresponse()
-                    response.read()
-                    status, cache = response.status, response.getheader("X-Repro-Cache")
-                    trace = _trace_of(response)
-                except (OSError, http.client.HTTPException):
-                    conn.close()
-                    conn = http.client.HTTPConnection(host, port, timeout=timeout)
-                    recorder.record(599, time.perf_counter() - t0, None)
-                    continue
-                recorder.record(status, time.perf_counter() - t0, cache, trace_id=trace)
-            try:
-                conn.request("DELETE", f"/session/{sid}", headers=headers)
-                conn.getresponse().read()
-            except (OSError, http.client.HTTPException):
-                pass  # teardown is best-effort; the run's samples are complete
-        finally:
-            conn.close()
-
+        create["params"] = params
     started = time.perf_counter()
-    threads = [
-        threading.Thread(target=worker, args=(bodies,), daemon=True)
-        for bodies in per_session
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    duration = time.perf_counter() - started
-    return LoadResult(
-        mode="session",
-        requests=len(recorder.latencies),
-        ok=recorder.ok,
-        errors=recorder.errors,
-        cache_hits=recorder.cache_hits,
-        duration_s=duration,
-        latencies_s=tuple(recorder.latencies),
-        status_counts=recorder.status_counts,
-        warm_hits=recorder.warm_hits,
-        slow_traces=_slow_traces(host, port, recorder, timeout=timeout),
+    stepped = step_sessions(
+        url, per_session, create=json.dumps(create).encode("utf-8"), timeout=timeout
     )
+    duration = time.perf_counter() - started
+    answers = [a for opened, answered in stepped for a in (answered or [opened])]
+    return _load_result("session", url, answers, duration, timeout)
 
 
 # ----------------------------------------------------------------------

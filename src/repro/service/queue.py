@@ -37,8 +37,8 @@ from typing import Any, Mapping
 
 from ..core.errors import InvalidInstanceError, ReproError
 from ..core.instance import StripPackingInstance
-from ..obs import recorder
-from ..obs.trace import TraceContext, current_trace
+from ..obs.spans import record_span
+from ..obs.trace import TraceContext, current_trace, use_trace
 from .faults import FaultInjector
 
 __all__ = ["BackpressureError", "QueueStats", "SolveRequest", "MicroBatcher"]
@@ -311,45 +311,31 @@ class MicroBatcher:
         with self._lock:
             self._batches += 1
             self._max_batch_seen = max(self._max_batch_seen, len(batch))
-        spans = recorder()
         for request in batch:
-            trace = request.trace
-            if trace is not None:
+            # Under the request's own trace, run() records its engine
+            # spans (solve, bounds, validate) into that trace.
+            with use_trace(request.trace):
                 # Waiting ends when this request's own solve starts, so a
                 # batch-mate's solve counts as queueing, not as no span.
-                spans.record(
-                    trace.trace_id,
-                    "queue.wait",
-                    request.enqueued_at,
-                    time.monotonic() - request.enqueued_at,
-                    tenant=trace.tenant,
+                record_span(
+                    "queue.wait", request.enqueued_at, time.monotonic() - request.enqueued_at
                 )
-            try:
-                (report,) = solve_many(
-                    [request.instance],
-                    request.algorithm,
-                    params=request.params,
-                    labels=[""],
-                    strict=False,
-                )
-            except Exception as exc:  # pragma: no cover - defensive
-                # A non-ReproError (a solver bug) fails this request only;
-                # the server answers 500 and the drain thread lives on.
-                if not request.future.done():
-                    request.future.set_exception(exc)
-                continue
+                try:
+                    (report,) = solve_many(
+                        [request.instance],
+                        request.algorithm,
+                        params=request.params,
+                        labels=[""],
+                        strict=False,
+                    )
+                except Exception as exc:  # pragma: no cover - defensive
+                    # A non-ReproError (a solver bug) fails this request
+                    # only; the server answers 500 and the drain thread
+                    # lives on.
+                    if not request.future.done():
+                        request.future.set_exception(exc)
+                    continue
             with self._lock:
                 self._completed += 1
-            if trace is not None:
-                # The engine's own measured wall time, anchored so the
-                # span ends where this request's future resolves.
-                spans.record(
-                    trace.trace_id,
-                    "engine.solve",
-                    time.monotonic() - report.wall_time,
-                    report.wall_time,
-                    tenant=trace.tenant,
-                    algorithm=report.algorithm,
-                )
             if not request.future.done():
                 request.future.set_result(report)

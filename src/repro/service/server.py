@@ -418,6 +418,7 @@ def resolve_portfolio_request(data: dict[str, Any]):
     if params is not None and not isinstance(params, dict):
         raise _BadRequest(HTTPStatus.BAD_REQUEST, "'params' must be an object")
     from ..engine import get_spec
+    from ..engine.batch import portfolio_entrants
 
     for name, overrides in (params or {}).items():
         if not isinstance(overrides, dict):
@@ -428,6 +429,12 @@ def resolve_portfolio_request(data: dict[str, Any]):
             get_spec(name).check_params(overrides)
         except ReproError as exc:
             raise _BadRequest(HTTPStatus.UNPROCESSABLE_ENTITY, str(exc))
+    try:
+        entrants = portfolio_entrants(instance, algorithms, params)
+    except ReproError as exc:
+        raise _BadRequest(HTTPStatus.UNPROCESSABLE_ENTITY, str(exc))
+    # Key on what the race reads, so equal races share one cache entry.
+    params = {name: overrides for name, overrides in entrants if overrides} or None
     key = result_key(instance, "portfolio", {"algorithms": algorithms, "params": params})
     return key, instance, algorithms, params
 

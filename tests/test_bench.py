@@ -574,7 +574,16 @@ class TestCli:
         assert code == 1
         assert "regression" in out
 
-    def test_compare_self_passes(self, tmp_path, capsys, cli_spec):
+    def test_compare_self_passes(self, tmp_path, capsys, cli_spec, monkeypatch):
+        # A fake clock that advances 5 ms per reading: both runs record
+        # identical medians, so no host stall can read as a regression.
+        import types
+
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(
+            "repro.bench.runner.time",
+            types.SimpleNamespace(perf_counter=lambda: 0.005 * next(ticks)),
+        )
         assert main(["bench", cli_spec, "--out", str(tmp_path)]) == 0
         path = tmp_path / f"BENCH_{cli_spec}.json"
         code = main(["bench", cli_spec, "--out", str(tmp_path), "--compare", str(path)])

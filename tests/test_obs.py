@@ -1,9 +1,8 @@
 """Unit tests for the observability package (:mod:`repro.obs`).
 
-Covers the four zero-dependency building blocks on their own: trace-id
-parsing and propagation, the bounded span ring + histograms, the
-structured event logger and its schema, and the dependency-declaring
-pipeline runner the trend gate is built on.  Service-level integration
+Covers the three zero-dependency building blocks on their own: trace-id
+parsing and propagation, the bounded span ring + histograms, and the
+structured event logger and its schema.  Service-level integration
 (headers on the wire, ``/debug/trace`` merging) lives in
 ``tests/test_service_obs.py``.
 """
@@ -21,7 +20,6 @@ from repro.obs.logging import (
     StructuredLogger,
     validate_event,
 )
-from repro.obs.pipeline import PipelineResult, Task, run_pipeline
 from repro.obs.spans import (
     HISTOGRAM_BUCKETS_S,
     SpanRecorder,
@@ -247,63 +245,3 @@ class TestStructuredLogger:
             assert fields, event
             for name, types in fields.items():
                 assert isinstance(name, str) and isinstance(types, tuple)
-
-
-class TestPipeline:
-    def test_runs_in_dependency_order(self):
-        class A(Task):
-            def run(self):
-                self.output["a"] = [self.input["seed"]]
-
-        class B(Task):
-            @staticmethod
-            def requires():
-                return (A,)
-
-            def run(self):
-                self.output["b"] = self.input["a"] + ["b"]
-
-        class C(Task):
-            @staticmethod
-            def requires():
-                return ("B",)  # by name works too
-
-            def run(self):
-                self.output["c"] = self.input["b"] + ["c"]
-
-        # declaration order is deliberately reversed
-        result = run_pipeline((C, B, A), seed={"seed": "s"})
-        assert list(result.order) == ["A", "B", "C"]
-        assert result.outputs["C"]["c"] == ["s", "b", "c"]
-        assert result.merged()["c"] == ["s", "b", "c"]
-
-    def test_cycle_is_an_error_not_a_hang(self):
-        from repro.core.errors import InvalidInstanceError
-
-        class X(Task):
-            @staticmethod
-            def requires():
-                return ("Y",)
-
-            def run(self):
-                pass
-
-        class Y(Task):
-            @staticmethod
-            def requires():
-                return (X,)
-
-            def run(self):
-                pass
-
-        with pytest.raises(InvalidInstanceError):
-            run_pipeline((X, Y))
-
-    def test_seed_visible_to_every_task(self):
-        class Solo(Task):
-            def run(self):
-                self.output["echo"] = self.input["param"]
-
-        result = run_pipeline((Solo,), seed={"param": 42})
-        assert isinstance(result, PipelineResult)
-        assert result.outputs["Solo"]["echo"] == 42

@@ -125,7 +125,7 @@ class TestTraceHeader:
         assert doc["trace"] == trace
         names = [s["name"] for s in doc["spans"]]
         assert {"server.request", "cache.lookup", "queue.wait",
-                "engine.solve"} <= set(names)
+                "engine.solve", "engine.bounds", "engine.validate"} <= set(names)
         starts = [s["start_s"] for s in doc["spans"]]
         assert starts == sorted(starts)
 

@@ -210,6 +210,21 @@ class TestPortfolio:
         })
         assert status == 422 and "bogus" in json.loads(raw)["error"]
 
+    def test_params_the_race_ignores_share_one_cache_entry(self, conn):
+        """No params, empty overrides, and a non-entrant's overrides race
+        the same way, so they answer from one cache entry."""
+        instance = instance_to_dict(_plain_instance(seed=41))
+        bodies = [
+            {"instance": instance, "algorithms": ["ffdh"], "params": params}
+            for params in (None, {"ffdh": {}}, {"nfdh": {}})
+        ]
+        status, headers, raw = _request(conn, "POST", "/portfolio", bodies[0])
+        assert status == 200 and headers["X-Repro-Cache"] == "miss"
+        for body in bodies[1:]:
+            status, headers, again = _request(conn, "POST", "/portfolio", body)
+            assert status == 200 and headers["X-Repro-Cache"] == "hit"
+            assert again == raw
+
 
 class TestErrorMapping:
     def test_malformed_json_is_400(self, conn):
