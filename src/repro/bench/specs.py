@@ -506,7 +506,7 @@ def _service_workload(n, rng):
 
     ``cached`` cycles one instance (after the first solve every request is
     a content-addressed cache hit — the serving hot path); ``cold`` posts
-    ``n`` distinct instances (every request pays queue + batcher + solve).
+    ``n`` distinct instances (every request pays the solver thread + solve).
     The rng argument is unused: payloads are seeded internally so both
     entries and all repetitions replay identical traffic.
     """

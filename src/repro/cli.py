@@ -41,8 +41,8 @@ Commands
     runs all slower than baseline by ``--drift-threshold``×).
 ``serve [--host H] [--port P] [--workers N] [--cache-dir DIR]``
     Run the asyncio JSON-over-HTTP solve service (:mod:`repro.service`):
-    ``POST /solve`` and ``POST /portfolio`` with micro-batching and a
-    content-addressed result cache, ``GET /healthz`` / ``GET /metrics``
+    ``POST /solve`` and ``POST /portfolio`` with one FIFO solver thread
+    and a content-addressed result cache, ``GET /healthz`` / ``GET /metrics``
     for operations.  ``--workers N`` (N > 1) shards the service over N
     worker processes behind a consistent-hash router
     (:mod:`repro.service.router`).  ``--log-format json|text`` and
@@ -245,12 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 1 = single-process, no router)",
     )
     p_serve.add_argument(
-        "--max-batch", type=int, default=16,
-        help="most requests one micro-batch drains (default 16)",
-    )
-    p_serve.add_argument(
         "--queue-size", type=int, default=512,
-        help="pending-request bound; beyond it requests get 503 (default 512)",
+        help="bound on accepted, unanswered solves (the running one "
+             "included); beyond it requests get 503 (default 512)",
     )
     p_serve.add_argument(
         "--cache-bytes", type=int, default=None,
@@ -782,7 +779,6 @@ def _build_server(args):
         )
     cache_bytes = DEFAULT_CACHE_BYTES if args.cache_bytes is None else args.cache_bytes
     config = dict(
-        max_batch=args.max_batch,
         queue_size=args.queue_size,
         cache_bytes=cache_bytes,
         cache_dir=args.cache_dir,
@@ -837,7 +833,7 @@ def _cmd_serve(args, out) -> int:
     def ready() -> None:
         print(
             f"repro {__version__} serving on http://{server.host}:{server.port} "
-            f"(workers {workers}, queue {args.queue_size}, batch {args.max_batch})"
+            f"(workers {workers}, queue {args.queue_size})"
             " — Ctrl-C to stop",
             file=out,
             flush=True,
@@ -860,8 +856,8 @@ def _cmd_serve(args, out) -> int:
         try:
             await stop.wait()
             print("draining: refusing new requests, flushing queue", file=out)
-            # Graceful drain: answer everything already accepted, flush
-            # the micro-batcher (and, sharded, every worker's), then exit.
+            # Graceful drain: answer everything already accepted (and,
+            # sharded, drain every worker the same way), then exit.
             await server.drain(bound)
         finally:
             for sig in registered:

@@ -66,8 +66,8 @@ def run(
     merged = spec.resolve_params(params)
 
     # When a trace is ambient (a traced caller on this thread, or the
-    # service's batcher solving a request), every engine phase becomes a
-    # span.  Observation happens strictly outside the timed region and
+    # service's solver thread solving a request), every engine phase
+    # becomes a span.  Observation happens strictly outside the timed region and
     # never reaches the solve or the report.
     t0 = time.perf_counter()
     placement = spec.runner(instance, **merged)

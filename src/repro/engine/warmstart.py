@@ -142,7 +142,7 @@ def try_warm(
 
     Returns ``None`` when the repair is refused (incompatible pair,
     failed validation) or exceeds the δ gate — the caller decides how to
-    solve cold (directly, or through a serving-layer batcher).  On
+    solve cold (directly, or on the serving layer's solver thread).  On
     success the report's ``provenance`` is ``"warm"``, or ``"cached"``
     when the delta is empty (the neighbor *is* the instance — verbatim
     placement reuse).

@@ -134,11 +134,12 @@ class StructuredLogger:
         sink = self._sink() if self.configured else None
         try:
             if sink is None:
-                _stdlib_logging.getLogger(logger).log(
-                    _LEVELS.get(level, _stdlib_logging.INFO),
-                    "%s",
-                    _render_text(event, fields),
-                )
+                # Render only what stdlib logging will emit: at the default
+                # WARNING level every request event would be built, then dropped.
+                stdlib_logger = _stdlib_logging.getLogger(logger)
+                levelno = _LEVELS.get(level, _stdlib_logging.INFO)
+                if stdlib_logger.isEnabledFor(levelno):
+                    stdlib_logger.log(levelno, "%s", _render_text(event, fields))
                 return
             if self.fmt == "json":
                 record = {"event": event, "ts": time.time(), "level": level, **fields}

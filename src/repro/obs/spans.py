@@ -34,6 +34,7 @@ __all__ = [
     "SpanRecorder",
     "recorder",
     "record_span",
+    "span",
     "set_identity",
     "HISTOGRAM_BUCKETS_S",
 ]
@@ -125,22 +126,6 @@ class SpanRecorder:
             else:
                 entry[2][-1] += 1
 
-    @contextmanager
-    def span(
-        self, trace_id: str | None, name: str, *, tenant: str = "default", **labels: str
-    ) -> Iterator[None]:
-        """Time a ``with`` block into one span (no-op without a trace id)."""
-        if trace_id is None:
-            yield
-            return
-        t0 = time.monotonic()
-        try:
-            yield
-        finally:
-            self.record(
-                trace_id, name, t0, time.monotonic() - t0, tenant=tenant, **labels
-            )
-
     # -- reading ---------------------------------------------------------
 
     def spans_for(self, trace_id: str) -> list[Span]:
@@ -224,6 +209,23 @@ def record_span(name: str, start_s: float, duration_s: float, **labels: str) -> 
     if ctx is not None:
         _recorder.record(
             ctx.trace_id, name, start_s, duration_s, tenant=ctx.tenant, **labels
+        )
+
+
+@contextmanager
+def span(name: str, **labels: str) -> Iterator[None]:
+    """Time a ``with`` block into one span of the ambient trace; a no-op
+    without one."""
+    ctx = current_trace()
+    if ctx is None:
+        yield
+        return
+    t0 = time.monotonic()
+    try:
+        yield
+    finally:
+        _recorder.record(
+            ctx.trace_id, name, t0, time.monotonic() - t0, tenant=ctx.tenant, **labels
         )
 
 

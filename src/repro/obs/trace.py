@@ -6,10 +6,11 @@ is the front door (the single-process :class:`~repro.service.server
 and then *propagated*: the router forwards it to the owning worker in the
 ``X-Repro-Trace`` header, the worker parses it back, and every layer in
 between reads it from a :mod:`contextvars` variable.  asyncio tasks
-inherit it automatically; *threads* (the micro-batcher, executor pools)
-do **not**, so off-loop hops carry the context explicitly (e.g.
-``SolveRequest.trace``) — and the solver paths that run off-context by
-design keep their payload bytes identical with tracing on or off.
+inherit it automatically; *threads* (the solver thread, executor pools)
+do **not**, so off-loop hops carry the context explicitly (a cold solve
+takes its request's trace along and runs under :func:`use_trace`) — and
+the solver paths that run off-context by design keep their payload bytes
+identical with tracing on or off.
 
 Wire format (one header, three ``;``-separated fields)::
 

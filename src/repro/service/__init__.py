@@ -1,17 +1,16 @@
 """Serving subsystem: turn the solver library into a long-running service.
 
-Seven layers, composed bottom-up (each is independently testable):
+Six layers, composed bottom-up (each is independently testable):
 
 * :mod:`repro.service.cache`   — content-addressed result cache
   (thread-safe LRU over response bytes, keyed by
   :func:`repro.core.serialize.result_key`, optional disk spill);
-* :mod:`repro.service.queue`   — bounded request queue drained in
-  micro-batches by one solver thread, one :func:`repro.engine.run` call
-  per request;
 * :mod:`repro.service.server`  — stdlib-only asyncio JSON-over-HTTP
   server: the one request pipeline (``POST /solve``, ``POST
   /portfolio``, sessions, ``GET /healthz``, ``GET /metrics``) plus the
-  local dispatch stage, surfaced as ``repro serve``;
+  local dispatch stage, whose cold solves run in arrival order on one
+  solver thread behind a bounded admission count, surfaced as
+  ``repro serve``;
 * :mod:`repro.service.worker`  — worker-process entry point: one
   :class:`SolveServer` per core, spawn-started, SIGTERM-drained;
 * :mod:`repro.service.router`  — the fleet's dispatch stage behind the
@@ -35,7 +34,6 @@ parser.
 from .cache import DEFAULT_CACHE_BYTES, CacheStats, ResultCache
 from .chaos import ChaosReport, run_chaos
 from .faults import FAULT_SITES, FaultInjector, FaultPlan, FaultSpec
-from .queue import BackpressureError, MicroBatcher, QueueStats
 from .router import HashRing, RouterServer, build_server
 from .server import InProcessServer, SolveServer, encode_report
 
@@ -43,9 +41,6 @@ __all__ = [
     "CacheStats",
     "ResultCache",
     "DEFAULT_CACHE_BYTES",
-    "BackpressureError",
-    "MicroBatcher",
-    "QueueStats",
     "SolveServer",
     "InProcessServer",
     "encode_report",

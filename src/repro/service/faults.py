@@ -25,7 +25,7 @@ site                 kinds                               seam
 ``worker.post_solve`` ``crash``, ``slow``                ``SolveServer._dispatch_solve``
 ``cache.spill_read`` ``io_error``, ``corrupt``           ``ResultCache.get``
 ``cache.spill_write`` ``io_error``, ``disk_full``        ``ResultCache._spill``
-``queue.drain``      ``stall``                           ``MicroBatcher._run_batch``
+``queue.drain``      ``stall``                           ``SolveServer._solve_job``
 ``session.create``   ``error``, ``slow``                 ``SolveServer._session_opened``
 ``session.step``     ``crash``, ``error``, ``slow``      ``SolveServer._dispatch_step``
 ===================  ==================================  =======================
@@ -37,7 +37,7 @@ builds its own injector scoped to its ``worker_id``, so a spec with
 ``"worker": 1`` fires only in (or toward) worker 1.
 
 Counters are per-site and thread-safe — seams run on the event loop, on
-executor threads, and on the batcher thread.  ``fired`` totals feed the
+executor threads, and on the solver thread.  ``fired`` totals feed the
 ``repro_faults_injected_total`` metric.
 """
 
@@ -227,11 +227,16 @@ class FaultInjector:
     worker-restricted specs fire only there; the router passes ``None``
     and attributes each hit to the worker it targets via the ``worker=``
     argument of :meth:`check`.
+
+    ``tally``, when set, is a shared ``multiprocessing.Value`` that every
+    fired fault is also added to, before the fault acts: a fleet worker's
+    count then outlives a ``crash`` that kills its process.
     """
 
     def __init__(self, plan: FaultPlan | Mapping[str, Any], *, worker: int | None = None) -> None:
         self.plan = FaultPlan.from_dict(plan)
         self.worker = worker
+        self.tally = None
         self._lock = threading.Lock()
         self._sites: dict[str, _SiteState] = {}
 
@@ -257,6 +262,8 @@ class FaultInjector:
                 if spec.site == site and spec.matches(hit, who)
             ]
             state.fired += len(fired)
+            if fired and self.tally is not None:
+                self.tally.value += len(fired)
         # One structured event per injected fault, emitted outside the
         # lock and before the fault acts — a `crash` kind still logs.
         if fired:

@@ -74,7 +74,8 @@ from http import HTTPStatus
 from typing import Any, Iterable, Mapping
 
 from ..core.errors import InvalidInstanceError
-from ..obs import get_logger, recorder
+from ..obs import get_logger
+from ..obs.spans import span
 from ..obs.trace import TRACE_HEADER, current_trace
 from .faults import FaultInjector, FaultPlan
 from .server import (
@@ -197,6 +198,11 @@ class WorkerHandle:
     on a thread inside a larger process (tests, benches), where ``fork``
     would snapshot foreign locks in unknown states.  Spawned children are
     daemonic, so a crashed router can never leak solver processes.
+
+    ``faults_fired`` is shared memory handed to every spawn of this
+    worker: its fault injector adds each fault it fires before the fault
+    acts, so the count survives a crash (the one that caused it included)
+    and the respawn carries on from it.
     """
 
     def __init__(
@@ -213,6 +219,7 @@ class WorkerHandle:
         self._faults = faults
         self._closed = False
         self._ctx = multiprocessing.get_context("spawn")
+        self.faults_fired = self._ctx.Value("q", 0, lock=False)
 
     def spawn(self, timeout: float = 60.0) -> "WorkerHandle":
         """Start the process and wait for its bind handshake (blocking —
@@ -224,7 +231,7 @@ class WorkerHandle:
         recv, send = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=worker_main,
-            args=(self.worker_id, send, self.config),
+            args=(self.worker_id, send, self.config, self.faults_fired),
             name=f"repro-worker-{self.worker_id}",
             daemon=True,
         )
@@ -660,12 +667,7 @@ class RouterServer(HttpServerBase):
             attempt = 0
             while True:
                 try:
-                    with recorder().span(
-                        ctx.trace_id if ctx else None,
-                        "router.forward",
-                        tenant=ctx.tenant if ctx else "default",
-                        worker=str(worker_id),
-                    ):
+                    with span("router.forward", worker=str(worker_id)):
                         if self.request_timeout is not None:
                             return await asyncio.wait_for(
                                 client.request("POST", path, body, trace_headers),
@@ -719,20 +721,12 @@ class RouterServer(HttpServerBase):
     # span: the service benchmark times the router's hop through exactly
     # these attributes.
 
-    def _route_span(self):
-        ctx = current_trace()
-        return recorder().span(
-            ctx.trace_id if ctx is not None else None,
-            "router.route",
-            tenant=ctx.tenant if ctx is not None else "default",
-        )
-
     def _resolve_solve(self, body: bytes):
-        with self._route_span():
+        with span("router.route"):
             return resolve_solve_request(parse_json_body(body))
 
     def _resolve_portfolio(self, body: bytes):
-        with self._route_span():
+        with span("router.route"):
             return resolve_portfolio_request(parse_json_body(body))
 
     async def _relay(self, key: str, path: str, body: bytes) -> tuple[bytes, str]:
@@ -870,8 +864,10 @@ class RouterServer(HttpServerBase):
             "sessions": snapshot["sessions"],
         }
         if self.faults is not None:
+            # Read from the handles, not the live workers' /metrics: a
+            # crashed worker's faults stay in the fleet total.
             snapshot["router"]["faults_injected"] = self.faults.fired + sum(
-                snap.get("faults", {}).get("injected", 0) for snap in workers.values()
+                handle.faults_fired.value for handle in self._handles.values()
             )
         snapshot["workers"] = workers
 

@@ -3,7 +3,7 @@
 One :class:`SolveServer` wires the serving layers together: requests come
 in over a hand-rolled HTTP/1.1 front-end (``asyncio.start_server`` — no
 third-party web framework, per the repo's no-new-deps rule), solve traffic
-flows ``client → queue → micro-batcher → engine.run → cache → response``,
+flows ``client → cache → solver thread (engine.run) → cache → response``,
 and operational state is always one ``GET /metrics`` away.
 
 :class:`HttpServerBase` is the one request pipeline of both topologies:
@@ -48,7 +48,7 @@ Endpoints
 ``GET /healthz``
     Liveness: ``{"status": "ok", "version": ..., "uptime_s": ...}``.
 ``GET /metrics``
-    Queue depth and batch counters, cache hit/miss/eviction counters,
+    Solve-queue depth and drain counters, cache hit/miss/eviction counters,
     request counts by endpoint/status/algorithm, and p50/p95/mean
     latency.  JSON by default; ``Accept: text/plain`` negotiates the
     Prometheus text exposition format instead.
@@ -87,7 +87,7 @@ from ..core.serialize import (
     result_key,
 )
 from ..obs import get_logger, recorder
-from ..obs.spans import histogram_samples
+from ..obs.spans import histogram_samples, record_span, span
 from ..obs.trace import (
     TENANT_HEADER,
     TRACE_HEADER,
@@ -95,10 +95,10 @@ from ..obs.trace import (
     parse_trace_header,
     reset_current,
     set_current,
+    use_trace,
 )
 from .cache import DEFAULT_CACHE_BYTES, NeighborIndex, ResultCache
 from .faults import FaultInjector, FaultPlan, as_injector
-from .queue import BackpressureError, MicroBatcher
 
 __all__ = [
     "HttpServerBase",
@@ -469,9 +469,9 @@ class HttpServerBase:
     so the solo server and the fleet router answer the public protocol
     through the same code: parse → key → coalesce → dispatch.  A subclass
     supplies only its *dispatch stage* — how a resolved request gets
-    answered: :class:`SolveServer` locally (cache, warm start,
-    micro-batcher, engine), :class:`~repro.service.router.RouterServer`
-    by forwarding over its hash ring of worker processes:
+    answered: :class:`SolveServer` locally (cache, warm start, solver
+    thread, engine), :class:`~repro.service.router.RouterServer` by
+    forwarding over its hash ring of worker processes:
 
     * ``_resolve_solve(body)`` / ``_resolve_portfolio(body)`` — parse and
       validate a body into its request tuple (key first);
@@ -484,13 +484,12 @@ class HttpServerBase:
     * ``_health``, ``_snapshot``, ``_prometheus`` and ``_peer_spans`` —
       the topology's part of ``/healthz``, ``/metrics`` and
       ``/debug/trace``;
-    * ``_drain_dispatch(timeout)`` — flush the stage during a drain.
+    * ``_drain_dispatch(timeout)`` — flush what the stage holds beyond
+      the in-flight handlers during a drain (the router's workers).
 
-    The lifecycle hooks :meth:`_before_bind` (async setup that must
-    precede accepting traffic: the router spawns its fleet) and
-    :meth:`_after_bind` (sync setup tied to a successful bind: the solo
-    server starts its micro-batcher, so a failed bind leaks no thread)
-    complete the contract.
+    The lifecycle hook :meth:`_before_bind` (async setup that must
+    precede accepting traffic: the router spawns its fleet) completes
+    the contract.
     """
 
     #: (method, path) -> handler name; also the metrics cardinality bound.
@@ -556,9 +555,6 @@ class HttpServerBase:
     async def _before_bind(self) -> None:
         """Async setup that must complete before the listener binds."""
 
-    def _after_bind(self) -> None:
-        """Sync setup tied to a successful bind."""
-
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> asyncio.Server:
         """Bind and start serving; returns the listening ``asyncio.Server``.
 
@@ -568,7 +564,6 @@ class HttpServerBase:
         """
         await self._before_bind()
         server = await asyncio.start_server(self._handle_client, host, port)
-        self._after_bind()
         sockname = server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
         return server
@@ -1004,6 +999,10 @@ class HttpServerBase:
 
     # -- dispatch-stage defaults ---------------------------------------------
 
+    async def _drain_dispatch(self, timeout: float) -> None:
+        """Flush the stage once no handler is running (nothing to flush:
+        every accepted solve is awaited by a handler)."""
+
     def _session_missing(self, session_id: str, data: dict[str, Any]) -> dict[str, Any]:
         """A step for an unregistered id: 404, unless the stage can
         rebuild the session from the step body."""
@@ -1025,20 +1024,25 @@ class HttpServerBase:
 
 
 class SolveServer(HttpServerBase):
-    """The single-process serving stack: HTTP + batcher + cache + metrics.
+    """The single-process serving stack: HTTP + solver thread + cache + metrics.
 
     Its dispatch stage answers locally: content-addressed cache, opt-in
-    warm start, micro-batched engine solve.  Constructor knobs mirror the
-    ``repro serve`` flags; all have serving-friendly defaults.  With
+    warm start, cold solve on the solver thread.  Constructor knobs mirror
+    the ``repro serve`` flags; all have serving-friendly defaults.  With
     ``repro serve --workers N`` this class is the per-worker shard behind
     :class:`~repro.service.router.RouterServer`; a shared ``cache_dir``
     then acts as the common L2 cache tier under each worker's L1 memory.
+
+    Cold solves run one at a time, in arrival order, on a one-thread
+    executor (the *solver thread*); each answer leaves as soon as its own
+    solve ends.  At most ``queue_size`` solves are accepted and not yet
+    answered, the one in progress included; past that a solve is shed
+    with 503 + ``Retry-After`` instead of queueing unbounded work.
     """
 
     def __init__(
         self,
         *,
-        max_batch: int = 16,
         queue_size: int = 512,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         cache_dir: Path | str | None = None,
@@ -1046,20 +1050,34 @@ class SolveServer(HttpServerBase):
         faults: "FaultInjector | FaultPlan | Mapping[str, Any] | None" = None,
     ) -> None:
         super().__init__()
+        if queue_size < 1:
+            raise InvalidInstanceError(f"queue_size must be >= 1, got {queue_size}")
         if warm_delta is not None and warm_delta < 0:
             raise InvalidInstanceError(
                 f"warm_delta must be >= 0, got {warm_delta}"
             )
-        # One injector is shared with the cache and the batcher, so a
-        # plan's per-site counters see every seam of this process.
+        # One injector is shared with the cache and the solver thread, so
+        # a plan's per-site counters see every seam of this process.
         self.faults = as_injector(faults)
         self.cache = ResultCache(cache_bytes, spill_dir=cache_dir, faults=self.faults)
-        self.batcher = MicroBatcher(
-            max_batch=max_batch, maxsize=queue_size, faults=self.faults
-        )
+        # The solve stage.  The pool starts its thread on the first solve,
+        # so a failed bind leaves no thread behind.  Each counter has one
+        # writer: the event loop admits (submitted, rejected), the solver
+        # thread runs (completed, and the drain ticks below).
+        self.queue_size = int(queue_size)
+        self._solver = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-solver")
+        self._closed = False
+        self._submitted = 0
+        self._rejected = 0
+        self._completed = 0
+        # A drain tick is the solves already queued when the solver starts
+        # the first of them; /metrics reports their count and largest size.
+        self._batches = 0
+        self._max_batch = 0
+        self._tick_left = 0
         # A portfolio race runs its entrants serially and blocks a thread;
         # two threads keep /portfolio off the event loop without
-        # competing with the batcher for cores.
+        # competing with the solver thread for cores.
         self._pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="repro-portfolio")
         # Warm-start delta solving is opt-in (warm_delta=None keeps every
         # answer byte-identical to a cold engine run, which the chaos and
@@ -1073,20 +1091,17 @@ class SolveServer(HttpServerBase):
 
     # -- lifecycle ------------------------------------------------------
 
-    def _after_bind(self) -> None:
-        # The batcher thread only starts once the bind succeeded, so a
-        # failed start leaves no thread behind.
-        self.batcher.start()
-
     def close(self) -> None:
-        """Stop the batcher and the portfolio pool (idempotent)."""
-        self.batcher.stop()
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        """Stop the solve stage and the portfolio pool (idempotent).
 
-    async def _drain_dispatch(self, timeout: float) -> None:
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.batcher.drain, timeout
-        )
+        A solve in progress finishes; each queued one answers 503 when the
+        solver thread reaches it.  Queued futures are not cancelled: a
+        cancelled future would reach its handler as ``CancelledError`` and
+        drop the connection instead of answering.
+        """
+        self._closed = True
+        self._solver.shutdown(wait=False)
+        self._pool.shutdown(wait=False, cancel_futures=True)
 
     async def _fire(self, site: str) -> None:
         """Run one fault seam on the executor, so an injected ``slow`` or
@@ -1108,12 +1123,7 @@ class SolveServer(HttpServerBase):
         scheduling per hit) and only the possible-disk-read miss path
         moves to the default thread-pool executor.
         """
-        ctx = current_trace()
-        with recorder().span(
-            ctx.trace_id if ctx else None,
-            "cache.lookup",
-            tenant=ctx.tenant if ctx else "default",
-        ):
+        with span("cache.lookup"):
             if self.cache.spill_dir is None:
                 return self.cache.get(key)
             payload = self.cache.get_memory(key)
@@ -1125,12 +1135,7 @@ class SolveServer(HttpServerBase):
 
     async def _cache_put(self, key: str, payload: bytes) -> None:
         """Cache insert; eviction may spill to disk, so same treatment."""
-        ctx = current_trace()
-        with recorder().span(
-            ctx.trace_id if ctx else None,
-            "cache.store",
-            tenant=ctx.tenant if ctx else "default",
-        ):
+        with span("cache.store"):
             if self.cache.spill_dir is None:
                 self.cache.put(key, payload)
                 return
@@ -1147,7 +1152,7 @@ class SolveServer(HttpServerBase):
         return resolve_portfolio_request(parse_json_body(body))
 
     async def _dispatch_solve(self, request, body: bytes | None) -> tuple[bytes, str]:
-        """Cache → warm start (opt-in) → micro-batched cold solve.
+        """Cache → warm start (opt-in) → cold solve on the solver thread.
 
         Returns ``(payload, "hit" | "warm" | "miss")``.
         """
@@ -1166,15 +1171,10 @@ class SolveServer(HttpServerBase):
         source = "warm" if payload is not None else "miss"
         if payload is None:
             try:
-                future = self.batcher.submit(instance, name, params)
-                # The queue can also shed this request *after* accepting
-                # it (shutdown drains pending futures) — still 503.
-                report = await asyncio.wrap_future(future)
-            except BackpressureError as exc:
-                raise _BadRequest(HTTPStatus.SERVICE_UNAVAILABLE, str(exc))
-            if report.placement is None:
+                report = await self._solve_cold(instance, name, params)
+            except ReproError as exc:
                 raise _BadRequest(
-                    HTTPStatus.UNPROCESSABLE_ENTITY, report.error or "solve failed"
+                    HTTPStatus.UNPROCESSABLE_ENTITY, f"{type(exc).__name__}: {exc}"
                 )
             payload = encode_report(report)
         await self._fire("worker.post_solve")
@@ -1186,6 +1186,64 @@ class SolveServer(HttpServerBase):
             )
         await self._cache_put(key, payload)
         return payload, source
+
+    async def _solve_cold(self, instance, name: str, params):
+        """Admit one solve to the solver thread and await its report.
+
+        Admission runs on the event loop: past ``queue_size`` unanswered
+        solves, or after :meth:`close`, the request is shed with 503.
+        """
+        if self._closed:
+            self._rejected += 1
+            raise _BadRequest(HTTPStatus.SERVICE_UNAVAILABLE, "request queue is stopped")
+        if self._submitted - self._completed >= self.queue_size:
+            self._rejected += 1
+            raise _BadRequest(
+                HTTPStatus.SERVICE_UNAVAILABLE,
+                f"request queue is full ({self.queue_size} pending)",
+            )
+        # Counted before the submit, so the solver thread never sees its
+        # own solve missing from `submitted`.
+        self._submitted += 1
+        try:
+            future = self._solver.submit(
+                self._solve_job, instance, name, params, current_trace(), time.monotonic()
+            )
+        except RuntimeError:  # the pool shut down after the check above
+            self._submitted -= 1
+            self._rejected += 1
+            raise _BadRequest(
+                HTTPStatus.SERVICE_UNAVAILABLE, "request queue is stopped"
+            ) from None
+        return await asyncio.wrap_future(future)
+
+    def _solve_job(self, instance, name: str, params, trace, admitted_at: float):
+        """One cold solve, on the solver thread (it does not inherit the
+        request's context, so the trace rides along)."""
+        if self._closed:
+            raise _BadRequest(
+                HTTPStatus.SERVICE_UNAVAILABLE,
+                "request queue stopped before this solve ran",
+            )
+        from ..engine import run
+
+        try:
+            if not self._tick_left:
+                self._tick_left = self._submitted - self._completed
+                self._batches += 1
+                self._max_batch = max(self._max_batch, self._tick_left)
+            self._tick_left -= 1
+            if self.faults is not None:
+                # A scheduled `stall` holds the solver thread, so queued
+                # solves age exactly as they would behind a wedged solver.
+                self.faults.fire_sync("queue.drain")
+            # Under the request's own trace, run() records its engine
+            # spans (solve, bounds, validate) into that trace.
+            with use_trace(trace):
+                record_span("queue.wait", admitted_at, time.monotonic() - admitted_at)
+                return run(instance, name, params=params)
+        finally:
+            self._completed += 1
 
     async def _dispatch_portfolio(self, request, body: bytes) -> tuple[bytes, str]:
         key, instance, algorithms, params = request
@@ -1229,7 +1287,16 @@ class SolveServer(HttpServerBase):
         return self._register_session(session_id, *_session_defaults(data))
 
     async def _snapshot(self, snapshot: dict[str, Any]) -> None:
-        snapshot["queue"] = self.batcher.stats().to_dict()
+        snapshot["queue"] = {
+            # Accepted and not yet answered: what `queue_size` bounds.
+            "depth": self._submitted - self._completed,
+            "submitted": self._submitted,
+            "completed": self._completed,
+            "rejected": self._rejected,
+            "batches": self._batches,
+            "max_batch": self._max_batch,
+            "mean_batch": self._completed / self._batches if self._batches else 0.0,
+        }
         snapshot["cache"] = self.cache.stats().to_dict()
         snapshot["cache"]["warm_hits"] = self._warm_hits
         if self.faults is not None:

@@ -1,7 +1,7 @@
 """Worker-process entry point for the sharded solve service.
 
 One worker is simply a :class:`~repro.service.server.SolveServer` — the
-full single-process stack (HTTP front-end, micro-batcher, two-tier result
+full single-process stack (HTTP front-end, solver thread, two-tier result
 cache) — bound to an ephemeral loopback port and owned by a
 :class:`~repro.service.router.RouterServer` parent.  The router speaks
 plain HTTP to it, which keeps the shard protocol identical to the public
@@ -20,8 +20,8 @@ a test harness or bench runner, and forking a threaded parent is a
 deadlock lottery.
 
 Lifecycle: the worker serves until SIGTERM/SIGINT, then drains — stops
-accepting, answers every request its listener and queue already accepted
-— and exits 0.  A worker killed hard (SIGKILL, OOM) is detected by the
+accepting, answers every request its listener already accepted — and
+exits 0.  A worker killed hard (SIGKILL, OOM) is detected by the
 router's supervisor and respawned; its shard of the key space re-routes
 to ring successors in the meantime.
 """
@@ -36,7 +36,7 @@ from typing import Any, Mapping
 __all__ = ["worker_main"]
 
 
-async def _serve(worker_id: int, conn, config: Mapping[str, Any]) -> None:
+async def _serve(worker_id: int, conn, config: Mapping[str, Any], faults_fired) -> None:
     from ..obs import configure_logging, set_identity
     from .faults import FaultInjector
     from .server import SolveServer
@@ -58,6 +58,8 @@ async def _serve(worker_id: int, conn, config: Mapping[str, Any]) -> None:
     # spec with "worker": K fires only in worker K.
     plan = config.pop("fault_plan", None)
     faults = FaultInjector(plan, worker=worker_id) if plan is not None else None
+    if faults is not None:
+        faults.tally = faults_fired
     server = SolveServer(faults=faults, **config)
     try:
         bound = await server.start("127.0.0.1", 0)
@@ -82,12 +84,13 @@ async def _serve(worker_id: int, conn, config: Mapping[str, Any]) -> None:
         await server.drain(bound)
 
 
-def worker_main(worker_id: int, conn, config: Mapping[str, Any]) -> None:
+def worker_main(worker_id: int, conn, config: Mapping[str, Any], faults_fired) -> None:
     """Run one solve worker until told to drain; the spawn target.
 
     ``conn`` is the write end of the startup pipe; ``config`` is the
     :class:`~repro.service.server.SolveServer` constructor kwargs (every
     worker of one fleet gets the same config, so a shared ``cache_dir``
-    becomes the fleet's common L2 cache tier).
+    becomes the fleet's common L2 cache tier).  ``faults_fired`` is the
+    handle's shared fault count, which this process's injector adds to.
     """
-    asyncio.run(_serve(worker_id, conn, config))
+    asyncio.run(_serve(worker_id, conn, config, faults_fired))

@@ -414,8 +414,8 @@ class TestServeErrors:
         assert code == 2 and "--port" in text
 
     @pytest.mark.parametrize("argv, message", [
-        (["serve", "--max-batch", "0"], "max_batch"),
-        (["serve", "--queue-size", "0"], "maxsize"),
+        (["serve", "--retries", "-1"], "--retries"),
+        (["serve", "--queue-size", "0"], "queue_size"),
         (["serve", "--cache-bytes", "-5"], "max_bytes"),
         (["serve", "--workers", "0"], "--workers"),
     ])
@@ -424,10 +424,11 @@ class TestServeErrors:
         assert code == 2
         assert text.startswith("error:") and message in text
 
-    @pytest.mark.parametrize("flag", ["--backend thread", "--jobs 2"])
+    @pytest.mark.parametrize("flag", ["--backend thread", "--jobs 2", "--max-batch 4"])
     def test_executor_flags_are_unknown(self, flag):
-        """Serving parallelism is ``--workers N``; argparse refuses the
-        batch CLI's executor flags on ``serve`` with exit 2."""
+        """Serving parallelism is ``--workers N``, one solver thread each;
+        argparse refuses the batch CLI's executor flags and a micro-batch
+        cap on ``serve`` with exit 2."""
         with pytest.raises(SystemExit) as exc:
             run_cli(["serve", *flag.split()])
         assert exc.value.code == 2

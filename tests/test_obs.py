@@ -24,6 +24,8 @@ from repro.obs.spans import (
     HISTOGRAM_BUCKETS_S,
     SpanRecorder,
     histogram_samples,
+    recorder,
+    span,
 )
 from repro.obs.trace import (
     DEFAULT_TENANT,
@@ -137,10 +139,20 @@ class TestSpanRecorder:
         assert rec.trace_document("t")["spans"][0]["worker"] == "3"
 
     def test_span_contextmanager_noop_without_trace(self):
-        rec = SpanRecorder()
-        with rec.span(None, "x"):
+        assert current_trace() is None
+        before = recorder().histogram_snapshot()
+        with span("test.noop"):
             pass
-        assert rec.histogram_snapshot() == {}
+        assert recorder().histogram_snapshot() == before
+
+    def test_span_contextmanager_records_under_the_ambient_trace(self):
+        ctx = new_trace(tenant="acme")
+        with use_trace(ctx):
+            with span("test.ambient", worker_hint="w"):
+                pass
+        (recorded,) = recorder().trace_document(ctx.trace_id)["spans"]
+        assert recorded["name"] == "test.ambient" and recorded["tenant"] == "acme"
+        assert recorded["labels"] == {"worker_hint": "w"}
 
     def test_histogram_buckets_accumulate(self):
         rec = SpanRecorder()
@@ -199,6 +211,25 @@ class TestStructuredLogger:
         assert len(caplog.records) == 1
         assert caplog.records[0].levelno == logging.WARNING
         assert "event=failover" in caplog.records[0].getMessage()
+
+    def test_unconfigured_event_below_the_level_is_never_rendered(self, monkeypatch):
+        """An INFO event that stdlib logging would drop costs no rendering."""
+        from repro.obs import logging as obs_logging
+
+        rendered = []
+        monkeypatch.setattr(
+            obs_logging, "_render_text", lambda event, fields: rendered.append(event) or ""
+        )
+        quiet = logging.getLogger("repro.test.obs.quiet")
+        quiet.setLevel(logging.WARNING)
+        try:
+            StructuredLogger().event(
+                "request", logger="repro.test.obs.quiet", trace="a" * 16,
+                endpoint="/solve", status=200, latency_ms=1.0, tenant="default",
+            )
+        finally:
+            quiet.setLevel(logging.NOTSET)
+        assert rendered == []
 
     def test_file_sink_appends_lines(self, tmp_path):
         path = tmp_path / "events.jsonl"

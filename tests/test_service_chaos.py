@@ -242,6 +242,36 @@ class TestChaosMatrix:
         assert report.recovered
         assert report.retries >= 1  # the crash actually fired
 
+    def test_fault_that_crashed_a_worker_is_counted(self):
+        """The fleet's /metrics keeps the fault that killed a worker: the
+        count lives in shared memory, not in the dead process."""
+        import http.client
+
+        from repro.service import InProcessServer, RouterServer
+        from repro.service.loadgen import solve_payloads
+
+        plan = {
+            "seed": 7,
+            "faults": [
+                {"site": "worker.pre_solve", "kind": "crash", "after": 1, "worker": 0}
+            ],
+        }
+        router = RouterServer(workers=2, fault_plan=plan)
+        with InProcessServer(router) as srv:
+            conn = http.client.HTTPConnection(srv.host, srv.port, timeout=60)
+            try:
+                for body in solve_payloads(16, n_rects=12, seed=3, algorithm="ffdh"):
+                    conn.request("POST", "/solve", body)
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == 200
+                conn.request("GET", "/metrics")
+                fleet = json.loads(conn.getresponse().read())["router"]
+            finally:
+                conn.close()
+        assert fleet["retries"] >= 1  # the crash fired and was failed over
+        assert fleet["faults_injected"] >= 1
+
     def test_kill_after_solve_before_response(self):
         """Worker 0 dies *between* computing and responding: the router
         sees a reset and the successor recomputes the same bytes."""
@@ -319,6 +349,7 @@ class TestChaosMatrix:
         _assert_invariants(report)
         assert report.requests == 12
         assert report.recovered
+        assert report.faults_injected >= 1  # the crash outlives its worker
 
     def test_session_slow_seams_on_single_server(self):
         """Injected latency at the session create/step seams must only

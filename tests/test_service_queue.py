@@ -1,16 +1,26 @@
-"""Tests for the micro-batching request queue.
+"""Tests for the solve stage: cold solves on one FIFO solver thread.
 
-The contract under test: a request submitted through the batcher resolves
-to a report identical to a direct ``engine.run()`` (deterministic fields —
-wall time is measured, not computed), one drain takes every queued request
-up to ``max_batch`` and answers each as soon as its own solve ends, and a
-full queue sheds load with :class:`BackpressureError`.
+A real ``SolveServer`` runs in-process and is driven over HTTP.  The
+contract under test: a solve answers exactly what a direct
+``engine.run()`` returns (deterministic fields — wall time is measured,
+not computed); solves run one at a time in arrival order and each answer
+leaves as soon as its own solve ends; at most ``queue_size`` solves are
+accepted and unanswered (503 beyond); ``close()`` and ``drain()`` answer
+everything accepted; and ``/metrics`` counts the drain ticks.
+
+A ``queue.drain`` stall holds the solver thread, so the tests can queue
+solves behind it deterministically.
 """
 
 from __future__ import annotations
 
+import asyncio
+import http.client
+import json
 import statistics
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,9 +28,9 @@ import pytest
 from repro.core.errors import InvalidInstanceError
 from repro.core.instance import ReleaseInstance, StripPackingInstance
 from repro.core.rectangle import Rect
-from repro.core.serialize import placement_to_dict
+from repro.core.serialize import instance_to_dict
 from repro.engine import run
-from repro.service.queue import BackpressureError, MicroBatcher
+from repro.service import InProcessServer, SolveServer, encode_report
 from repro.workloads.random_rects import powerlaw_rects
 
 
@@ -29,275 +39,388 @@ def _instances(n, seed=0, size=10):
     return [StripPackingInstance(powerlaw_rects(size, rng)) for _ in range(n)]
 
 
-def _same_report(a, b):
-    """Deterministic-field equality between two SolveReports."""
-    assert a.algorithm == b.algorithm
-    assert a.height == b.height
-    assert a.lower_bound == b.lower_bound
-    assert dict(a.bounds) == dict(b.bounds)
-    assert a.valid == b.valid and a.error == b.error
-    assert a.params == b.params and a.label == b.label
-    assert placement_to_dict(a.placement) == placement_to_dict(b.placement)
+def _body(instance, algorithm=None, params=None):
+    body = {"instance": instance_to_dict(instance)}
+    if algorithm is not None:
+        body["algorithm"] = algorithm
+    if params is not None:
+        body["params"] = params
+    return body
+
+
+def _post(port, body):
+    """One ``POST /solve`` on a fresh connection: (status, headers, body)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        conn.request("POST", "/solve", json.dumps(body).encode(),
+                     {"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, dict(response.getheaders()), response.read()
+    finally:
+        conn.close()
+
+
+def _get_json(port, path):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request("GET", path)
+        return json.loads(conn.getresponse().read())
+    finally:
+        conn.close()
+
+
+def _normalize(raw):
+    doc = json.loads(raw)
+    doc["report"]["wall_time"] = 0.0
+    return doc
+
+
+def _same_answer(raw, instance, algorithm=None, params=None):
+    """The answer equals a direct run's encoded report, wall time aside."""
+    expected = encode_report(run(instance, algorithm, params=params))
+    assert _normalize(raw) == _normalize(expected)
+
+
+def _stall(delay_s, count=1):
+    """A plan whose ``queue.drain`` seam holds the solver thread."""
+    return {"faults": [{"site": "queue.drain", "kind": "stall",
+                        "count": count, "delay_s": delay_s}]}
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.002)
+
+
+def _queue(port):
+    return _get_json(port, "/metrics")["queue"]
 
 
 @pytest.fixture
-def batcher():
-    b = MicroBatcher(max_batch=8, maxsize=64)
-    yield b
-    b.stop()
+def clients():
+    pool = ThreadPoolExecutor(max_workers=8)
+    yield pool
+    pool.shutdown(wait=True)
+
+
+def _queue_behind_stall(server, srv, clients, bodies):
+    """Hold the solver with ``bodies[0]``, then queue the rest in order.
+
+    Each body is admitted before the next is sent, so arrival order is
+    the order of ``bodies``; returns one answer future per body.
+    """
+    futures = [clients.submit(_post, srv.port, bodies[0])]
+    _wait_for(lambda: server.faults.fired >= 1)
+    for body in bodies[1:]:
+        futures.append(clients.submit(_post, srv.port, body))
+        _wait_for(lambda n=len(futures): _queue(srv.port)["submitted"] == n)
+    assert not futures[0].done(), "the stall ended before the queue was built"
+    return futures
 
 
 class TestResults:
-    def test_identical_to_direct_run(self, batcher):
-        batcher.start()
-        (instance,) = _instances(1)
-        report = batcher.submit(instance, "ffdh").result(timeout=10)
-        _same_report(report, run(instance, "ffdh"))
+    @pytest.fixture(scope="class")
+    def srv(self):
+        with InProcessServer(SolveServer()) as srv:
+            yield srv
 
-    def test_default_algorithm_resolution(self, batcher):
-        batcher.start()
+    def test_identical_to_direct_run(self, srv):
         (instance,) = _instances(1)
-        report = batcher.submit(instance).result(timeout=10)
-        _same_report(report, run(instance))
+        status, _, raw = _post(srv.port, _body(instance, "ffdh"))
+        assert status == 200
+        _same_answer(raw, instance, "ffdh")
 
-    def test_params_are_honoured(self, batcher):
-        batcher.start()
+    def test_default_algorithm_resolution(self, srv):
+        (instance,) = _instances(1, seed=1)
+        status, _, raw = _post(srv.port, _body(instance))
+        assert status == 200
+        _same_answer(raw, instance)
+
+    def test_params_are_honoured(self, srv):
         instance = ReleaseInstance(
             [Rect(rid=i, width=0.5, height=0.5, release=0.5 * i) for i in range(4)],
             K=2,
         )
-        report = batcher.submit(instance, "aptas", {"eps": 1.0}).result(timeout=30)
-        _same_report(report, run(instance, "aptas", params={"eps": 1.0}))
+        status, _, raw = _post(srv.port, _body(instance, "aptas", {"eps": 1.0}))
+        assert status == 200
+        _same_answer(raw, instance, "aptas", {"eps": 1.0})
 
-    def test_incompatible_algorithm_becomes_error_report(self, batcher):
-        batcher.start()
-        (instance,) = _instances(1)  # plain instance, aptas needs release
-        report = batcher.submit(instance, "aptas").result(timeout=10)
-        assert report.error is not None and report.placement is None
+    def test_incompatible_algorithm_becomes_error_report(self, srv):
+        """A solver's ReproError answers 422 with its type and message."""
+        (instance,) = _instances(1, seed=2)  # plain instance, aptas needs release
+        status, _, raw = _post(srv.port, _body(instance, "aptas"))
+        assert status == 422
+        assert raw == b'{"error": "InvalidInstanceError: aptas requires a ReleaseInstance"}'
 
-    def test_unknown_algorithm_becomes_error_report(self, batcher):
-        batcher.start()
-        (instance,) = _instances(1)
-        report = batcher.submit(instance, "oracle").result(timeout=10)
-        assert report.error is not None and "unknown algorithm" in report.error
+    def test_unknown_algorithm_becomes_error_report(self, srv):
+        """An unknown name is refused before admission: the solver thread
+        never sees it."""
+        before = _queue(srv.port)
+        (instance,) = _instances(1, seed=3)
+        status, _, raw = _post(srv.port, _body(instance, "oracle"))
+        assert status == 422 and "unknown algorithm" in json.loads(raw)["error"]
+        after = _queue(srv.port)
+        assert (after["submitted"], after["rejected"]) == (
+            before["submitted"], before["rejected"]
+        )
 
 
 class TestBatching:
-    def test_queued_requests_drain_as_one_batch(self):
-        """Pre-load the queue before any drain: one drain answers all."""
-        batcher = MicroBatcher(max_batch=8, maxsize=64)
-        instances = _instances(6, seed=1)
-        futures = [batcher.submit(inst, "nfdh") for inst in instances]
-        assert batcher.depth == 6
-        assert batcher.drain_once() == 6
-        stats = batcher.stats()
-        assert stats.batches == 1 and stats.max_batch == 6
-        assert stats.completed == stats.submitted == 6
-        assert stats.mean_batch == pytest.approx(6.0)
-        for fut, inst in zip(futures, instances):
-            _same_report(fut.result(timeout=1), run(inst, "nfdh"))
+    """Drain ticks (``batches`` in ``/metrics``: the solves already queued
+    when the solver starts the first of them) and FIFO answers."""
 
-    def test_mixed_algorithms_grouped_but_all_correct(self):
-        batcher = MicroBatcher(max_batch=8, maxsize=64)
-        instances = _instances(4, seed=2)
-        futures = [
-            batcher.submit(inst, algo)
-            for inst, algo in zip(instances, ["nfdh", "ffdh", "nfdh", "bfdh"])
-        ]
-        batcher.drain_once()
-        for fut, inst, algo in zip(futures, instances, ["nfdh", "ffdh", "nfdh", "bfdh"]):
-            _same_report(fut.result(timeout=1), run(inst, algo))
+    def test_queued_requests_drain_as_one_batch(self, clients):
+        server = SolveServer(faults=_stall(1.0))
+        instances = _instances(3, seed=4)
+        with InProcessServer(server) as srv:
+            futures = _queue_behind_stall(
+                server, srv, clients, [_body(i, "nfdh") for i in instances]
+            )
+            for future, instance in zip(futures, instances):
+                status, _, raw = future.result(timeout=30)
+                assert status == 200
+                _same_answer(raw, instance, "nfdh")
+            queue = _queue(srv.port)
+        assert queue["batches"] == 2 and queue["max_batch"] == 2
+        assert queue["completed"] == queue["submitted"] == 3
+        assert queue["mean_batch"] == pytest.approx(1.5)
+        assert queue["depth"] == 0
 
-    def test_max_batch_caps_one_drain(self):
-        batcher = MicroBatcher(max_batch=3, maxsize=64)
-        for inst in _instances(5, seed=3):
-            batcher.submit(inst, "nfdh")
-        assert batcher.drain_once() == 3
-        assert batcher.depth == 2
-        assert batcher.drain_once() == 2
-        assert batcher.stats().max_batch == 3
+    def test_mixed_algorithms_grouped_but_all_correct(self, clients):
+        algorithms = ["nfdh", "ffdh", "nfdh", "bfdh"]
+        instances = _instances(4, seed=5)
+        with InProcessServer(SolveServer()) as srv:
+            futures = [
+                clients.submit(_post, srv.port, _body(inst, algo))
+                for inst, algo in zip(instances, algorithms)
+            ]
+            for future, inst, algo in zip(futures, instances, algorithms):
+                status, _, raw = future.result(timeout=30)
+                assert status == 200
+                _same_answer(raw, inst, algo)
 
-    def test_distinct_params_solve_in_distinct_groups(self):
-        batcher = MicroBatcher(max_batch=8, maxsize=64)
+    def test_distinct_params_solve_in_distinct_groups(self, clients):
         instance = ReleaseInstance(
             [Rect(rid=i, width=0.5, height=0.5, release=0.5 * i) for i in range(4)],
             K=2,
         )
-        f1 = batcher.submit(instance, "aptas", {"eps": 1.0})
-        f2 = batcher.submit(instance, "aptas", {"eps": 0.5})
-        batcher.drain_once()
-        r1, r2 = f1.result(timeout=30), f2.result(timeout=30)
-        assert r1.params["eps"] == 1.0 and r2.params["eps"] == 0.5
+        with InProcessServer(SolveServer()) as srv:
+            futures = [
+                clients.submit(_post, srv.port, _body(instance, "aptas", {"eps": eps}))
+                for eps in (1.0, 0.5)
+            ]
+            answers = [future.result(timeout=60) for future in futures]
+        for (status, _, raw), eps in zip(answers, (1.0, 0.5)):
+            assert status == 200
+            assert json.loads(raw)["report"]["params"]["eps"] == eps
+            _same_answer(raw, instance, "aptas", {"eps": eps})
 
-    def test_each_request_resolves_when_its_own_solve_ends(self):
+    def test_each_request_resolves_when_its_own_solve_ends(self, clients):
         """A small request queued ahead of a large one is answered before
-        the large one is solved, not when the whole batch is done."""
-        batcher = MicroBatcher(max_batch=8, maxsize=64)
+        the large one is solved, not when both are done."""
         rng = np.random.default_rng(14)
         small = StripPackingInstance(powerlaw_rects(8, rng))
         large = StripPackingInstance(powerlaw_rects(5000, rng))
-        futures = {"small": batcher.submit(small, "ffdh"),
-                   "large": batcher.submit(large, "ffdh")}
-        resolved = {}
-        for name, fut in futures.items():
-            fut.add_done_callback(
-                lambda _, name=name: resolved.setdefault(name, time.perf_counter())
-            )
-        assert batcher.drain_once() == 2
-        assert batcher.stats().batches == 1
-        large_report = futures["large"].result(timeout=0)
-        assert resolved["large"] - resolved["small"] >= large_report.wall_time
+        server = SolveServer(faults=_stall(0.3))
+        answered = {}
+
+        def post(name, body):
+            answer = _post(srv.port, body)
+            answered[name] = time.perf_counter()
+            return answer
+
+        with InProcessServer(server) as srv:
+            futures = {"small": clients.submit(post, "small", _body(small, "ffdh"))}
+            _wait_for(lambda: server.faults.fired >= 1)
+            futures["large"] = clients.submit(post, "large", _body(large, "ffdh"))
+            answers = {name: future.result(timeout=60) for name, future in futures.items()}
+        assert all(status == 200 for status, _, _ in answers.values())
+        large_wall = json.loads(answers["large"][2])["report"]["wall_time"]
+        assert answered["large"] - answered["small"] >= large_wall
 
 
 class TestLiveDrain:
-    """The drain thread never waits for batch-mates: a lone request goes
-    straight to the solver, and a busy queue still drains in batches."""
+    """The solver never waits for company: a lone request goes straight
+    to the solver, and queued requests start in arrival order."""
 
     def test_lone_request_is_not_held(self):
-        instance = StripPackingInstance(
-            [Rect(rid=0, width=0.5, height=1.0), Rect(rid=1, width=0.5, height=2.0)]
-        )
-        batcher = MicroBatcher().start()
-        elapsed = []
-        try:
-            for _ in range(20):
-                t0 = time.perf_counter()
-                batcher.submit(instance, "nfdh").result(timeout=10)
-                elapsed.append(time.perf_counter() - t0)
-        finally:
-            batcher.stop()
-        # A timed batch window would hold every lone request for its whole
-        # length; without one, submit-to-result is about the solve itself.
-        assert statistics.median(elapsed) < 1.5e-3
-        assert batcher.stats().max_batch == 1
+        with InProcessServer(SolveServer()) as srv:
+            waits = []
+            for instance in _instances(20, seed=15, size=2):
+                status, headers, _ = _post(srv.port, _body(instance, "nfdh"))
+                assert status == 200 and headers["X-Repro-Cache"] == "miss"
+                trace = headers["X-Repro-Trace"].split(";")[0]
+                spans = _get_json(srv.port, f"/debug/trace/{trace}")["spans"]
+                (wait,) = [s["duration_s"] for s in spans if s["name"] == "queue.wait"]
+                waits.append(wait)
+            queue = _queue(srv.port)
+        # Admission to solve start is one thread handoff, not a window.
+        assert statistics.median(waits) < 1e-3
+        assert queue["max_batch"] == 1 and queue["batches"] == 20
 
-    def test_requests_queued_behind_a_running_batch_drain_together(self):
-        from repro.service.faults import FaultInjector
-
-        injector = FaultInjector(
-            {"faults": [{"site": "queue.drain", "kind": "stall",
-                         "count": 1, "delay_s": 0.3}]}
-        )
-        batcher = MicroBatcher(maxsize=64, faults=injector).start()
-        first, *rest = _instances(6, seed=13)
-        try:
-            held = batcher.submit(first, "nfdh")
-            # Wait until the drain thread has taken the first request and
-            # sits in that batch's stall.
-            deadline = time.monotonic() + 10
-            while (batcher.depth or not injector.fired) and time.monotonic() < deadline:
-                time.sleep(0.001)
-            assert batcher.depth == 0 and injector.fired == 1
-            futures = [batcher.submit(inst, "nfdh") for inst in rest]
-            _same_report(held.result(timeout=10), run(first, "nfdh"))
-            for fut, inst in zip(futures, rest):
-                _same_report(fut.result(timeout=10), run(inst, "nfdh"))
-        finally:
-            batcher.stop()
-        stats = batcher.stats()
-        assert stats.batches == 2 and stats.max_batch == len(rest)
+    def test_requests_queued_behind_a_running_batch_drain_together(self, clients):
+        """Five solves queued behind a stalled one form one drain tick and
+        start in the order they arrived."""
+        server = SolveServer(faults=_stall(1.0))
+        instances = _instances(6, seed=13)
+        with InProcessServer(server) as srv:
+            futures = _queue_behind_stall(
+                server, srv, clients, [_body(i, "nfdh") for i in instances]
+            )
+            starts = []
+            for future, instance in zip(futures, instances):
+                status, headers, raw = future.result(timeout=30)
+                assert status == 200
+                _same_answer(raw, instance, "nfdh")
+                trace = headers["X-Repro-Trace"].split(";")[0]
+                spans = _get_json(srv.port, f"/debug/trace/{trace}")["spans"]
+                (start,) = [s["start_s"] for s in spans if s["name"] == "engine.solve"]
+                starts.append(start)
+            queue = _queue(srv.port)
+        assert starts == sorted(starts)
+        assert queue["batches"] == 2 and queue["max_batch"] == len(instances) - 1
 
 
 class TestBackpressureAndLifecycle:
-    def test_full_queue_rejects(self):
-        batcher = MicroBatcher(maxsize=2)
-        instances = _instances(3, seed=5)
-        batcher.submit(instances[0])
-        batcher.submit(instances[1])
-        with pytest.raises(BackpressureError, match="full"):
-            batcher.submit(instances[2])
-        stats = batcher.stats()
-        assert stats.rejected == 1 and stats.submitted == 2
+    def test_full_queue_rejects(self, clients):
+        """``queue_size`` counts the solve in progress: with a bound of 1,
+        a second solve behind a stalled one is shed, and counted."""
+        server = SolveServer(queue_size=1, faults=_stall(0.5))
+        held, shed = _instances(2, seed=16)
+        with InProcessServer(server) as srv:
+            first = clients.submit(_post, srv.port, _body(held, "nfdh"))
+            _wait_for(lambda: server.faults.fired >= 1)
+            status, headers, raw = _post(srv.port, _body(shed, "nfdh"))
+            assert status == 503 and headers["Retry-After"] == "1"
+            assert json.loads(raw) == {"error": "request queue is full (1 pending)"}
+            assert first.result(timeout=30)[0] == 200
+            queue = _queue(srv.port)
+        assert queue["rejected"] == 1
+        assert queue["submitted"] == queue["completed"] == 1
 
-    def test_stop_fails_pending_and_rejects_new(self):
-        batcher = MicroBatcher(maxsize=8)
-        (instance,) = _instances(1, seed=6)
-        fut = batcher.submit(instance)
-        batcher.stop()
-        with pytest.raises(BackpressureError):
-            fut.result(timeout=1)
-        with pytest.raises(BackpressureError, match="stopped"):
-            batcher.submit(instance)
-
-    def test_start_is_idempotent_and_restartable(self):
-        batcher = MicroBatcher(maxsize=8)
-        assert batcher.start() is batcher
-        batcher.start()
-        batcher.stop()
-        batcher.start()  # restart after stop
-        (instance,) = _instances(1, seed=7)
-        assert batcher.submit(instance, "nfdh").result(timeout=10).valid
-        batcher.stop()
+    def test_stop_fails_pending_and_rejects_new(self, clients):
+        """close() while a stall holds the solver: the solve in progress
+        still answers, the queued one answers 503 when the solver reaches
+        it, and a new one is refused at once."""
+        server = SolveServer(faults=_stall(0.5))
+        running, queued, late = _instances(3, seed=17)
+        with InProcessServer(server) as srv:
+            futures = _queue_behind_stall(
+                server, srv, clients, [_body(running, "nfdh"), _body(queued, "nfdh")]
+            )
+            server.close()
+            status, _, raw = _post(srv.port, _body(late, "nfdh"))
+            assert status == 503
+            assert json.loads(raw) == {"error": "request queue is stopped"}
+            answers = [future.result(timeout=30) for future in futures]
+        assert answers[0][0] == 200
+        status, headers, raw = answers[1]
+        assert status == 503 and headers["Retry-After"] == "1"
+        assert json.loads(raw) == {"error": "request queue stopped before this solve ran"}
 
     @pytest.mark.parametrize(
-        "kwargs", [{"max_batch": 0}, {"maxsize": -1}, {"maxsize": 0}]
+        "kwargs", [{"queue_size": 0}, {"queue_size": -1}, {"warm_delta": -0.5}]
     )
     def test_bad_construction_rejected(self, kwargs):
         with pytest.raises(InvalidInstanceError):
-            MicroBatcher(**kwargs)
+            SolveServer(**kwargs)
+
+
+def _drain_with_queued(server, bodies):
+    """Serve ``server``, post every body concurrently, and once all are
+    admitted run the graceful drain; returns the answers in body order."""
+    answers = [None] * len(bodies)
+
+    async def scenario():
+        bound = await server.start("127.0.0.1", 0)
+
+        def post(i):
+            answers[i] = _post(server.port, bodies[i])
+
+        threads = [threading.Thread(target=post, args=(i,)) for i in range(len(bodies))]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 10
+        while server._submitted < len(bodies):
+            assert time.monotonic() < deadline, "requests were not admitted"
+            await asyncio.sleep(0.005)
+        await server.drain(bound, timeout=30)
+        return threads
+
+    for thread in asyncio.run(scenario()):
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "a client got no answer"
+    return answers
 
 
 class TestGracefulDrain:
     def test_drain_answers_everything_accepted(self):
-        """drain() with a live thread: accepted requests all resolve to
-        reports (never BackpressureError), then the batcher is stopped."""
-        batcher = MicroBatcher(max_batch=4, maxsize=64)
-        instances = _instances(10, seed=8)
-        batcher.start()
-        futures = [batcher.submit(inst, "nfdh") for inst in instances]
-        batcher.drain(timeout=30)
-        for fut, inst in zip(futures, instances):
-            _same_report(fut.result(timeout=0), run(inst, "nfdh"))
-        stats = batcher.stats()
-        assert stats.completed == stats.submitted == 10 and stats.depth == 0
+        """drain() while a stall holds the solver and solves queue behind
+        it: every accepted request is answered 200, none is shed."""
+        server = SolveServer(faults=_stall(0.5))
+        instances = _instances(6, seed=8)
+        answers = _drain_with_queued(server, [_body(i, "nfdh") for i in instances])
+        for (status, _, raw), instance in zip(answers, instances):
+            assert status == 200
+            _same_answer(raw, instance, "nfdh")
 
     def test_drain_refuses_new_submits_with_a_distinct_message(self):
-        batcher = MicroBatcher(maxsize=8).start()
-        (instance,) = _instances(1, seed=9)
-        batcher.drain(timeout=5)
-        with pytest.raises(BackpressureError, match="stopped"):
-            # after drain() returns, the batcher is fully stopped
-            batcher.submit(instance)
+        """After drain() the stage is stopped: a solve that still reaches
+        it is refused with 503 ``stopped``, not ``full``."""
+        server = SolveServer()
+        (instance,) = _instances(1, seed=10)
+        body = json.dumps(_body(instance, "nfdh")).encode()
 
-    def test_drain_without_thread_flushes_inline(self):
-        """The unit-test path: no drain thread ever started, drain() still
-        answers the queue synchronously."""
-        batcher = MicroBatcher(max_batch=4, maxsize=64)
-        instances = _instances(6, seed=10)
-        futures = [batcher.submit(inst, "ffdh") for inst in instances]
-        batcher.drain(timeout=5)
-        for fut, inst in zip(futures, instances):
-            _same_report(fut.result(timeout=0), run(inst, "ffdh"))
+        async def scenario():
+            bound = await server.start("127.0.0.1", 0)
+            await server.drain(bound)
+            return await server._dispatch("POST", "/solve", {}, body)
 
-    def test_submit_during_drain_is_rejected_as_draining(self):
-        """The drain flag (set before the queue empties) produces the
-        drain-specific message the server maps to 503."""
-        batcher = MicroBatcher(maxsize=8)
-        (instance,) = _instances(1, seed=11)
-        batcher._draining.set()  # as drain() does first
-        with pytest.raises(BackpressureError, match="draining for shutdown"):
-            batcher.submit(instance)
+        status, headers, payload = asyncio.run(scenario())
+        assert status == 503 and headers["Retry-After"] == "1"
+        assert json.loads(payload) == {"error": "request queue is stopped"}
 
     def test_drain_is_reentrant_with_stop(self):
-        batcher = MicroBatcher(maxsize=8).start()
-        batcher.drain(timeout=5)
-        batcher.stop()  # no error, no hang
+        server = SolveServer()
+        (instance,) = _instances(1, seed=9)
+        (answer,) = _drain_with_queued(server, [_body(instance, "nfdh")])
+        assert answer[0] == 200
+        server.close()  # no error, no hang
 
     def test_drain_with_nonempty_queue_and_injected_stall(self):
-        """A queue.drain stall fault slows every batch tick, but drain()
-        still answers everything that was accepted before it started."""
-        from repro.service.faults import FaultInjector
-
-        injector = FaultInjector(
-            {"faults": [{"site": "queue.drain", "kind": "stall",
-                         "count": 0, "delay_s": 0.05}]}
-        )
-        batcher = MicroBatcher(max_batch=2, maxsize=64, faults=injector)
+        """A queue.drain stall on every solve slows each one, but drain()
+        still answers everything accepted before it started."""
+        server = SolveServer(faults=_stall(0.05, count=0))
         instances = _instances(8, seed=12)
-        futures = [batcher.submit(inst, "nfdh") for inst in instances]
-        batcher.drain(timeout=30)  # queue is non-empty when drain begins
-        for fut, inst in zip(futures, instances):
-            _same_report(fut.result(timeout=0), run(inst, "nfdh"))
-        assert injector.fired >= 4  # 8 requests / max_batch 2 → ≥4 stalled ticks
-        stats = batcher.stats()
-        assert stats.completed == stats.submitted == 8 and stats.depth == 0
+        answers = _drain_with_queued(server, [_body(i, "nfdh") for i in instances])
+        for (status, _, raw), instance in zip(answers, instances):
+            assert status == 200
+            _same_answer(raw, instance, "nfdh")
+        assert server.faults.fired == 8  # the seam fires once per solve
+
+
+class TestCounters:
+    def test_counters_survive_concurrent_clients(self, clients):
+        """Eight clients against one solver thread with a 1 µs switch
+        interval: each counter has one writer, so none loses an update."""
+        import sys
+
+        instances = _instances(48, seed=18, size=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with InProcessServer(SolveServer()) as srv:
+                futures = [
+                    clients.submit(_post, srv.port, _body(i, "nfdh")) for i in instances
+                ]
+                statuses = [future.result(timeout=120)[0] for future in futures]
+                queue = _queue(srv.port)
+        finally:
+            sys.setswitchinterval(interval)
+        assert statuses == [200] * len(instances)
+        assert queue["submitted"] == queue["completed"] == len(instances)
+        assert queue["depth"] == 0 and queue["rejected"] == 0
+        # A tick holds at most the eight requests the clients can have out.
+        assert 1 <= queue["max_batch"] <= 8 and queue["batches"] <= len(instances)

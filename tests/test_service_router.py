@@ -505,7 +505,7 @@ class TestSharedSpillTier:
 
 class TestFleetDrain:
     def test_drain_with_inflight_requests_answers_them(self):
-        """router.drain() with the workers' micro-batcher queues non-empty:
+        """router.drain() with solves still queued on the workers:
         stop accepting, answer everything already accepted, SIGTERM the
         fleet — no client sees anything but a 200."""
         import asyncio

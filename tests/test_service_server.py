@@ -406,35 +406,72 @@ class TestErrorMapping:
         assert set(by_endpoint) <= SolveServer.ENDPOINTS | {"unmatched", "unparsed"}
 
 
+def _stalled_solver(**kwargs):
+    """A server whose first cold solve holds the solver thread for 0.5 s."""
+    plan = {"faults": [{"site": "queue.drain", "kind": "stall", "delay_s": 0.5}]}
+    return SolveServer(faults=plan, **kwargs)
+
+
+def _post_on_thread(srv, body):
+    """Send one ``POST /solve`` from a thread; returns (thread, answers)."""
+    import threading
+
+    answers: list = []
+
+    def send():
+        conn = http.client.HTTPConnection(srv.host, srv.port, timeout=30)
+        try:
+            answers.append(_request(conn, "POST", "/solve", body))
+        finally:
+            conn.close()
+
+    thread = threading.Thread(target=send)
+    thread.start()
+    return thread, answers
+
+
+def _wait_until(predicate, timeout=10.0):
+    import time
+
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.002)
+
+
 class TestBackpressure:
     def test_shed_after_accept_is_still_503(self):
-        """A request the queue accepted but dropped on shutdown maps to
-        503 (load shedding), never 500 (server bug)."""
-        from concurrent.futures import Future
-
-        from repro.service.queue import BackpressureError
-
-        server = SolveServer()
-        failed: Future = Future()
-        failed.set_exception(BackpressureError("request queue stopped before this solve ran"))
-        server.batcher.submit = lambda *a, **k: failed  # type: ignore[method-assign]
+        """A request the solve stage accepted but dropped on shutdown maps
+        to 503 (load shedding), never 500 (server bug)."""
+        server = _stalled_solver()
         with InProcessServer(server) as srv:
-            conn = http.client.HTTPConnection(srv.host, srv.port, timeout=10)
-            try:
-                status, headers, raw = _request(conn, "POST", "/solve", {
-                    "instance": instance_to_dict(_plain_instance(seed=9)),
-                    "algorithm": "nfdh",
-                })
-            finally:
-                conn.close()
+            held, _ = _post_on_thread(srv, {
+                "instance": instance_to_dict(_plain_instance(seed=8)),
+                "algorithm": "nfdh",
+            })
+            _wait_until(lambda: server.faults.fired == 1)
+            queued, answers = _post_on_thread(srv, {
+                "instance": instance_to_dict(_plain_instance(seed=9)),
+                "algorithm": "nfdh",
+            })
+            _wait_until(lambda: server._submitted == 2)
+            server.close()
+            for thread in (held, queued):
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        ((status, headers, raw),) = answers
         assert status == 503 and headers.get("Retry-After") == "1"
+        assert "stopped before this solve ran" in json.loads(raw)["error"]
 
     def test_full_queue_responds_503(self):
-        """A server whose batcher never drains sheds load with 503."""
-        server = SolveServer(queue_size=1)
+        """A full solve queue sheds load with 503 + Retry-After."""
+        server = _stalled_solver(queue_size=1)
         with InProcessServer(server) as srv:
-            server.batcher.stop()  # drain thread gone; queue fills up
-            # stop() marks the batcher stopped -> immediate BackpressureError
+            held, _ = _post_on_thread(srv, {
+                "instance": instance_to_dict(_plain_instance(seed=6)),
+                "algorithm": "nfdh",
+            })
+            _wait_until(lambda: server.faults.fired == 1)
             conn = http.client.HTTPConnection(srv.host, srv.port, timeout=10)
             try:
                 status, headers, raw = _request(conn, "POST", "/solve", {
@@ -443,6 +480,8 @@ class TestBackpressure:
                 })
             finally:
                 conn.close()
+            held.join(timeout=30)
+            assert not held.is_alive()
             assert status == 503
             assert headers.get("Retry-After") == "1"
             assert "error" in json.loads(raw)
@@ -450,28 +489,30 @@ class TestBackpressure:
 
 class TestLifecycle:
     def test_failed_bind_raises_and_leaves_no_batcher_thread(self):
-        """A bind failure must not leak the micro-batcher worker thread."""
+        """A bind failure must not leak the solver thread."""
         import socket
         import threading
 
-        def batcher_threads():
-            return sum(
-                1 for t in threading.enumerate()
-                if t.name == "repro-batcher" and t.is_alive()
-            )
+        def solver_threads():
+            # Other servers' solver threads may exit meanwhile; only a new
+            # thread counts as a leak.
+            return {
+                t for t in threading.enumerate()
+                if t.name.startswith("repro-solver") and t.is_alive()
+            }
 
         sock = socket.socket()
         sock.bind(("127.0.0.1", 0))
         sock.listen(1)
         port = sock.getsockname()[1]
-        before = batcher_threads()
+        before = solver_threads()
         try:
             with pytest.raises(OSError):
                 with InProcessServer(SolveServer(), port=port):
                     pass  # pragma: no cover - never reached
         finally:
             sock.close()
-        assert batcher_threads() == before
+        assert solver_threads() <= before
 
 
 class TestCacheSpill(object):
