@@ -2,9 +2,10 @@
 
 Importing this module populates the registry in :mod:`repro.bench.spec`.
 Each of the 18 benchmark scripts maps to one spec (named in ``source``),
-plus ``skyline_bottom_left`` — the kernel before/after race whose artifact
-records the speedup of :class:`repro.geometry.skyline.Skyline` over the
-reference implementation.
+plus the kernel races whose artifacts record a production kernel's
+speedup over its reference implementation: ``skyline_bottom_left``
+(:class:`repro.geometry.skyline.Skyline`), ``level_packers`` and
+``dc_kernel`` (Algorithm 1).
 
 Conventions:
 
@@ -58,6 +59,13 @@ def _random_dag(n, rng):
     from ..workloads.dags import random_precedence_instance
 
     return random_precedence_instance(n, 0.1, rng)
+
+
+def _layered_dag(n, rng):
+    """Pipeline-shaped DAG, shaped like the service benchmark's DC requests."""
+    from ..workloads.dags import layered_precedence_instance
+
+    return layered_precedence_instance(n, 12, 0.05, rng)
 
 
 def _uniform_height_dag(n, rng):
@@ -141,6 +149,12 @@ def _level_reference(name):
 
     run.__name__ = f"reference_{name}"
     return run
+
+
+def _reference_dc(instance):
+    from ..precedence.reference import reference_dc_pack
+
+    return reference_dc_pack(instance)
 
 
 def _dc_with_subroutine(name):
@@ -250,7 +264,7 @@ register_bench(BenchSpec(
 
 register_bench(BenchSpec(
     name="level_packers",
-    title="Level-packing kernels: columnar LevelArray vs object-based reference",
+    title="Level-packing kernels: list-based NFDH/FFDH/BFDH vs object-based reference",
     workload=_plain_powerlaw,
     entries=(
         _engine("nfdh", "nfdh"),
@@ -268,6 +282,23 @@ register_bench(BenchSpec(
     repetitions=2,
     warmup=0,
     source="benchmarks/bench_subroutine_a.py (kernels), geometry/levels.py",
+))
+
+register_bench(BenchSpec(
+    name="dc_kernel",
+    title="DC (Algorithm 1): row indices and one F per instance vs the line-by-line reference",
+    workload=_layered_dag,
+    entries=(
+        _engine("dc", "dc"),
+        _call("reference_dc", _reference_dc),
+    ),
+    # Quick and full sweeps share 200 and 1000 so CI can
+    # `--quick --compare` the committed artifact.
+    sizes=(200, 1_000, 5_000),
+    quick_sizes=(200, 1_000),
+    repetitions=5,
+    warmup=1,
+    source="precedence/dc.py, precedence/reference.py",
 ))
 
 # ----------------------------------------------------------------------

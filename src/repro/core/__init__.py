@@ -1,7 +1,7 @@
 """Core types: rectangles, instances, placements, bounds, tolerances."""
 
 from . import tol
-from .arrays import PlacementBuilder, RectArrays, decreasing_order
+from .arrays import PlacementBuilder, RectArrays
 from .bounds import (
     area_bound,
     combined_lower_bound,
@@ -46,7 +46,6 @@ __all__ = [
     "Rect",
     "RectArrays",
     "PlacementBuilder",
-    "decreasing_order",
     "decreasing_height_order",
     "total_area",
     "max_height",

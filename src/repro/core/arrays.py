@@ -2,10 +2,10 @@
 
 The object model (:class:`~repro.core.rectangle.Rect`, frozen dataclasses)
 is the right interface for algorithms that reason about individual tasks,
-but the offline subroutines the paper's reductions call repeatedly —
-NFDH/FFDH/BFDH and the uniform-height algorithm F — iterate over *every*
-rectangle of an instance thousands of times.  Per-object attribute access
-dominates their runtime long before the algorithmic work does.
+but the APTAS pipeline of Section 3 (rounding, grouping, the configuration
+LP and its integral fill) and the canonical cache key batch over *every*
+rectangle of an instance, where per-object attribute access dominates
+long before the algorithmic work does.
 
 :class:`RectArrays` is the columnar twin: parallel numpy ``float64``
 columns (``width``/``height``/``release``) plus the original rectangle
@@ -13,12 +13,11 @@ tuple for materialisation at the boundary.  Kernels address rectangles by
 *position* (an integer row index), not by object, and only convert back to
 the object world once, through :class:`PlacementBuilder`.
 
-Discipline shared with the skyline kernel (:mod:`repro.geometry.skyline`):
-columnar compute must be *observationally identical* to the object-based
-reference — numpy ``float64`` arithmetic is IEEE-754 double arithmetic, so
-an elementwise ``used + w`` equals the scalar Python sum bit for bit, and
-the differential suite (``tests/test_levels_differential.py``) holds the
-kernels to that standard placement-for-placement.
+Columnar compute must be *observationally identical* to the object-based
+code it stands for — numpy ``float64`` arithmetic is IEEE-754 double
+arithmetic, so an elementwise ``a + b`` equals the scalar Python sum bit
+for bit, and the differential suites (``tests/test_release_differential.py``
+among them) hold the kernels to that standard placement-for-placement.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .errors import InvalidPlacementError
 from .placement import PlacedRect, Placement
 from .rectangle import Rect
 
-__all__ = ["RectArrays", "PlacementBuilder", "decreasing_order"]
+__all__ = ["RectArrays", "PlacementBuilder"]
 
 Node = Hashable
 
@@ -107,10 +106,11 @@ class RectArrays:
     def sid_rank(self) -> np.ndarray:
         """Rank of each row's ``str(rid)`` in Python string order.
 
-        The lexicographic id tie-break of :func:`decreasing_order` (and of
-        the APTAS stackings and pools) as an ``int64`` column: rows whose
-        string forms are equal share a rank, so a stable sort keeps them in
-        row order, exactly like ``sorted`` on ``str(rid)``.  Ranks come
+        The lexicographic id tie-break of the APTAS stackings and pools
+        (the same one :func:`~repro.core.rectangle.decreasing_height_order`
+        uses) as an ``int64`` column: rows whose string forms are equal
+        share a rank, so a stable sort keeps them in row order, exactly
+        like ``sorted`` on ``str(rid)``.  Ranks come
         from Python's own ``sorted``, not from a numpy string array, which
         would drop trailing ``"\\x00"`` characters and tie ``"a"`` with
         ``"a\\x00"``.  Built lazily, then reused — instances cache their
@@ -137,23 +137,6 @@ class RectArrays:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RectArrays(n={len(self)})"
-
-
-def decreasing_order(arrays: RectArrays) -> np.ndarray:
-    """Row permutation sorting by non-increasing height.
-
-    The array-native twin of
-    :func:`repro.core.rectangle.decreasing_height_order`: ties in height
-    break by wider-first, then by the *lexicographic string form* of the
-    id (same intentional tie-break — see that function's docstring).
-    ``np.lexsort`` is stable, exactly like ``sorted``, so rows that tie on
-    all three keys keep their input order and the two orderings agree
-    permutation-for-permutation.
-    """
-    if not len(arrays):
-        return np.empty(0, dtype=np.intp)
-    # lexsort sorts by the *last* key first: height desc, width desc, sid asc.
-    return np.lexsort((arrays.sid_rank(), -arrays.width, -arrays.height))
 
 
 class PlacementBuilder:

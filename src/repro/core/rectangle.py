@@ -113,9 +113,7 @@ def decreasing_height_order(rects: Iterable[Rect]) -> list[Rect]:
     tie-break is *intentionally lexicographic on the string form* (so
     ``'10' < '9'`` and ids of mixed types compare uniformly) — it has been
     the packers' observable order since the seed and the differential
-    suites pin it, so it must not be "fixed" to numeric order.  The
-    array kernels share this exact ordering through
-    :func:`repro.core.arrays.decreasing_order`.
+    suites pin it, so it must not be "fixed" to numeric order.
     """
     return sorted(rects, key=lambda r: (-r.height, -r.width, str(r.rid)))
 

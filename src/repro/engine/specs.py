@@ -47,20 +47,6 @@ def _plain(packer_name: str):
     return run
 
 
-def _columnar(packer_name: str):
-    """Like :func:`_plain`, but hands the packer the instance's cached
-    :class:`~repro.core.arrays.RectArrays` so repeated solves share one
-    copy of the columns (the level packers are array-native)."""
-
-    def run(instance: StripPackingInstance, **kw) -> Placement:
-        from .. import packing
-
-        packer = getattr(packing, packer_name)
-        return packer(instance.arrays(), **kw).placement
-
-    return run
-
-
 def _as_precedence(instance: StripPackingInstance) -> PrecedenceInstance:
     if isinstance(instance, PrecedenceInstance):
         return instance
@@ -116,7 +102,7 @@ register(AlgorithmSpec(
     name="nfdh",
     variants=("plain",),
     guarantee="2*AREA + hmax",
-    runner=_columnar("nfdh"),
+    runner=_plain("nfdh"),
     param_types=_LEVEL_PARAMS,
     summary="Next Fit Decreasing Height level packing",
 ))
@@ -124,7 +110,7 @@ register(AlgorithmSpec(
     name="ffdh",
     variants=("plain",),
     guarantee="1.7*OPT + hmax (asymptotic)",
-    runner=_columnar("ffdh"),
+    runner=_plain("ffdh"),
     param_types=_LEVEL_PARAMS,
     summary="First Fit Decreasing Height level packing",
 ))
@@ -132,7 +118,7 @@ register(AlgorithmSpec(
     name="bfdh",
     variants=("plain",),
     guarantee="heuristic",
-    runner=_columnar("bfdh"),
+    runner=_plain("bfdh"),
     param_types=_LEVEL_PARAMS,
     summary="Best Fit Decreasing Height level packing",
 ))

@@ -5,9 +5,10 @@
 * :mod:`repro.geometry.skyline_reference` — the original linear-scan
   kernel, kept as the executable specification for differential tests and
   the ``skyline_bottom_left`` bench;
-* :mod:`repro.geometry.levels` — shelf/level bookkeeping: the columnar
-  :class:`~repro.geometry.levels.LevelArray` kernel the offline packers
-  use, plus the object-based shelves the online policy keeps;
+* :mod:`repro.geometry.levels` — shelf/level bookkeeping: the list-based
+  NFDH/FFDH/BFDH kernels behind :func:`~repro.geometry.levels.level_pack`
+  that the offline packers use, plus the object-based shelves the online
+  policy keeps;
 * :mod:`repro.geometry.levels_reference` — the original object-based
   level-packing loops, kept as the executable specification for
   differential tests and the ``level_packers`` bench;
@@ -16,7 +17,7 @@
 * :mod:`repro.geometry.stacking` — the paper's stacking abstraction.
 """
 
-from .levels import Level, LevelArray, LevelStack
+from .levels import Level, LevelStack
 from .occupancy import band_density, occupancy_profile, union_area, utilisation
 from .skyline import Skyline, SkySegment
 from .skyline_reference import ReferenceSkyline
@@ -37,7 +38,6 @@ __all__ = [
     "SkySegment",
     "ReferenceSkyline",
     "Level",
-    "LevelArray",
     "LevelStack",
     "ReferenceLevel",
     "ReferenceLevelStack",

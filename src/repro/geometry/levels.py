@@ -13,40 +13,39 @@ Two implementations live here:
   shelves as objects.  The original packer loops over this structure are
   preserved verbatim in :mod:`repro.geometry.levels_reference` as the
   executable specification.
-* :class:`LevelArray` — the columnar kernel the offline packers use:
-  parallel numpy arrays of level ``y``/``height``/``used_width``, with the
-  first-fit scan collapsed into one vectorized candidate mask (built in a
-  single SIMD pass; ``argmax`` over the boolean mask short-circuits at the
-  first fitting shelf) and best-fit into a masked ``argmin``.  Per
-  rectangle this replaces an O(levels) Python loop of attribute accesses
-  with a constant number of C-speed array operations, which is what drops
-  FFDH from minutes to seconds at 10^5 rectangles (see
-  ``BENCH_level_packers.json``).
+* :func:`level_pack` — the offline NFDH/FFDH/BFDH kernels the packers in
+  :mod:`repro.packing` call.  Levels are plain Python floats in lists, so a
+  16- or 200-rectangle call pays no numpy round trips:
 
-Float discipline: every predicate the array kernel evaluates is the exact
-elementwise image of the reference predicate (``used + w <= 1 + atol``,
-``resid = (1 - used) - w``), so decisions — and therefore placements — are
-bit-identical to the reference.  ``tests/test_levels_differential.py``
-enforces this.
+  - NFDH keeps its one open level as three floats;
+  - FFDH finds the lowest level with room in a min-``used`` tournament
+    tree (Johnson, "Fast algorithms for bin packing", JCSS 1974), in
+    O(log levels) per rectangle;
+  - BFDH keeps ``(used, level)`` pairs sorted and binary-searches the
+    fullest level that fits.
 
-:func:`level_pack` is the one NFDH/FFDH/BFDH loop over a
-:class:`LevelArray`; the packers in :mod:`repro.packing` call it.
+Float discipline: every decision is the reference predicate evaluated on
+the same floats (``used + w <= 1 + atol``, ``resid = (1 - used) - w``), so
+placements are bit-identical to the reference.  The tree and the sorted
+list are exact, not approximate, because float addition and subtraction
+are monotone: ``min(used) + w <= 1 + atol`` holds for a subtree iff the
+predicate holds for some level in it, and a larger ``used`` never gives a
+larger residual.  ``tests/test_levels_differential.py`` enforces this.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from ..core import tol
-from ..core.arrays import PlacementBuilder, RectArrays, decreasing_order
+from ..core.arrays import RectArrays
 from ..core.errors import InvalidPlacementError
-from ..core.placement import Placement
-from ..core.rectangle import Rect
+from ..core.placement import PlacedRect, Placement
+from ..core.rectangle import Rect, decreasing_height_order
 
-__all__ = ["Level", "LevelStack", "LevelArray", "level_pack"]
+__all__ = ["Level", "LevelStack", "level_pack"]
 
 
 @dataclass
@@ -134,124 +133,116 @@ class LevelStack:
         return iter(self.levels)
 
 
-class LevelArray:
-    """Columnar level bookkeeping: parallel arrays growing upward from
-    ``y = base``.
 
-    Levels are addressed by index (0 = lowest).  The arrays are
-    preallocated and doubled on demand; scratch buffers for the fit mask
-    and residuals are reused across queries so the steady-state cost per
-    rectangle is a handful of vectorized passes with no allocation.
+
+# ----------------------------------------------------------------------
+# offline kernels: (rectangles in decreasing-height order, base y) ->
+# (rid -> PlacedRect in placement order, top of the last level)
+# ----------------------------------------------------------------------
+
+def _nfdh(ordered: list[Rect], y: float) -> tuple[dict, float]:
+    """Next fit: one open level, closed for good when a rectangle misses."""
+    placed = {}
+    limit = 1.0 + tol.ATOL
+    level_y, top, used = y, y + ordered[0].height, 0.0
+    for r in ordered:
+        w = r.width
+        if not used + w <= limit:
+            level_y, top, used = top, top + r.height, 0.0
+        placed[r.rid] = PlacedRect(r, tol.clamp(used, 0.0, 1.0 - w), level_y)
+        used += w
+    return placed, top
+
+
+def _ffdh(ordered: list[Rect], y: float) -> tuple[dict, float]:
+    """First fit: the lowest level with room, found in a tournament tree.
+
+    Leaf ``cap + i`` holds level ``i``'s ``used`` width (``inf`` while the
+    level is unopened) and every inner node the minimum of its children,
+    so a subtree has room for ``w`` iff its node plus ``w`` passes the fit
+    test.  The search descends left first; a place raises one leaf and
+    its ancestors up to the first one whose minimum does not change.  The
+    tree doubles when the levels fill it, so its depth is log2(levels).
     """
+    placed = {}
+    limit = 1.0 + tol.ATOL
+    inf = float("inf")
+    cap = 1
+    tree = [inf, inf]
+    ys: list[float] = []
+    top = y
+    for r in ordered:
+        w = r.width
+        if tree[1] + w <= limit:
+            i = 1
+            while i < cap:
+                i *= 2
+                if tree[i] + w > limit:
+                    i += 1
+            used = tree[i]
+        else:
+            if len(ys) == cap:
+                cap *= 2
+                tree = [inf] * cap + tree[cap // 2 :] + [inf] * (cap // 2)
+                for k in range(cap - 1, 0, -1):
+                    tree[k] = min(tree[2 * k], tree[2 * k + 1])
+            i = cap + len(ys)
+            ys.append(top)
+            top += r.height
+            used = 0.0
+        placed[r.rid] = PlacedRect(r, tol.clamp(used, 0.0, 1.0 - w), ys[i - cap])
+        used += w
+        tree[i] = used
+        while i > 1:
+            i //= 2
+            left, right = tree[2 * i], tree[2 * i + 1]
+            low = left if left <= right else right
+            if tree[i] == low:
+                break
+            tree[i] = low
+    return placed, top
 
-    __slots__ = ("base", "_y", "_h", "_used", "_n", "_sum", "_resid", "_mask", "_nofit")
 
-    def __init__(self, base: float = 0.0, capacity: int = 64) -> None:
-        capacity = max(int(capacity), 1)
-        self.base = base
-        self._y = np.empty(capacity, dtype=np.float64)
-        self._h = np.empty(capacity, dtype=np.float64)
-        self._used = np.empty(capacity, dtype=np.float64)
-        self._n = 0
-        self._sum = np.empty(capacity, dtype=np.float64)
-        self._resid = np.empty(capacity, dtype=np.float64)
-        self._mask = np.empty(capacity, dtype=bool)
-        self._nofit = np.empty(capacity, dtype=bool)
+def _bfdh(ordered: list[Rect], y: float) -> tuple[dict, float]:
+    """Best fit: the fitting level with the least residual, lowest first.
 
-    def _grow(self) -> None:
-        cap = 2 * len(self._y)
-        for name in ("_y", "_h", "_used", "_sum", "_resid"):
-            buf = np.empty(cap, dtype=np.float64)
-            buf[: self._n] = getattr(self, name)[: self._n]
-            setattr(self, name, buf)
-        self._mask = np.empty(cap, dtype=bool)
-        self._nofit = np.empty(cap, dtype=bool)
+    ``by_used`` holds one ``(used, level)`` pair per level, sorted.  The
+    levels that fit form a prefix of it, and the last pair of that prefix
+    has the least residual ``(1 - used) - w``.  Rounding can give several
+    ``used`` values that same residual; they form a run of groups of equal
+    ``used`` at the end of the prefix, and the first pair of each group
+    holds its lowest level.  The reference scan keeps the lowest level
+    among equal residuals, so the lowest of those group heads wins.
+    """
+    placed = {}
+    limit = 1.0 + tol.ATOL
+    by_used: list[tuple[float, int]] = []
+    ys: list[float] = []
+    top = y
+    for r in ordered:
+        w = r.width
+        fit = bisect_right(by_used, limit, key=lambda pair: pair[0] + w)
+        if fit:
+            best = (1.0 - by_used[fit - 1][0]) - w
+            # len(ys) is above every level, so the first group head is picked.
+            at, level = fit, len(ys)
+            while at and (1.0 - by_used[at - 1][0]) - w == best:
+                head = bisect_left(by_used, (by_used[at - 1][0], -1), 0, at)
+                if by_used[head][1] < level:
+                    pick, level = head, by_used[head][1]
+                at = head
+            used = by_used.pop(pick)[0]
+        else:
+            level = len(ys)
+            ys.append(top)
+            top += r.height
+            used = 0.0
+        placed[r.rid] = PlacedRect(r, tol.clamp(used, 0.0, 1.0 - w), ys[level])
+        insort(by_used, (used + w, level))
+    return placed, top
 
-    # -- structure -------------------------------------------------------
-    def __len__(self) -> int:
-        return self._n
 
-    @property
-    def top(self) -> float:
-        """Current total top of the stack (``base`` when empty)."""
-        if self._n == 0:
-            return self.base
-        return float(self._y[self._n - 1] + self._h[self._n - 1])
-
-    @property
-    def extent(self) -> float:
-        """Total height consumed by the levels."""
-        return self.top - self.base
-
-    def open_level(self, height: float) -> int:
-        """Open a new level of the given height on top; return its index."""
-        if self._n == len(self._y):
-            self._grow()
-        i = self._n
-        self._y[i] = self.top
-        self._h[i] = height
-        self._used[i] = 0.0
-        self._n = i + 1
-        return i
-
-    # -- fit queries -----------------------------------------------------
-    def fits_on(self, idx: int, width: float) -> bool:
-        """Whether ``width`` fits in the remaining width of level ``idx``
-        (same predicate as :meth:`Level.fits`)."""
-        return float(self._used[idx]) + width <= 1.0 + tol.ATOL
-
-    def first_fit(self, width: float) -> int:
-        """Lowest level with room for ``width``, or ``-1``.
-
-        One vectorized pass builds ``used + width <= 1 + atol`` over every
-        level (elementwise, the exact reference predicate); ``argmax`` on
-        the boolean mask short-circuits at the first ``True``.
-        """
-        n = self._n
-        if n == 0:
-            return -1
-        s = self._sum[:n]
-        np.add(self._used[:n], width, out=s)
-        m = self._mask[:n]
-        np.less_equal(s, 1.0 + tol.ATOL, out=m)
-        i = int(m.argmax())
-        return i if m[i] else -1
-
-    def best_fit(self, width: float) -> int:
-        """Fitting level with the least residual width, or ``-1``.
-
-        Residuals are computed as ``(1 - used) - width`` — the reference
-        kernel's exact expression — and the masked ``argmin`` returns the
-        lowest index among ties, matching the reference's strict-improvement
-        scan order.
-        """
-        n = self._n
-        if n == 0:
-            return -1
-        s = self._sum[:n]
-        np.add(self._used[:n], width, out=s)
-        m = self._mask[:n]
-        np.less_equal(s, 1.0 + tol.ATOL, out=m)
-        i = int(m.argmax())
-        if not m[i]:
-            return -1
-        resid = self._resid[:n]
-        np.subtract(1.0, self._used[:n], out=resid)
-        np.subtract(resid, width, out=resid)
-        nofit = self._nofit[:n]
-        np.logical_not(m, out=nofit)
-        resid[nofit] = np.inf
-        return int(resid.argmin())
-
-    # -- placement -------------------------------------------------------
-    def place(self, idx: int, width: float) -> tuple[float, float]:
-        """Advance level ``idx`` by ``width``; return the ``(x, y)`` of the
-        placed rectangle (same clamp/advance discipline as
-        :meth:`Level.push`).  No fit check — callers decide first."""
-        used = float(self._used[idx])
-        x = tol.clamp(used, 0.0, 1.0 - width)
-        self._used[idx] = used + width
-        return x, float(self._y[idx])
+_KERNELS = {"nfdh": _nfdh, "ffdh": _ffdh, "bfdh": _bfdh}
 
 
 def level_pack(
@@ -260,31 +251,19 @@ def level_pack(
     """Pack all of ``rects`` from height ``y`` by NFDH, FFDH or BFDH;
     return the placement and the vertical extent used.
 
-    Rectangles go in decreasing-height order.  NFDH keeps one open level
-    and opens a new one when the next rectangle misses; FFDH takes the
-    lowest level with room, BFDH the tightest; both open a new level when
-    none fits.
+    Rectangles go in :func:`~repro.core.rectangle.decreasing_height_order`.
+    NFDH keeps one open level and opens a new one when the next rectangle
+    misses; FFDH takes the lowest level with room, BFDH the tightest; both
+    open a new level when none fits.  ``rects`` may also be a
+    :class:`~repro.core.arrays.RectArrays` (such as ``instance.arrays()``),
+    whose rectangle tuple is packed.
     """
-    arrays = RectArrays.coerce(rects)
-    if not len(arrays):
+    if isinstance(rects, RectArrays):
+        rects = rects.rects
+    ordered = decreasing_height_order(rects)
+    if not ordered:
         return Placement(), 0.0
-    builder = PlacementBuilder(arrays)
-    levels = LevelArray(base=y)
-    rows = decreasing_order(arrays)
-    ws = arrays.width[rows].tolist()
-    hs = arrays.height[rows].tolist()
-    puts = zip(rows.tolist(), ws, hs)
-    if algorithm == "nfdh":
-        idx = levels.open_level(hs[0])
-        for row, w, h in puts:
-            if not levels.fits_on(idx, w):
-                idx = levels.open_level(h)
-            builder.put(row, *levels.place(idx, w))
-    else:
-        fit = {"ffdh": levels.first_fit, "bfdh": levels.best_fit}[algorithm]
-        for row, w, h in puts:
-            idx = fit(w)
-            if idx < 0:
-                idx = levels.open_level(h)
-            builder.put(row, *levels.place(idx, w))
-    return builder.build(), levels.extent
+    placed, top = _KERNELS[algorithm](ordered, float(y))
+    if len(placed) != len(ordered):
+        raise InvalidPlacementError("level packer saw a rectangle id twice")
+    return Placement(placed), top - y

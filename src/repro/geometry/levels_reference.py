@@ -7,13 +7,15 @@ over it.  It exists for two purposes, exactly mirroring
 :mod:`repro.geometry.skyline_reference`:
 
 * **differential testing** — ``tests/test_levels_differential.py`` runs
-  the array kernels (:class:`repro.geometry.levels.LevelArray` via
+  the production kernels (:func:`repro.geometry.levels.level_pack` via
   :mod:`repro.packing`) and these references over the same inputs and
   requires placement-for-placement equality (same ``(x, y)`` for every
   rectangle, same extents);
-* **benchmarking** — the ``level_packers`` bench spec races the array
-  kernels against these, so every ``BENCH_level_packers.json`` artifact
-  records the before/after of the columnar rewrite.
+* **benchmarking** — the ``level_packers`` bench spec races the
+  production kernels against these, so every ``BENCH_level_packers.json``
+  artifact records the speedup of the list-based kernels, and
+  :func:`repro.precedence.reference.reference_dc_pack` packs DC's bands
+  with :func:`reference_nfdh`.
 
 The per-level Python scans are deliberate: each loop is a direct
 transcription of the algorithm's textbook statement.  Do not optimize this

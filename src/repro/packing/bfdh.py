@@ -5,10 +5,10 @@ Variant of FFDH that places each rectangle on the open level with the
 level when none fits.  Empirically denser than FFDH on heterogeneous widths;
 no better worst-case guarantee.  Included as a baseline for experiment E11.
 
-The best-fit selection is a masked ``argmin`` over
-:class:`~repro.geometry.levels.LevelArray`'s residual column (lowest level
-wins ties, exactly like the reference scan's strict-improvement rule); the
-original object-based loop is preserved as
+The best-fit selection is a binary search over the levels' ``(used,
+level)`` pairs kept sorted (lowest level wins ties on the residual, exactly
+like the reference scan's strict-improvement rule); the original
+object-based loop is preserved as
 :func:`repro.geometry.levels_reference.reference_bfdh`.
 """
 

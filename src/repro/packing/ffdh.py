@@ -12,11 +12,12 @@ half full in width for the rectangles defining subsequent levels), so it can
 be plugged into DC; the library keeps NFDH as the default because its
 ``2*AREA + h_max`` bound is the one proved in the paper's citation chain.
 
-The first-fit scan runs on :class:`~repro.geometry.levels.LevelArray`: one
-vectorized candidate mask over the remaining-width column, short-circuited
-by ``argmax`` — the per-level Python loop this replaces
+The first-fit search descends a min-``used`` tournament tree over the
+levels (Johnson, "Fast algorithms for bin packing", JCSS 1974), so each
+rectangle costs O(log levels) — the per-level Python scan it replaces
 (:func:`repro.geometry.levels_reference.reference_ffdh`, the executable
-spec) is ~48x slower at 10^5 rectangles (``BENCH_level_packers.json``).
+spec) is quadratic, and dozens of times slower at 10^5 rectangles
+(``BENCH_level_packers.json``).
 """
 
 from __future__ import annotations

@@ -17,10 +17,12 @@ with the first rectangle of level ``i+1`` their widths exceed 1, so
 gives ``sum_{i>=2} H_i <= 2 * AREA``; adding the first level's ``H_1 <=
 h_max`` yields the bound.
 
-This is the array-native strategy over
-:class:`~repro.geometry.levels.LevelArray`; the original object-based loop
-is preserved as :func:`repro.geometry.levels_reference.reference_nfdh` and
-the differential suite pins the two placement-for-placement.
+The kernel (:func:`repro.geometry.levels.level_pack`) keeps the one open
+level as three plain floats, which is what DC's many small ``S_mid`` bands
+(median 3 rectangles on the service's 200-rect instances) want; the
+original object-based loop is preserved as
+:func:`repro.geometry.levels_reference.reference_nfdh` and the differential
+suite pins the two placement-for-placement.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def nfdh(rects: Sequence[Rect] | RectArrays, y: float = 0.0) -> PackResult:
 
     Deterministic: ties in height are broken by wider-first, then id, so
     repeated runs produce identical placements.  Accepts a plain rectangle
-    sequence or a prebuilt :class:`~repro.core.arrays.RectArrays` (the
-    engine passes the instance's cached columns).
+    sequence or a :class:`~repro.core.arrays.RectArrays` (the engine
+    passes the instance's cached one), whose rectangles are packed.
     """
     return PackResult(*level_pack("nfdh", rects, y))

@@ -1,7 +1,7 @@
-"""Reference Section-2 bookkeeping — the executable specification.
+"""Reference Section-2 algorithms — the executable specification.
 
 This module preserves, verbatim, the pre-optimisation versions of the
-three routines the precedence solvers spend their bookkeeping in:
+routines the precedence solvers spend their bookkeeping in:
 
 * :func:`reference_shelf_next_fit` — Algorithm F with the original ready
   set: after every shelf it rescans every unplaced rectangle and checks
@@ -9,14 +9,17 @@ three routines the precedence solvers spend their bookkeeping in:
 * :func:`reference_compute_F` — ``F`` with a copied predecessor set per
   node;
 * :func:`reference_induced` — the induced sub-DAG built through the
-  validating constructor, cycle check included.
+  validating constructor, cycle check included;
+* :func:`reference_dc_pack` — Algorithm 1 line by line over the three
+  references: every call builds its part's induced sub-DAG, recomputes
+  ``F`` on it (line 2) and packs ``S_mid`` with the reference NFDH.
 
 ``tests/test_precedence_differential.py`` runs the production versions
 (:mod:`repro.precedence.shelf_nextfit`, :mod:`repro.dag.critical_path`,
-:meth:`repro.dag.graph.TaskDAG.induced`) and these over the same
-instances, and requires identical placements, shelf records, ``F`` maps,
-sub-DAGs and DC band decompositions.  Do not optimize this module — its
-only job is to be obviously correct.
+:meth:`repro.dag.graph.TaskDAG.induced`, :mod:`repro.precedence.dc`) and
+these over the same instances, and requires identical placements, shelf
+records, ``F`` maps, sub-DAGs and DC band decompositions.  Do not
+optimize this module — its only job is to be obviously correct.
 """
 
 from __future__ import annotations
@@ -29,9 +32,17 @@ from ..core.errors import InvalidInstanceError
 from ..core.instance import PrecedenceInstance
 from ..core.placement import Placement
 from ..dag.graph import TaskDAG
+from ..geometry.levels_reference import reference_nfdh
+from .dc import DCBand, DCResult
 from .shelf_nextfit import ShelfRecord, ShelfRun
 
-__all__ = ["reference_shelf_next_fit", "reference_compute_F", "reference_induced"]
+__all__ = [
+    "reference_shelf_next_fit",
+    "reference_compute_F",
+    "reference_induced",
+    "reference_dc_split",
+    "reference_dc_pack",
+]
 
 Node = Hashable
 
@@ -125,3 +136,61 @@ def reference_induced(dag: TaskDAG, keep: Iterable[Node]) -> TaskDAG:
     nodes = [n for n in dag if n in keep_set]
     succ = dag.successor_sets()
     return TaskDAG(nodes, [(u, v) for u in nodes for v in succ[u] if v in keep_set])
+
+
+def reference_dc_split(
+    ids: list[Node], dag: TaskDAG, F: Mapping[Node, float], heights: Mapping[Node, float]
+) -> tuple[list[Node], list[Node], list[Node]]:
+    """Lines 3-6 of Algorithm 1: ``(S_bot, S_mid, S_top)`` of the part
+    ``ids`` with sub-DAG ``dag`` and its ``F``, in ``ids`` order.
+
+    When the tolerant split leaves ``S_mid`` empty (heights of mixed
+    magnitudes, see :mod:`repro.precedence.dc`), ``S_mid`` is the
+    part's sources and ``S_top`` the rest.
+    """
+    H = max(F[s] for s in ids)
+    half = H / 2.0
+    s_bot, s_mid, s_top = [], [], []
+    for s in ids:
+        if tol.gt(F[s] - heights[s], half):
+            s_top.append(s)
+        elif tol.leq(F[s], half):
+            s_bot.append(s)
+        else:
+            s_mid.append(s)
+    if not s_mid:
+        s_bot = []
+        s_mid = [s for s in ids if not dag.predecessors(s)]
+        s_top = [s for s in ids if dag.predecessors(s)]
+    return s_bot, s_mid, s_top
+
+
+def reference_dc_pack(instance: PrecedenceInstance) -> DCResult:
+    """Algorithm 1 with NFDH as ``A``, recomputing ``F`` at every call."""
+    by_id = instance.by_id()
+    heights = instance.heights()
+    result = DCResult(placement=Placement(), height=0.0)
+
+    def recurse(y: float, ids: list[Node], dag: TaskDAG, depth: int) -> float:
+        # 1: if S is empty, return 0.
+        if not ids:
+            return 0.0
+        # 2: recalculate F on the induced sub-DAG.
+        F = reference_compute_F(dag, heights)
+        # 3-6: H = F(S) and the three-way split around H/2.
+        s_bot, s_mid, s_top = reference_dc_split(ids, dag, F, heights)
+        assert s_mid, "Lemma 2.2 violated: empty S_mid"
+        cur = y
+        # 7-8: place S_bot below.
+        cur += recurse(cur, s_bot, reference_induced(dag, s_bot), depth + 1)
+        # 9-10: pack the antichain S_mid with A starting at cur.
+        pack = reference_nfdh([by_id[s] for s in s_mid], cur)
+        result.placement.merge(pack.placement)
+        result.bands.append(DCBand(y=cur, extent=pack.extent, ids=tuple(s_mid), depth=depth))
+        cur += pack.extent
+        # 11-12: place S_top above.
+        cur += recurse(cur, s_top, reference_induced(dag, s_top), depth + 1)
+        return cur - y
+
+    result.height = recurse(0.0, list(by_id), instance.dag, depth=0)
+    return result

@@ -215,7 +215,7 @@ class TestCommittedSkylineArtifact:
 
 
 class TestCommittedLevelPackersArtifact:
-    """The checked-in before/after artifact of the columnar level kernels."""
+    """The checked-in before/after artifact of the list-based level kernels."""
 
     @pytest.fixture(scope="class")
     def artifact(self):
@@ -231,14 +231,14 @@ class TestCommittedLevelPackersArtifact:
         """ISSUE acceptance: >= 5x over the reference FFDH at n=100000."""
         medians = {(p["label"], p["size"]): p["median_s"] for p in artifact["points"]}
         assert medians[("reference_ffdh", 100_000)] / medians[("ffdh", 100_000)] >= 5.0
-        # and the array kernel packs 1e5 rectangles in seconds
+        # and the production kernel packs 1e5 rectangles in seconds
         assert medians[("ffdh", 100_000)] < 10.0
 
     def test_scan_packers_speed_up_nfdh_stays_parity(self, artifact):
         """The scan-heavy packers gain an order of magnitude; NFDH (a
-        one-level streaming loop, never quadratic) stays within a small
-        constant of its reference — the columnar boundary costs a few
-        list appends per rectangle, which only NFDH ever notices."""
+        one-level streaming loop, never quadratic) has no scan to remove
+        and stays within a small constant of its reference, which runs the
+        same loop over level objects."""
         medians = {(p["label"], p["size"]): p["median_s"] for p in artifact["points"]}
         for name in ("ffdh", "bfdh"):
             assert medians[(f"reference_{name}", 100_000)] / medians[(name, 100_000)] >= 5.0
@@ -262,6 +262,40 @@ class TestCommittedLevelPackersArtifact:
         quick = {
             (e.label, s) for e in spec.entries for s in spec.sweep(quick=True)
         }
+        assert committed & quick
+
+
+class TestCommittedDCKernelArtifact:
+    """The checked-in race of DC on row indices against the reference DC."""
+
+    @pytest.fixture(scope="class")
+    def artifact(self):
+        from pathlib import Path
+
+        path = (
+            Path(__file__).resolve().parent.parent
+            / "benchmarks" / "artifacts" / "BENCH_dc_kernel.json"
+        )
+        return load_artifact(path)  # schema-validates
+
+    def test_speedup_at_1000_rects(self, artifact):
+        """At least 2x over the line-by-line reference at n=1000."""
+        medians = {(p["label"], p["size"]): p["median_s"] for p in artifact["points"]}
+        assert medians[("reference_dc", 1_000)] / medians[("dc", 1_000)] >= 2.0
+
+    def test_same_heights_per_size(self, artifact):
+        """Both versions packed every sweep size to the same height."""
+        heights: dict[int, set[float]] = {}
+        for p in artifact["points"]:
+            heights.setdefault(p["size"], set()).add(p["metrics"]["height"])
+        assert heights and all(len(hs) == 1 for hs in heights.values())
+
+    def test_quick_sizes_overlap_for_ci_compare(self, artifact):
+        """CI diffs a --quick run against this artifact; at least one
+        (label, size) point must overlap or compare_artifacts errors."""
+        spec = get_bench("dc_kernel")
+        committed = {(p["label"], p["size"]) for p in artifact["points"]}
+        quick = {(e.label, s) for e in spec.entries for s in spec.sweep(quick=True)}
         assert committed & quick
 
 

@@ -1,8 +1,9 @@
-"""Differential tests: array-native level packers vs the reference kernels.
+"""Differential tests: the list-based level packers vs the reference kernels.
 
-The columnar packers (:mod:`repro.packing` on
-:class:`repro.geometry.levels.LevelArray`) must be *observationally
-identical* to the executable specification
+The production packers (:mod:`repro.packing` over
+:func:`repro.geometry.levels.level_pack`: NFDH on plain floats, FFDH on a
+min-``used`` tournament tree, BFDH on sorted ``(used, level)`` pairs) must
+be *observationally identical* to the executable specification
 (:mod:`repro.geometry.levels_reference`): same ``(x, y)`` for every
 rectangle, same extents — on hypothesis-generated rectangle lists and on
 the real workload generators at packing scale.  This is what makes the
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.arrays import RectArrays, decreasing_order
+from repro.core.arrays import RectArrays
 from repro.core.rectangle import Rect, decreasing_height_order
 from repro.geometry.levels_reference import (
     reference_bfdh,
@@ -122,15 +123,6 @@ def test_packer_differential_deep(fast, ref, seed):
     assert_identical(fast(rects), ref(rects), rects)
 
 
-@given(rect_lists(min_size=0, max_size=24, max_h=3.0))
-def test_decreasing_order_matches_sorted(rects):
-    """The lexsort permutation equals the object-world sort."""
-    arrays = RectArrays.from_rects(rects)
-    by_array = [rects[i].rid for i in decreasing_order(arrays)]
-    by_sorted = [r.rid for r in decreasing_height_order(rects)]
-    assert by_array == by_sorted
-
-
 def test_nul_suffixed_ids_keep_string_order():
     """``"a"`` sorts before ``"a\x00"`` in Python; a numpy string column
     drops the trailing NUL and would tie them, letting row order decide."""
@@ -139,10 +131,8 @@ def test_nul_suffixed_ids_keep_string_order():
         Rect(rid="a", width=0.6, height=0.5),
         Rect(rid="b", width=0.4, height=0.5),
     ]
-    arrays = RectArrays.from_rects(rects)
     expected = [r.rid for r in decreasing_height_order(rects)]
     assert expected[0] == "a"
-    assert [rects[i].rid for i in decreasing_order(arrays)] == expected
     for fast, ref in (p.values[:2] for p in PAIRS):
         assert_identical(fast(rects), ref(rects), rects)
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bounds import area_bound, critical_path_bound, dc_guarantee
 from repro.core.instance import PrecedenceInstance
@@ -16,7 +17,7 @@ from repro.dag.validate import is_antichain
 from repro.packing import bfdh, ffdh, nfdh
 from repro.precedence.dc import dc_pack
 
-from .conftest import precedence_instances
+from .conftest import dags_over, precedence_instances
 
 
 class TestDCBasics:
@@ -144,3 +145,29 @@ def test_dc_height_at_least_lower_bounds(inst):
     result = dc_pack(inst)
     assert result.height >= critical_path_bound(inst) - 1e-9
     assert result.height >= area_bound(inst) - 1e-9
+
+
+@st.composite
+def tiny_height_instances(draw, max_size: int = 30):
+    """DAGs whose heights mix 1.0 with values near or below ATOL, where a
+    part's F(S) can fall within 2*ATOL of zero and the tolerant split
+    leaves S_mid empty."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    height = st.one_of(
+        st.sampled_from([1e-12, 3e-10, 1.5e-9, 1.0]),
+        st.floats(min_value=1e-13, max_value=1e-9),
+    )
+    rects = [
+        Rect(rid=i, width=draw(st.floats(0.05, 1.0)), height=draw(height))
+        for i in range(n)
+    ]
+    return PrecedenceInstance(rects, draw(dags_over(n)))
+
+
+@settings(deadline=None)
+@given(tiny_height_instances())
+def test_dc_valid_and_within_theorem_bound_on_tiny_heights(inst):
+    result = dc_pack(inst)
+    validate_placement(inst, result.placement)
+    bound = dc_guarantee(len(inst), area_bound(inst), critical_path_bound(inst))
+    assert result.height <= bound + 1e-9

@@ -1,12 +1,17 @@
 """Differential tests: Algorithm F and DC against their executable specs.
 
 Algorithm F's ready set (per-rectangle counts of predecessors not yet on a
-closed shelf), ``compute_F`` (no per-node predecessor copies) and
-``TaskDAG.induced`` (no cycle re-check) must be observationally identical
-to the pre-optimisation versions kept in :mod:`repro.precedence.reference`:
-the same placement for every rectangle, the same shelf records (ids, used
-width and ``closed_by_skip``, so Lemma 2.5's skip count cannot move), the
-same ``F`` maps and sub-DAGs, and the same DC band decomposition.
+closed shelf), ``compute_F`` (no per-node predecessor copies),
+``TaskDAG.induced`` (no cycle re-check) and DC on row indices (one ``F``
+per instance, reused for ``S_bot`` and recomputed in one pass for
+``S_top``) must be observationally identical to the pre-optimisation
+versions kept in :mod:`repro.precedence.reference`: the same placement
+for every rectangle, the same shelf records (ids, used width and
+``closed_by_skip``, so Lemma 2.5's skip count cannot move), the same
+``F`` maps and sub-DAGs, and the same DC band decomposition.  The ``S_bot``
+reuse rests on an identity that is pinned here too: at every recursion of
+the reference DC, ``F`` on the sub-DAG induced by ``S_bot`` equals the
+parent's ``F`` bit for bit.
 
 Generated ids mix ints and strings but keep their ``str()`` forms unique.
 Both versions queue fresh rectangles sorted by ``str(id)``; on a tie the
@@ -26,10 +31,11 @@ from repro.core.instance import PrecedenceInstance
 from repro.core.rectangle import Rect
 from repro.dag.critical_path import F_of_set, compute_F
 from repro.dag.graph import TaskDAG
-from repro.precedence import dc as dc_module
+from repro.precedence import reference
 from repro.precedence.dc import dc_pack
 from repro.precedence.reference import (
     reference_compute_F,
+    reference_dc_pack,
     reference_induced,
     reference_shelf_next_fit,
 )
@@ -69,14 +75,6 @@ def unit_heights(instance: PrecedenceInstance) -> PrecedenceInstance:
     return PrecedenceInstance([r.replace(height=1.0) for r in instance.rects], instance.dag)
 
 
-def reference_dc(instance: PrecedenceInstance):
-    """DC with the reference ``F`` and induced sub-DAGs swapped in."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dc_module, "compute_F", reference_compute_F)
-        mp.setattr(TaskDAG, "induced", reference_induced)
-        return dc_pack(instance)
-
-
 def assert_same_shelf_run(instance: PrecedenceInstance) -> None:
     fast, ref = shelf_next_fit(instance), reference_shelf_next_fit(instance)
     assert list(fast.placement.items()) == list(ref.placement.items())
@@ -85,7 +83,7 @@ def assert_same_shelf_run(instance: PrecedenceInstance) -> None:
 
 
 def assert_same_dc(instance: PrecedenceInstance) -> None:
-    fast, ref = dc_pack(instance), reference_dc(instance)
+    fast, ref = dc_pack(instance), reference_dc_pack(instance)
     assert fast.bands == ref.bands
     assert fast.height == ref.height
     assert list(fast.placement.items()) == list(ref.placement.items())
@@ -133,7 +131,7 @@ def test_shelf_next_fit_rejects_mixed_heights_like_reference():
 
 
 # ----------------------------------------------------------------------
-# DC: F recomputation and induced sub-DAGs
+# DC: rows and one F per instance against the line-by-line reference
 # ----------------------------------------------------------------------
 
 @settings(max_examples=100, deadline=None)
@@ -150,6 +148,42 @@ def test_dc_matches_reference_on_ratio3(k):
 @pytest.mark.parametrize("seed", range(4))
 def test_dc_matches_reference_on_layered(seed):
     assert_same_dc(layered(seed))
+
+
+def assert_bottom_parts_keep_parent_F(instance: PrecedenceInstance) -> int:
+    """Run the reference DC, and at every split check that ``F`` on the
+    sub-DAG induced by ``S_bot`` is the parent's ``F`` on ``S_bot``, bit
+    for bit.  Returns the number of non-empty bottom parts checked."""
+    heights = instance.heights()
+    split = reference.reference_dc_split
+    splits = []
+
+    def recording_split(ids, dag, F, heights_):
+        parts = split(ids, dag, F, heights_)
+        splits.append((dag, F, parts[0]))
+        return parts
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reference, "reference_dc_split", recording_split)
+        reference_dc_pack(instance)
+    checked = 0
+    for dag, F, s_bot in splits:
+        if s_bot:
+            sub = compute_F(dag.induced(s_bot), heights)
+            assert {s: v.hex() for s, v in sub.items()} == {s: F[s].hex() for s in s_bot}
+            checked += 1
+    return checked
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_id_instances(uniform=False))
+def test_bottom_parts_keep_parent_F(instance):
+    assert_bottom_parts_keep_parent_F(instance)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bottom_parts_keep_parent_F_on_layered(seed):
+    assert assert_bottom_parts_keep_parent_F(layered(seed)) > 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -168,6 +168,24 @@ class TestSolve:
         })
         assert json.loads(raw)["report"]["params"]["eps"] == 1.0
 
+    @pytest.mark.parametrize("algorithm", [None, "dc"])
+    def test_dc_solves_a_part_whose_critical_path_is_below_tolerance(self, conn, algorithm):
+        """``b`` alone has ``F = 1e-12``, within 2*ATOL of zero, so the
+        tolerant split puts it in ``S_bot`` and leaves ``S_mid`` empty;
+        DC (the default for mixed heights) packs it as a source band."""
+        body = {"instance": {
+            "type": "precedence",
+            "rects": [{"id": "a", "width": 0.5, "height": 1.0},
+                      {"id": "b", "width": 0.5, "height": 1e-12}],
+            "edges": [["a", "b"]],
+        }}
+        if algorithm is not None:
+            body["algorithm"] = algorithm
+        status, _, raw = _request(conn, "POST", "/solve", body)
+        assert status == 200, raw
+        report = json.loads(raw)["report"]
+        assert report["algorithm"] == "dc" and report["valid"] is True
+
 
 class TestPortfolio:
     def test_portfolio_returns_winner_and_entrants(self, conn):
