@@ -30,7 +30,7 @@ from .artifact import (
     write_artifact,
 )
 from .compare import ComparisonResult, ComparisonRow, compare_artifacts
-from .runner import run_bench, run_bench_named
+from .runner import run_bench
 from .spec import (
     BenchEntry,
     BenchSpec,
@@ -58,7 +58,6 @@ __all__ = [
     "load_artifact",
     "register_bench",
     "run_bench",
-    "run_bench_named",
     "validate_artifact",
     "write_artifact",
 ]

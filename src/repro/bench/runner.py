@@ -1,8 +1,11 @@
 """Executes a :class:`~repro.bench.spec.BenchSpec` into an artifact dict.
 
 For every size in the sweep the runner builds the workload once (seeded
-from the spec), then times each entry ``warmup + repetitions`` times on
-that shared input:
+from the spec), runs each entry's warmup on that shared input, then times
+the entries round-robin: each repetition times every entry once, in spec
+order, before the next begins — so a host phase change (CPU frequency,
+a noisy neighbour) shifts every entry alike rather than one entry's whole
+sample, and a committed speedup ratio reads the code, not the host:
 
 * ``engine`` entries go through :func:`repro.engine.run`; the recorded
   time is the report's ``wall_time`` (pure solver time — bounds and
@@ -33,7 +36,7 @@ from ..core.instance import StripPackingInstance
 from .artifact import new_artifact_header
 from .spec import BenchEntry, BenchSpec
 
-__all__ = ["run_bench", "run_bench_named", "percentile"]
+__all__ = ["run_bench", "percentile"]
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -143,22 +146,6 @@ def _json_params(params) -> dict[str, Any]:
     return out
 
 
-def run_bench_named(
-    name: str, *, quick: bool = False, repetitions: int | None = None
-) -> dict[str, Any]:
-    """Look up a registered spec by name and run it.
-
-    The picklable work unit ``repro bench --backend thread|process`` maps
-    over an :class:`~repro.engine.batch.Executor`: only the *name*
-    crosses the pool boundary (spec objects close over workload
-    functions, which need not survive pickling), and the worker resolves
-    it against its own registry.
-    """
-    from .spec import get_bench
-
-    return run_bench(get_bench(name), quick=quick, repetitions=repetitions)
-
-
 def run_bench(
     spec: BenchSpec,
     *,
@@ -181,30 +168,32 @@ def run_bench(
         spec, quick=quick, sizes=sizes, repetitions=reps, warmup=warm
     )
     points = artifact["points"]
+    timed = [(entry, _TIMERS[entry.kind]) for entry in spec.entries]
     for size in sizes:
         rng = np.random.default_rng(spec.seed)
         workload_out = spec.workload(int(size), rng)
-        for entry in spec.entries:
-            timer = _TIMERS[entry.kind]
+        for entry, timer in timed:
             for _ in range(warm):
                 timer(spec, entry, workload_out, False)
-            times: list[float] = []
-            metrics: dict[str, Any] = {}
-            for rep in range(reps):
-                final = rep == reps - 1
-                wall, metrics = timer(spec, entry, workload_out, final)
-                times.append(wall)
+        times: list[list[float]] = [[] for _ in timed]
+        metrics: list[dict[str, Any]] = [{} for _ in timed]
+        for rep in range(reps):
+            final = rep == reps - 1
+            for i, (entry, timer) in enumerate(timed):
+                wall, metrics[i] = timer(spec, entry, workload_out, final)
+                times[i].append(wall)
+        for (entry, _), entry_times, entry_metrics in zip(timed, times, metrics):
             point = {
                 "label": entry.label,
                 "kind": entry.kind,
                 "size": int(size),
                 "params": _json_params(entry.params),
-                "times_s": times,
-                "median_s": percentile(times, 50.0),
-                "p95_s": percentile(times, 95.0),
-                "mean_s": sum(times) / len(times),
-                "min_s": min(times),
-                "metrics": metrics,
+                "times_s": entry_times,
+                "median_s": percentile(entry_times, 50.0),
+                "p95_s": percentile(entry_times, 95.0),
+                "mean_s": sum(entry_times) / len(entry_times),
+                "min_s": min(entry_times),
+                "metrics": entry_metrics,
             }
             points.append(point)
             if progress is not None:

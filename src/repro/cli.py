@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bench trend: sustained slowdown ratio vs the series "
              "baseline (default 1.25)",
     )
-    _add_executor_args(p_bench)
 
     p_serve = sub.add_parser("serve", help="run the async JSON-over-HTTP solve service")
     p_serve.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -603,12 +602,10 @@ def _cmd_bench(args, out) -> int:
         get_bench,
         load_artifact,
         run_bench,
-        run_bench_named,
         write_artifact,
     )
     from .bench.compare import DEFAULT_THRESHOLD
 
-    _check_jobs(args.jobs)
     if args.names == ["trend"] and not args.all:
         # "trend" is a bench *verb*, not a registered spec: gate on the
         # committed artifact history instead of running anything.
@@ -667,42 +664,17 @@ def _cmd_bench(args, out) -> int:
         print("", file=out)
         return len(result.regressions)
 
-    from .engine import resolve_executor
-
-    executor = resolve_executor(args.backend, args.jobs)
     regressions = 0
-    if executor.backend == "serial":
-        # Run-then-write per spec, so an interrupted long sweep keeps every
-        # artifact finished so far.
-        for spec in specs:
-            artifact = run_bench(
-                spec,
-                quick=args.quick,
-                repetitions=args.repetitions,
-                progress=lambda line: print(f"  {line}", file=out),
-            )
-            regressions += emit(spec, artifact)
-    else:
-        # Parallel backends fan whole specs out by *name* (picklable) and
-        # forgo per-point progress lines.  Only the process backend keeps
-        # timings trustworthy (each spec times inside its own worker);
-        # threads share the GIL, so concurrent CPU-bound sweeps inflate
-        # each other's wall times.
-        if executor.backend == "thread":
-            print(
-                "warning: thread backend shares the GIL — concurrent specs "
-                "inflate each other's timings; use --backend process for "
-                "trustworthy parallel measurements",
-                file=out,
-            )
-        import functools
-
-        worker = functools.partial(
-            run_bench_named, quick=args.quick, repetitions=args.repetitions
+    # Run-then-write per spec, so an interrupted long sweep keeps every
+    # artifact finished so far.
+    for spec in specs:
+        artifact = run_bench(
+            spec,
+            quick=args.quick,
+            repetitions=args.repetitions,
+            progress=lambda line: print(f"  {line}", file=out),
         )
-        artifacts = executor.map(worker, [spec.name for spec in specs])
-        for spec, artifact in zip(specs, artifacts):
-            regressions += emit(spec, artifact)
+        regressions += emit(spec, artifact)
     return 1 if regressions else 0
 
 

@@ -7,7 +7,7 @@
   the ``skyline_bottom_left`` bench;
 * :mod:`repro.geometry.levels` — shelf/level bookkeeping: the list-based
   NFDH/FFDH/BFDH kernels behind :func:`~repro.geometry.levels.level_pack`
-  that the offline packers use, plus the object-based shelves the online
+  that the offline packers use, plus the object-based shelf the online
   policy keeps;
 * :mod:`repro.geometry.levels_reference` — the original object-based
   level-packing loops, kept as the executable specification for
@@ -17,7 +17,7 @@
 * :mod:`repro.geometry.stacking` — the paper's stacking abstraction.
 """
 
-from .levels import Level, LevelStack
+from .levels import Level
 from .occupancy import band_density, occupancy_profile, union_area, utilisation
 from .skyline import Skyline, SkySegment
 from .skyline_reference import ReferenceSkyline
@@ -38,7 +38,6 @@ __all__ = [
     "SkySegment",
     "ReferenceSkyline",
     "Level",
-    "LevelStack",
     "ReferenceLevel",
     "ReferenceLevelStack",
     "reference_nfdh",

@@ -7,12 +7,11 @@ so each algorithm is a short strategy over a common structure.
 
 Two implementations live here:
 
-* :class:`Level`/:class:`LevelStack` — the object-based bookkeeping, still
-  the right interface for the *online* shelf policy
-  (:mod:`repro.sim.policies`), which commits one task at a time and reads
-  shelves as objects.  The original packer loops over this structure are
-  preserved verbatim in :mod:`repro.geometry.levels_reference` as the
-  executable specification.
+* :class:`Level` — one object-based shelf, still the right interface for
+  the *online* shelf policy (:mod:`repro.sim.policies`), which commits
+  one task at a time and reads shelves as objects.  The original packer
+  loops over object-based shelves are preserved verbatim in
+  :mod:`repro.geometry.levels_reference` as the executable specification.
 * :func:`level_pack` — the offline NFDH/FFDH/BFDH kernels the packers in
   :mod:`repro.packing` call.  Levels are plain Python floats in lists, so a
   16- or 200-rectangle call pays no numpy round trips:
@@ -40,12 +39,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..core import tol
-from ..core.arrays import RectArrays
 from ..core.errors import InvalidPlacementError
 from ..core.placement import PlacedRect, Placement
 from ..core.rectangle import Rect, decreasing_height_order
 
-__all__ = ["Level", "LevelStack", "level_pack"]
+__all__ = ["Level", "level_pack"]
 
 
 @dataclass
@@ -98,41 +96,6 @@ class Level:
     def filled_area(self) -> float:
         """Total area of the rectangles on this shelf."""
         return sum(r.area for r in self.rects)
-
-
-class LevelStack:
-    """An ordered stack of levels growing upward from ``y = base``."""
-
-    __slots__ = ("levels", "base")
-
-    def __init__(self, base: float = 0.0) -> None:
-        self.base = base
-        self.levels: list[Level] = []
-
-    def open_level(self, height: float) -> Level:
-        """Open a new level of the given height on top of the stack."""
-        y = self.levels[-1].top if self.levels else self.base
-        lvl = Level(y=y, height=height)
-        self.levels.append(lvl)
-        return lvl
-
-    @property
-    def top(self) -> float:
-        """Current total top of the stack."""
-        return self.levels[-1].top if self.levels else self.base
-
-    @property
-    def extent(self) -> float:
-        """Total height consumed by the levels."""
-        return self.top - self.base
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def __iter__(self):
-        return iter(self.levels)
-
-
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +209,7 @@ _KERNELS = {"nfdh": _nfdh, "ffdh": _ffdh, "bfdh": _bfdh}
 
 
 def level_pack(
-    algorithm: str, rects: Sequence[Rect] | RectArrays, y: float = 0.0
+    algorithm: str, rects: Sequence[Rect], y: float = 0.0
 ) -> tuple[Placement, float]:
     """Pack all of ``rects`` from height ``y`` by NFDH, FFDH or BFDH;
     return the placement and the vertical extent used.
@@ -254,12 +217,8 @@ def level_pack(
     Rectangles go in :func:`~repro.core.rectangle.decreasing_height_order`.
     NFDH keeps one open level and opens a new one when the next rectangle
     misses; FFDH takes the lowest level with room, BFDH the tightest; both
-    open a new level when none fits.  ``rects`` may also be a
-    :class:`~repro.core.arrays.RectArrays` (such as ``instance.arrays()``),
-    whose rectangle tuple is packed.
+    open a new level when none fits.
     """
-    if isinstance(rects, RectArrays):
-        rects = rects.rects
     ordered = decreasing_height_order(rects)
     if not ordered:
         return Placement(), 0.0

@@ -1,8 +1,9 @@
 """Reference level-packing kernels — the executable specification.
 
 This module preserves, verbatim, the object-based shelf bookkeeping
-(:class:`ReferenceLevel` / :class:`ReferenceLevelStack`, the pre-columnar
-``Level``/``LevelStack``) and the original NFDH/FFDH/BFDH packer loops
+(:class:`ReferenceLevel` / :class:`ReferenceLevelStack`; of the two, only
+the shelf lives on in production, as :class:`repro.geometry.levels.Level`
+for the online shelf policy) and the original NFDH/FFDH/BFDH packer loops
 over it.  It exists for two purposes, exactly mirroring
 :mod:`repro.geometry.skyline_reference`:
 

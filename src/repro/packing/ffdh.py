@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.arrays import RectArrays
 from ..core.rectangle import Rect
 from ..geometry.levels import level_pack
 from .base import PackResult
@@ -32,6 +31,6 @@ from .base import PackResult
 __all__ = ["ffdh"]
 
 
-def ffdh(rects: Sequence[Rect] | RectArrays, y: float = 0.0) -> PackResult:
+def ffdh(rects: Sequence[Rect], y: float = 0.0) -> PackResult:
     """Pack ``rects`` (no constraints) starting at height ``y``."""
     return PackResult(*level_pack("ffdh", rects, y))

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.arrays import RectArrays
 from ..core.rectangle import Rect
 from ..geometry.levels import level_pack
 from .base import PackResult
@@ -37,12 +36,10 @@ from .base import PackResult
 __all__ = ["nfdh"]
 
 
-def nfdh(rects: Sequence[Rect] | RectArrays, y: float = 0.0) -> PackResult:
+def nfdh(rects: Sequence[Rect], y: float = 0.0) -> PackResult:
     """Pack ``rects`` (no constraints) starting at height ``y``.
 
     Deterministic: ties in height are broken by wider-first, then id, so
-    repeated runs produce identical placements.  Accepts a plain rectangle
-    sequence or a :class:`~repro.core.arrays.RectArrays` (the engine
-    passes the instance's cached one), whose rectangles are packed.
+    repeated runs produce identical placements.
     """
     return PackResult(*level_pack("nfdh", rects, y))

@@ -8,9 +8,9 @@ Six layers, composed bottom-up (each is independently testable):
 * :mod:`repro.service.server`  — stdlib-only asyncio JSON-over-HTTP
   server: the one request pipeline (``POST /solve``, ``POST
   /portfolio``, sessions, ``GET /healthz``, ``GET /metrics``) plus the
-  local dispatch stage, whose cold solves run in arrival order on one
-  solver thread behind a bounded admission count, surfaced as
-  ``repro serve``;
+  local dispatch stage, whose solves, warm repairs and portfolio races
+  run in arrival order on one solver thread behind a bounded admission
+  count, surfaced as ``repro serve``;
 * :mod:`repro.service.worker`  — worker-process entry point: one
   :class:`SolveServer` per core, spawn-started, SIGTERM-drained;
 * :mod:`repro.service.router`  — the fleet's dispatch stage behind the

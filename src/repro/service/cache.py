@@ -65,7 +65,7 @@ __all__ = [
     "ResultCache",
     "NeighborIndex",
     "DEFAULT_CACHE_BYTES",
-    "DEFAULT_NEIGHBOR_ENTRIES",
+    "NEIGHBOR_ENTRIES",
 ]
 
 #: Default in-memory budget, in wire bytes: ~33k 16-rect or ~3.7k
@@ -445,10 +445,10 @@ class ResultCache:
             return digest in self._entries
 
 
-#: Default bound on the neighbor index: each entry stores one instance
-#: dict (a few KB for typical request sizes), so 1024 entries stay well
-#: under the result cache's own budget.
-DEFAULT_NEIGHBOR_ENTRIES = 1024
+#: Bound on the neighbor index: each entry stores one instance dict (a
+#: few KB for typical request sizes), so 1024 entries stay well under the
+#: result cache's own budget.
+NEIGHBOR_ENTRIES = 1024
 
 
 class NeighborIndex:
@@ -467,16 +467,11 @@ class NeighborIndex:
     Entries hold the *instance dict* (not the payload): the payload lives
     in the :class:`ResultCache` under the entry's result key and is
     re-fetched at repair time, so an evicted payload simply downgrades a
-    warm start to a cold solve.  Bounded LRU by insertion refresh;
-    thread-safe.
+    warm start to a cold solve.  An LRU of at most
+    :data:`NEIGHBOR_ENTRIES` entries, refreshed on insertion; thread-safe.
     """
 
-    def __init__(self, max_entries: int = DEFAULT_NEIGHBOR_ENTRIES) -> None:
-        if max_entries < 0:
-            raise InvalidInstanceError(
-                f"max_entries must be >= 0, got {max_entries}"
-            )
-        self.max_entries = int(max_entries)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         # key -> (bucket, sketch, instance dict); insertion order = recency.
         self._entries: OrderedDict[str, tuple[str, tuple[str, ...], dict]] = OrderedDict()
@@ -501,15 +496,13 @@ class NeighborIndex:
         instance: dict,
     ) -> None:
         """Register ``key`` (a result key) under its sketch bands."""
-        if self.max_entries == 0:
-            return
         with self._lock:
             if key in self._entries:
                 self._drop_locked(key)
             self._entries[key] = (bucket, tuple(sketch), instance)
             for band in sketch:
                 self._bands.setdefault((bucket, band), set()).add(key)
-            while len(self._entries) > self.max_entries:
+            while len(self._entries) > NEIGHBOR_ENTRIES:
                 self._drop_locked(next(iter(self._entries)))
 
     def nearest(

@@ -25,7 +25,7 @@ site                 kinds                               seam
 ``worker.post_solve`` ``crash``, ``slow``                ``SolveServer._dispatch_solve``
 ``cache.spill_read`` ``io_error``, ``corrupt``           ``ResultCache.get``
 ``cache.spill_write`` ``io_error``, ``disk_full``        ``ResultCache._spill``
-``queue.drain``      ``stall``                           ``SolveServer._solve_job``
+``queue.drain``      ``stall``                           ``SolveServer._run_job``
 ``session.create``   ``error``, ``slow``                 ``SolveServer._session_opened``
 ``session.step``     ``crash``, ``error``, ``slow``      ``SolveServer._dispatch_step``
 ===================  ==================================  =======================

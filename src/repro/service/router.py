@@ -51,10 +51,11 @@ mid-session the ring successor rebuilds the session from the step body
 itself — failover loses zero steps, and ``DELETE`` still reports every
 step because the router counts them.
 
-``/metrics`` aggregates the fleet — summed queue/cache counters keep the
-single-process document shape, with per-worker detail nested under
-``"workers"`` and router-level counters under ``"router"`` (in Prometheus
-form: the same metric names with a ``worker="i"`` label).
+``/metrics`` aggregates the fleet — the workers' own queue/cache blocks,
+summed field by field, keep the single-process document shape, with
+per-worker detail nested under ``"workers"`` and router-level counters
+under ``"router"`` (in Prometheus form: the same metric names with a
+``worker="i"`` label).
 
 :func:`build_server` is the one place that picks between the solo server
 and a fleet for a worker count.
@@ -445,9 +446,7 @@ class RouterServer(HttpServerBase):
         *,
         workers: int = 2,
         worker_config: Mapping[str, Any] | None = None,
-        replicas: int = DEFAULT_REPLICAS,
         max_restarts: int = 5,
-        spawn_timeout: float = 60.0,
         request_timeout: float | None = None,
         retries: int = 2,
         backoff_ms: float = 50.0,
@@ -480,10 +479,9 @@ class RouterServer(HttpServerBase):
         if plan is not None:
             self.worker_config.setdefault("fault_plan", plan.to_dict())
         self._retry_rng = random.Random(plan.seed if plan is not None else 0)
-        self._spawn_timeout = float(spawn_timeout)
         self._handles: dict[int, WorkerHandle] = {}
         self._clients: dict[int, _WorkerClient] = {}
-        self._ring = HashRing(replicas=replicas)
+        self._ring = HashRing()
         self._retries = 0
         self._request_retries = 0
         self._respawns_inflight: set[int] = set()
@@ -501,10 +499,7 @@ class RouterServer(HttpServerBase):
         ]
         try:
             await asyncio.gather(
-                *(
-                    loop.run_in_executor(None, handle.spawn, self._spawn_timeout)
-                    for handle in handles
-                )
+                *(loop.run_in_executor(None, handle.spawn) for handle in handles)
             )
         except BaseException:
             for handle in handles:
@@ -543,7 +538,7 @@ class RouterServer(HttpServerBase):
                 handle.restarts += 1
                 self._respawns_inflight.add(worker_id)
                 try:
-                    await loop.run_in_executor(None, handle.spawn, self._spawn_timeout)
+                    await loop.run_in_executor(None, handle.spawn)
                 except Exception as exc:
                     # Spawn failed; the next tick retries (up to the cap).
                     _event(
@@ -831,27 +826,21 @@ class RouterServer(HttpServerBase):
 
     @staticmethod
     def _aggregate(workers: dict[str, dict]) -> tuple[dict, dict]:
-        """Sum the fleet's queue/cache counters into the single-process
-        document shape (``max_batch`` maxes, ``mean_batch`` recomputes)."""
-        queue: dict[str, float] = {
-            "depth": 0, "submitted": 0, "completed": 0,
-            "rejected": 0, "batches": 0, "max_batch": 0,
-        }
-        cache: dict[str, float] = {
-            "hits": 0, "misses": 0, "evictions": 0, "spills": 0,
-            "spill_hits": 0, "corruptions": 0, "entries": 0, "bytes": 0,
-            "stored_bytes": 0, "warm_hits": 0,
-        }
+        """Sum the workers' own queue/cache blocks into the single-process
+        document shape: every field sums (``max_bytes`` is the fleet's
+        budget) except ``max_batch``, which maxes, and the ratios
+        ``mean_batch`` and ``hit_rate``, which are recomputed from the sums."""
+        queue: dict[str, float] = {}
+        cache: dict[str, float] = {}
         for snap in workers.values():
-            wq, wc = snap.get("queue", {}), snap.get("cache", {})
-            for field in ("depth", "submitted", "completed", "rejected", "batches"):
-                queue[field] += wq.get(field, 0)
-            queue["max_batch"] = max(queue["max_batch"], wq.get("max_batch", 0))
-            for field in cache:
-                cache[field] += wc.get(field, 0)
-        queue["mean_batch"] = (
-            queue["completed"] / queue["batches"] if queue["batches"] else 0.0
-        )
+            for total, block in ((queue, snap["queue"]), (cache, snap["cache"])):
+                for field, value in block.items():
+                    total[field] = total.get(field, 0) + value
+        if workers:
+            queue["max_batch"] = max(snap["queue"]["max_batch"] for snap in workers.values())
+            batches, lookups = queue["batches"], cache["hits"] + cache["misses"]
+            queue["mean_batch"] = queue["completed"] / batches if batches else 0.0
+            cache["hit_rate"] = cache["hits"] / lookups if lookups else 0.0
         return queue, cache
 
     async def _snapshot(self, snapshot: dict[str, Any]) -> None:

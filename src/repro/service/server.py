@@ -3,7 +3,8 @@
 One :class:`SolveServer` wires the serving layers together: requests come
 in over a hand-rolled HTTP/1.1 front-end (``asyncio.start_server`` — no
 third-party web framework, per the repo's no-new-deps rule), solve traffic
-flows ``client → cache → solver thread (engine.run) → cache → response``,
+flows ``client → cache → solver thread (engine.run) → cache → response``
+(``/portfolio`` races and warm repairs take the same solver thread),
 and operational state is always one ``GET /metrics`` away.
 
 :class:`HttpServerBase` is the one request pipeline of both topologies:
@@ -29,8 +30,9 @@ Endpoints
     answer.
 ``POST /portfolio``
     Body ``{"instance": {...}, "algorithms"?: [str], "params"?: {...}}``.
-    Races the entrants via :func:`repro.engine.portfolio` off the event
-    loop and responds with the winner plus every entrant's summary.
+    Races the entrants via :func:`repro.engine.portfolio` on the solver
+    thread, admitted like a ``/solve`` miss, and responds with the winner
+    plus every entrant's summary.
 ``POST /session`` / ``POST /session/{id}/step`` / ``DELETE /session/{id}``
     Long-lived solve sessions for online traffic.  ``POST /session``
     (body ``{"algorithm"?: str, "params"?: {...}}``) registers per-session
@@ -150,20 +152,22 @@ class _BadRequest(Exception):
 class ServiceMetrics:
     """Request counters and latency reservoirs for ``GET /metrics``.
 
-    Latencies are kept in bounded deques (last ``maxlen`` requests) per
-    endpoint; percentiles are computed on read with the bench subsystem's
-    :func:`~repro.bench.runner.percentile`, so ``/metrics`` and
-    ``BENCH_*.json`` artifacts report the same statistic.
+    Latencies are kept in bounded deques (the last :attr:`MAXLEN`
+    requests) per endpoint; percentiles are computed on read with the
+    bench subsystem's :func:`~repro.bench.runner.percentile`, so
+    ``/metrics`` and ``BENCH_*.json`` artifacts report the same statistic.
     """
 
-    def __init__(self, maxlen: int = 2048) -> None:
+    #: Latency samples kept per endpoint.
+    MAXLEN = 2048
+
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._started = time.monotonic()
         self._by_endpoint: dict[str, int] = {}
         self._by_status: dict[str, int] = {}
         self._by_algorithm: dict[str, int] = {}
         self._latencies: dict[str, deque[float]] = {}
-        self._maxlen = maxlen
 
     def record(self, endpoint: str, status: int, latency_s: float | None) -> None:
         """Count one response; ``latency_s=None`` counts without a sample
@@ -174,7 +178,7 @@ class ServiceMetrics:
             key = str(int(status))
             self._by_status[key] = self._by_status.get(key, 0) + 1
             if latency_s is not None:
-                self._latencies.setdefault(endpoint, deque(maxlen=self._maxlen)).append(
+                self._latencies.setdefault(endpoint, deque(maxlen=self.MAXLEN)).append(
                     latency_s
                 )
 
@@ -567,19 +571,6 @@ class HttpServerBase:
         sockname = server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
         return server
-
-    async def serve(
-        self, host: str = "127.0.0.1", port: int = 8080, *, ready=None
-    ) -> None:
-        """Run until cancelled (the ``repro serve`` entry point)."""
-        server = await self.start(host, port)
-        if ready is not None:
-            ready(self)
-        try:
-            async with server:
-                await server.serve_forever()
-        finally:
-            self.close()
 
     def close(self) -> None:
         """Release resources (idempotent); overridden by subclasses."""
@@ -1026,18 +1017,21 @@ class HttpServerBase:
 class SolveServer(HttpServerBase):
     """The single-process serving stack: HTTP + solver thread + cache + metrics.
 
-    Its dispatch stage answers locally: content-addressed cache, opt-in
-    warm start, cold solve on the solver thread.  Constructor knobs mirror
-    the ``repro serve`` flags; all have serving-friendly defaults.  With
-    ``repro serve --workers N`` this class is the per-worker shard behind
-    :class:`~repro.service.router.RouterServer`; a shared ``cache_dir``
-    then acts as the common L2 cache tier under each worker's L1 memory.
+    Its dispatch stage answers locally: content-addressed cache, then the
+    solver thread (opt-in warm start, else a cold solve).  Constructor
+    knobs mirror the ``repro serve`` flags; all have serving-friendly
+    defaults.  With ``repro serve --workers N`` this class is the
+    per-worker shard behind :class:`~repro.service.router.RouterServer`;
+    a shared ``cache_dir`` then acts as the common L2 cache tier under
+    each worker's L1 memory.
 
-    Cold solves run one at a time, in arrival order, on a one-thread
-    executor (the *solver thread*); each answer leaves as soon as its own
-    solve ends.  At most ``queue_size`` solves are accepted and not yet
-    answered, the one in progress included; past that a solve is shed
-    with 503 + ``Retry-After`` instead of queueing unbounded work.
+    Every solver-layer job — a ``/solve`` miss (warm repair or cold
+    solve) and a ``/portfolio`` race — runs one at a time, in arrival
+    order, on a one-thread executor (the *solver thread*); each answer
+    leaves as soon as its own job ends.  At most ``queue_size`` jobs are
+    accepted and not yet answered, the one in progress included; past
+    that a request is shed with 503 + ``Retry-After`` instead of queueing
+    unbounded work.
     """
 
     def __init__(
@@ -1060,7 +1054,7 @@ class SolveServer(HttpServerBase):
         # a plan's per-site counters see every seam of this process.
         self.faults = as_injector(faults)
         self.cache = ResultCache(cache_bytes, spill_dir=cache_dir, faults=self.faults)
-        # The solve stage.  The pool starts its thread on the first solve,
+        # The solve stage.  The pool starts its thread on the first job,
         # so a failed bind leaves no thread behind.  Each counter has one
         # writer: the event loop admits (submitted, rejected), the solver
         # thread runs (completed, and the drain ticks below).
@@ -1070,15 +1064,11 @@ class SolveServer(HttpServerBase):
         self._submitted = 0
         self._rejected = 0
         self._completed = 0
-        # A drain tick is the solves already queued when the solver starts
+        # A drain tick is the jobs already queued when the solver starts
         # the first of them; /metrics reports their count and largest size.
         self._batches = 0
         self._max_batch = 0
         self._tick_left = 0
-        # A portfolio race runs its entrants serially and blocks a thread;
-        # two threads keep /portfolio off the event loop without
-        # competing with the solver thread for cores.
-        self._pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="repro-portfolio")
         # Warm-start delta solving is opt-in (warm_delta=None keeps every
         # answer byte-identical to a cold engine run, which the chaos and
         # differential suites pin).  When enabled, the neighbor index maps
@@ -1092,16 +1082,15 @@ class SolveServer(HttpServerBase):
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the solve stage and the portfolio pool (idempotent).
+        """Stop the solve stage (idempotent).
 
-        A solve in progress finishes; each queued one answers 503 when the
-        solver thread reaches it.  Queued futures are not cancelled: a
-        cancelled future would reach its handler as ``CancelledError`` and
-        drop the connection instead of answering.
+        A job in progress finishes; each queued one (a solve or a race)
+        answers 503 when the solver thread reaches it.  Queued futures are
+        not cancelled: a cancelled future would reach its handler as
+        ``CancelledError`` and drop the connection instead of answering.
         """
         self._closed = True
         self._solver.shutdown(wait=False)
-        self._pool.shutdown(wait=False, cancel_futures=True)
 
     async def _fire(self, site: str) -> None:
         """Run one fault seam on the executor, so an injected ``slow`` or
@@ -1152,7 +1141,8 @@ class SolveServer(HttpServerBase):
         return resolve_portfolio_request(parse_json_body(body))
 
     async def _dispatch_solve(self, request, body: bytes | None) -> tuple[bytes, str]:
-        """Cache → warm start (opt-in) → cold solve on the solver thread.
+        """Cache → the solver thread (a warm repair when opted in, else a
+        cold solve) → cache.
 
         Returns ``(payload, "hit" | "warm" | "miss")``.
         """
@@ -1160,38 +1150,28 @@ class SolveServer(HttpServerBase):
         cached = await self._cache_get(key)
         if cached is not None:
             return cached, "hit"
-        loop = asyncio.get_running_loop()
         await self._fire("worker.pre_solve")
-        state: dict[str, Any] = {}
-        payload = None
-        if self.neighbors is not None:
-            payload = await loop.run_in_executor(
-                None, self._warm_attempt, key, name, params, instance, state
+        try:
+            report, source = await self._admit(
+                lambda: self._solve_miss(key, name, params, instance)
             )
-        source = "warm" if payload is not None else "miss"
-        if payload is None:
-            try:
-                report = await self._solve_cold(instance, name, params)
-            except ReproError as exc:
-                raise _BadRequest(
-                    HTTPStatus.UNPROCESSABLE_ENTITY, f"{type(exc).__name__}: {exc}"
-                )
-            payload = encode_report(report)
+        except ReproError as exc:
+            raise _BadRequest(
+                HTTPStatus.UNPROCESSABLE_ENTITY, f"{type(exc).__name__}: {exc}"
+            )
+        payload = encode_report(report)
         await self._fire("worker.post_solve")
         if source == "warm":
             self._warm_hits += 1
-        elif self.neighbors is not None:
-            await loop.run_in_executor(
-                None, self._remember_neighbor, key, instance, state
-            )
         await self._cache_put(key, payload)
         return payload, source
 
-    async def _solve_cold(self, instance, name: str, params):
-        """Admit one solve to the solver thread and await its report.
+    async def _admit(self, job):
+        """Admit ``job`` (a solve or a race) to the solver thread and await
+        its result.
 
         Admission runs on the event loop: past ``queue_size`` unanswered
-        solves, or after :meth:`close`, the request is shed with 503.
+        jobs, or after :meth:`close`, the request is shed with 503.
         """
         if self._closed:
             self._rejected += 1
@@ -1203,11 +1183,11 @@ class SolveServer(HttpServerBase):
                 f"request queue is full ({self.queue_size} pending)",
             )
         # Counted before the submit, so the solver thread never sees its
-        # own solve missing from `submitted`.
+        # own job missing from `submitted`.
         self._submitted += 1
         try:
             future = self._solver.submit(
-                self._solve_job, instance, name, params, current_trace(), time.monotonic()
+                self._run_job, job, current_trace(), time.monotonic()
             )
         except RuntimeError:  # the pool shut down after the check above
             self._submitted -= 1
@@ -1217,17 +1197,17 @@ class SolveServer(HttpServerBase):
             ) from None
         return await asyncio.wrap_future(future)
 
-    def _solve_job(self, instance, name: str, params, trace, admitted_at: float):
-        """One cold solve, on the solver thread (it does not inherit the
-        request's context, so the trace rides along)."""
-        if self._closed:
-            raise _BadRequest(
-                HTTPStatus.SERVICE_UNAVAILABLE,
-                "request queue stopped before this solve ran",
-            )
-        from ..engine import run
-
+    def _run_job(self, job, trace, admitted_at: float):
+        """Run one admitted job on the solver thread (it does not inherit
+        the request's context, so the trace rides along).  Every job
+        counts as completed, one refused after :meth:`close` included, so
+        ``depth`` returns to 0 once every accepted request is answered."""
         try:
+            if self._closed:
+                raise _BadRequest(
+                    HTTPStatus.SERVICE_UNAVAILABLE,
+                    "request queue stopped before this solve ran",
+                )
             if not self._tick_left:
                 self._tick_left = self._submitted - self._completed
                 self._batches += 1
@@ -1235,15 +1215,35 @@ class SolveServer(HttpServerBase):
             self._tick_left -= 1
             if self.faults is not None:
                 # A scheduled `stall` holds the solver thread, so queued
-                # solves age exactly as they would behind a wedged solver.
+                # jobs age exactly as they would behind a wedged solver.
                 self.faults.fire_sync("queue.drain")
             # Under the request's own trace, run() records its engine
             # spans (solve, bounds, validate) into that trace.
             with use_trace(trace):
                 record_span("queue.wait", admitted_at, time.monotonic() - admitted_at)
-                return run(instance, name, params=params)
+                return job()
         finally:
             self._completed += 1
+
+    def _solve_miss(self, key: str, name: str, params, instance):
+        """A ``/solve`` miss on the solver thread: ``(report, "warm")`` for
+        an accepted repair of a cached neighbor, else ``(report, "miss")``
+        from a cold solve.  With warm starts on, the instance then joins
+        the neighbor index either way."""
+        from ..engine import run
+
+        if self.neighbors is None:
+            return run(instance, name, params=params), "miss"
+        sketch = instance_sketch(instance)
+        bucket = key.split("|", 1)[1]  # spec|params: same-solver scope
+        report = self._warm_attempt(key, name, params, instance, bucket, sketch)
+        source = "warm"
+        if report is None:
+            report, source = run(instance, name, params=params), "miss"
+        self.neighbors.add(
+            key, bucket=bucket, sketch=sketch, instance=instance_to_dict(instance)
+        )
+        return report, source
 
     async def _dispatch_portfolio(self, request, body: bytes) -> tuple[bytes, str]:
         key, instance, algorithms, params = request
@@ -1253,8 +1253,8 @@ class SolveServer(HttpServerBase):
         from ..engine import portfolio
 
         try:
-            result = await asyncio.get_running_loop().run_in_executor(
-                self._pool, lambda: portfolio(instance, algorithms, params=params)
+            result = await self._admit(
+                lambda: portfolio(instance, algorithms, params=params)
             )
         except ReproError as exc:
             raise _BadRequest(HTTPStatus.UNPROCESSABLE_ENTITY, str(exc))
@@ -1308,25 +1308,13 @@ class SolveServer(HttpServerBase):
     # -- warm-start plumbing ----------------------------------------------
 
     def _warm_attempt(
-        self,
-        key: str,
-        name: str,
-        params,
-        instance,
-        state: dict[str, Any],
-    ) -> bytes | None:
+        self, key: str, name: str, params, instance, bucket: str, sketch
+    ):
         """Try to answer ``key`` by repairing a cached neighbor placement.
 
-        Runs on the executor (sketching + repair are CPU work).  Returns
-        the encoded payload on an accepted repair, ``None`` otherwise —
-        the caller then takes the normal cold path.  ``state`` receives
-        the computed sketch/bucket so the cold path can register the
-        instance without re-sketching.
+        Returns the repair's ``SolveReport`` when it is accepted, ``None``
+        otherwise — the caller then solves cold.
         """
-        assert self.neighbors is not None
-        sketch = instance_sketch(instance)
-        bucket = key.split("|", 1)[1]  # spec|params: same-solver scope
-        state["sketch"], state["bucket"] = sketch, bucket
         found = self.neighbors.nearest(bucket=bucket, sketch=sketch, exclude=key)
         if found is None:
             return None
@@ -1346,27 +1334,12 @@ class SolveServer(HttpServerBase):
             neighbor_placement = placement_from_dict(doc["placement"], neighbor_instance)
         except (ReproError, KeyError, TypeError, ValueError):
             return None
-        report = try_warm(
+        return try_warm(
             instance,
             name,
             params=params,
             neighbor=(neighbor_instance, neighbor_placement),
             delta=self.warm_delta,
-        )
-        if report is None:
-            return None
-        self.neighbors.add(
-            key, bucket=bucket, sketch=sketch, instance=instance_to_dict(instance)
-        )
-        return encode_report(report)
-
-    def _remember_neighbor(self, key: str, instance, state: dict[str, Any]) -> None:
-        """Register a cold-solved instance in the neighbor index."""
-        assert self.neighbors is not None
-        sketch = state.get("sketch") or instance_sketch(instance)
-        bucket = state.get("bucket") or key.split("|", 1)[1]
-        self.neighbors.add(
-            key, bucket=bucket, sketch=sketch, instance=instance_to_dict(instance)
         )
 
 
@@ -1388,18 +1361,15 @@ class InProcessServer:
     ``__enter__`` time.
     """
 
+    #: How long ``__enter__`` waits for the server to bind.
+    STARTUP_TIMEOUT_S = 60.0
+
     def __init__(
-        self,
-        server=None,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        startup_timeout: float = 60.0,
+        self, server=None, *, host: str = "127.0.0.1", port: int = 0
     ) -> None:
         self.server = server if server is not None else SolveServer()
         self._host_arg = host
         self._port_arg = port
-        self._startup_timeout = startup_timeout
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
@@ -1423,12 +1393,12 @@ class InProcessServer:
             target=self._run, name="repro-serve", daemon=True
         )
         self._thread.start()
-        self._ready.wait(timeout=self._startup_timeout)
+        self._ready.wait(timeout=self.STARTUP_TIMEOUT_S)
         if self._startup_error is not None:
             raise self._startup_error
         if not self._ready.is_set():  # pragma: no cover - defensive
             raise RuntimeError(
-                f"in-process server failed to start within {self._startup_timeout}s"
+                f"in-process server failed to start within {self.STARTUP_TIMEOUT_S}s"
             )
         return self
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core.errors import InvalidPlacementError
 from repro.core.placement import Placement
 from repro.core.rectangle import Rect
-from repro.geometry.levels import Level, LevelStack
+from repro.geometry.levels import Level
 
 
 class TestLevel:
@@ -39,21 +39,3 @@ class TestLevel:
         assert lvl.top == 1.5
         assert abs(lvl.filled_area - 0.25) < 1e-12
 
-
-class TestLevelStack:
-    def test_open_stacks_upward(self):
-        stack = LevelStack(base=1.0)
-        a = stack.open_level(0.5)
-        b = stack.open_level(0.25)
-        assert a.y == 1.0 and b.y == 1.5
-        assert stack.top == 1.75 and stack.extent == 0.75
-
-    def test_empty_stack(self):
-        stack = LevelStack(base=2.0)
-        assert stack.top == 2.0 and stack.extent == 0.0 and len(stack) == 0
-
-    def test_iteration_order(self):
-        stack = LevelStack()
-        l1 = stack.open_level(1.0)
-        l2 = stack.open_level(1.0)
-        assert list(stack) == [l1, l2]

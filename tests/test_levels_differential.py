@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.arrays import RectArrays
 from repro.core.rectangle import Rect, decreasing_height_order
 from repro.geometry.levels_reference import (
     reference_bfdh,
@@ -137,20 +136,13 @@ def test_nul_suffixed_ids_keep_string_order():
         assert_identical(fast(rects), ref(rects), rects)
 
 
-def test_packers_accept_columnar_inputs():
-    """Sequence[Rect], RectArrays, and instances all give the same result."""
+def test_instance_arrays_are_cached():
+    """``instance.arrays()`` builds the columns once per instance."""
     from repro.core.instance import StripPackingInstance
 
     rects = [Rect(rid=i, width=0.4, height=1.0 + i % 3) for i in range(9)]
     instance = StripPackingInstance(rects)
-    for algo in (nfdh, ffdh, bfdh):
-        from_list = algo(rects)
-        from_arrays = algo(RectArrays.from_rects(rects))
-        from_instance = algo(instance.arrays())
-        for r in rects:
-            assert from_list.placement[r.rid] == from_arrays.placement[r.rid]
-            assert from_list.placement[r.rid] == from_instance.placement[r.rid]
-    assert instance.arrays() is instance.arrays()  # cached
+    assert instance.arrays() is instance.arrays()
 
 
 # ----------------------------------------------------------------------

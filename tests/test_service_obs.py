@@ -7,7 +7,8 @@ The acceptance contracts of the tracing layer live here:
   not replaced;
 * ``GET /debug/trace/{id}`` on a 2-worker fleet returns the merged
   router→queue→engine span tree, and the non-root spans cover >= 80 %
-  of the root span's wall time;
+  of the root span's wall time; a ``/portfolio`` race records its queue
+  wait and each entrant's engine spans;
 * solve payloads are byte-identical with tracing headers present or
   absent (observation never changes answer bytes);
 * the ``X-Repro-Cache`` response header and the ``/metrics`` cache
@@ -128,6 +129,20 @@ class TestTraceHeader:
                 "engine.solve", "engine.bounds", "engine.validate"} <= set(names)
         starts = [s["start_s"] for s in doc["spans"]]
         assert starts == sorted(starts)
+
+    def test_debug_trace_spans_cover_a_portfolio_race(self, conn):
+        """A race runs on the solver thread under the request's trace, so
+        its queue wait and every entrant's engine spans are recorded."""
+        body = _solve_body(n=30, seed=105)
+        body = {"instance": body["instance"], "algorithms": ["nfdh", "ffdh"]}
+        status, headers, _ = _request(conn, "POST", "/portfolio", body)
+        assert status == 200 and headers["X-Repro-Cache"] == "miss"
+        trace = _trace_id(headers)
+        _, _, raw = _request(conn, "GET", f"/debug/trace/{trace}")
+        names = [s["name"] for s in json.loads(raw)["spans"]]
+        assert {"server.request", "cache.lookup", "queue.wait",
+                "engine.solve", "cache.store"} <= set(names)
+        assert names.count("engine.solve") == 2  # one per entrant
 
     def test_unknown_trace_is_empty_not_404(self, conn):
         status, _, raw = _request(conn, "GET", "/debug/trace/0123456789abcdef")

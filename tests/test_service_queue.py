@@ -1,12 +1,13 @@
-"""Tests for the solve stage: cold solves on one FIFO solver thread.
+"""Tests for the solve stage: solver-layer jobs on one FIFO solver thread.
 
 A real ``SolveServer`` runs in-process and is driven over HTTP.  The
 contract under test: a solve answers exactly what a direct
 ``engine.run()`` returns (deterministic fields — wall time is measured,
 not computed); solves run one at a time in arrival order and each answer
-leaves as soon as its own solve ends; at most ``queue_size`` solves are
-accepted and unanswered (503 beyond); ``close()`` and ``drain()`` answer
-everything accepted; and ``/metrics`` counts the drain ticks.
+leaves as soon as its own solve ends; at most ``queue_size`` jobs — cold
+solves, warm repairs and ``/portfolio`` races alike — are accepted and
+unanswered (503 beyond); ``close()`` and ``drain()`` answer everything
+accepted; and ``/metrics`` counts the drain ticks.
 
 A ``queue.drain`` stall holds the solver thread, so the tests can queue
 solves behind it deterministically.
@@ -31,6 +32,7 @@ from repro.core.rectangle import Rect
 from repro.core.serialize import instance_to_dict
 from repro.engine import run
 from repro.service import InProcessServer, SolveServer, encode_report
+from repro.service.loadgen import session_step_bodies
 from repro.workloads.random_rects import powerlaw_rects
 
 
@@ -48,11 +50,16 @@ def _body(instance, algorithm=None, params=None):
     return body
 
 
-def _post(port, body):
-    """One ``POST /solve`` on a fresh connection: (status, headers, body)."""
+def _race(instance):
+    """A ``/portfolio`` body racing two level packers."""
+    return {"instance": instance_to_dict(instance), "algorithms": ["nfdh", "ffdh"]}
+
+
+def _post(port, body, path="/solve"):
+    """One ``POST`` on a fresh connection: (status, headers, body)."""
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
     try:
-        conn.request("POST", "/solve", json.dumps(body).encode(),
+        conn.request("POST", path, json.dumps(body).encode(),
                      {"Content-Type": "application/json"})
         response = conn.getresponse()
         return response.status, dict(response.getheaders()), response.read()
@@ -286,39 +293,78 @@ class TestLiveDrain:
 class TestBackpressureAndLifecycle:
     def test_full_queue_rejects(self, clients):
         """``queue_size`` counts the solve in progress: with a bound of 1,
-        a second solve behind a stalled one is shed, and counted."""
+        a second solve behind a stalled one is shed, and counted; so is a
+        ``/portfolio`` race."""
         server = SolveServer(queue_size=1, faults=_stall(0.5))
-        held, shed = _instances(2, seed=16)
+        held, shed, raced = _instances(3, seed=16)
         with InProcessServer(server) as srv:
             first = clients.submit(_post, srv.port, _body(held, "nfdh"))
             _wait_for(lambda: server.faults.fired >= 1)
-            status, headers, raw = _post(srv.port, _body(shed, "nfdh"))
+            for path, body in (("/solve", _body(shed, "nfdh")), ("/portfolio", _race(raced))):
+                status, headers, raw = _post(srv.port, body, path)
+                assert status == 503 and headers["Retry-After"] == "1"
+                assert json.loads(raw) == {"error": "request queue is full (1 pending)"}
+            assert first.result(timeout=30)[0] == 200
+            queue = _queue(srv.port)
+        assert queue["rejected"] == 2
+        assert queue["submitted"] == queue["completed"] == 1
+
+    def test_full_queue_sheds_warm_repairs(self, clients):
+        """A warm repair is admitted like a cold solve: behind a stalled
+        solve it is shed at ``queue_size=1``, and once the solver is free
+        the same request is answered by a repair."""
+        base, edited = (
+            dict(json.loads(body), algorithm="release_bl")
+            for body in session_step_bodies(1, 2, base_rects=10, step_rects=2, seed=5)[0]
+        )
+        (held,) = _instances(1, seed=19)
+        # The stall skips the first job, so the base instance is solved
+        # and indexed as a neighbor before the solver is held.
+        plan = {"faults": [{"site": "queue.drain", "kind": "stall",
+                            "after": 1, "delay_s": 0.5}]}
+        server = SolveServer(queue_size=1, warm_delta=0.75, faults=plan)
+        with InProcessServer(server) as srv:
+            status, headers, _ = _post(srv.port, base)
+            assert status == 200 and headers["X-Repro-Cache"] == "miss"
+            first = clients.submit(_post, srv.port, _body(held, "nfdh"))
+            _wait_for(lambda: server.faults.fired >= 1)
+            status, headers, raw = _post(srv.port, edited)
             assert status == 503 and headers["Retry-After"] == "1"
             assert json.loads(raw) == {"error": "request queue is full (1 pending)"}
             assert first.result(timeout=30)[0] == 200
+            status, headers, _ = _post(srv.port, edited)
+            assert status == 200 and headers["X-Repro-Cache"] == "warm"
             queue = _queue(srv.port)
         assert queue["rejected"] == 1
-        assert queue["submitted"] == queue["completed"] == 1
+        assert queue["submitted"] == queue["completed"] == 3
 
     def test_stop_fails_pending_and_rejects_new(self, clients):
         """close() while a stall holds the solver: the solve in progress
-        still answers, the queued one answers 503 when the solver reaches
-        it, and a new one is refused at once."""
-        server = SolveServer(faults=_stall(0.5))
-        running, queued, late = _instances(3, seed=17)
+        still answers, the queued solve and race answer 503 when the
+        solver reaches them, and new ones are refused at once."""
+        server = SolveServer(faults=_stall(1.0))
+        running, queued, raced, late = _instances(4, seed=17)
         with InProcessServer(server) as srv:
             futures = _queue_behind_stall(
                 server, srv, clients, [_body(running, "nfdh"), _body(queued, "nfdh")]
             )
+            futures.append(clients.submit(_post, srv.port, _race(raced), "/portfolio"))
+            _wait_for(lambda: _queue(srv.port)["submitted"] == 3)
             server.close()
-            status, _, raw = _post(srv.port, _body(late, "nfdh"))
-            assert status == 503
-            assert json.loads(raw) == {"error": "request queue is stopped"}
+            for path, body in (("/solve", _body(late, "nfdh")), ("/portfolio", _race(late))):
+                status, headers, raw = _post(srv.port, body, path)
+                assert status == 503 and headers["Retry-After"] == "1"
+                assert json.loads(raw) == {"error": "request queue is stopped"}
             answers = [future.result(timeout=30) for future in futures]
+            queue = _queue(srv.port)
+        # Every accepted job was answered, the refused ones included.
+        assert queue["depth"] == 0 and queue["completed"] == queue["submitted"] == 3
         assert answers[0][0] == 200
-        status, headers, raw = answers[1]
-        assert status == 503 and headers["Retry-After"] == "1"
-        assert json.loads(raw) == {"error": "request queue stopped before this solve ran"}
+        for status, headers, raw in answers[1:]:
+            assert status == 503 and headers["Retry-After"] == "1"
+            assert json.loads(raw) == {
+                "error": "request queue stopped before this solve ran"
+            }
 
     @pytest.mark.parametrize(
         "kwargs", [{"queue_size": 0}, {"queue_size": -1}, {"warm_delta": -0.5}]

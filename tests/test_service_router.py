@@ -255,6 +255,14 @@ class TestFleetMetrics:
         assert set(data["workers"]) == {"0", "1"}
         per_worker = sum(w["queue"]["completed"] for w in data["workers"].values())
         assert data["queue"]["completed"] == per_worker
+        # ... field for field: the fleet blocks carry exactly a worker's keys
+        worker = next(iter(data["workers"].values()))
+        assert set(data["queue"]) == set(worker["queue"])
+        assert set(data["cache"]) == set(worker["cache"])
+        cache = data["cache"]
+        assert cache["hit_rate"] == cache["hits"] / (cache["hits"] + cache["misses"])
+        budgets = [w["cache"]["max_bytes"] for w in data["workers"].values()]
+        assert cache["max_bytes"] == sum(budgets)
 
     def test_prometheus_metrics_carry_per_worker_labels(self, conn):
         _request(conn, "POST", "/solve", _solve_body(seed=14))
