@@ -4,8 +4,9 @@ Importing this module populates the registry in :mod:`repro.bench.spec`.
 Each of the 18 benchmark scripts maps to one spec (named in ``source``),
 plus the kernel races whose artifacts record a production kernel's
 speedup over its reference implementation: ``skyline_bottom_left``
-(:class:`repro.geometry.skyline.Skyline`), ``level_packers`` and
-``dc_kernel`` (Algorithm 1).
+(:class:`repro.geometry.skyline.Skyline`), ``level_packers``,
+``dc_kernel`` (Algorithm 1) and ``aptas_lp`` (Lemma 3.3's LP in
+Algorithm 2).
 
 Conventions:
 
@@ -66,6 +67,14 @@ def _layered_dag(n, rng):
     from ..workloads.dags import layered_precedence_instance
 
     return layered_precedence_instance(n, 12, 0.05, rng)
+
+
+def _bursty_release_k8(n, rng):
+    """Eight columns in four bursts, shaped like the service benchmark's
+    APTAS requests (8 widths, so 66 configurations)."""
+    from ..workloads.releases import bursty_release_instance
+
+    return bursty_release_instance(n, 8, rng)
 
 
 def _uniform_height_dag(n, rng):
@@ -199,6 +208,12 @@ def _solve_lp(instance):
     return solve_fractional(instance)
 
 
+def _reference_lp(instance):
+    from ..release.reference import reference_solve_fractional
+
+    return reference_solve_fractional(instance)
+
+
 def _fractional_height(instance):
     from ..release.lp import optimal_fractional_height
 
@@ -299,6 +314,25 @@ register_bench(BenchSpec(
     repetitions=5,
     warmup=1,
     source="precedence/dc.py, precedence/reference.py",
+))
+
+register_bench(BenchSpec(
+    name="aptas_lp",
+    title="Lemma 3.3 LP: one direct HiGHS call on a memoized skeleton vs scipy's LP front-end on row-by-row rows",
+    workload=_bursty_release_k8,
+    entries=(
+        _call("solve_fractional", _solve_lp),
+        _call("reference_solve_fractional", _reference_lp),
+    ),
+    # Every size repeats one width tuple and phase count, as the service
+    # benchmark's APTAS requests do, so solve_fractional hits its memo of
+    # the LP's fixed part after the warmup.  Quick and full sweeps share
+    # 200 and 1000 so CI can `--quick --compare` the committed artifact.
+    sizes=(200, 1_000, 5_000),
+    quick_sizes=(200, 1_000),
+    repetitions=5,
+    warmup=1,
+    source="release/lp.py, release/reference.py",
 ))
 
 # ----------------------------------------------------------------------

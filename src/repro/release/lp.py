@@ -1,4 +1,4 @@
-"""The Lemma 3.3 linear program, assembled and solved with SciPy/HiGHS.
+"""The Lemma 3.3 linear program, assembled and solved with HiGHS.
 
 Variables ``x[q][j]`` (height of configuration ``q`` in phase ``j``),
 objective ``min sum_q x[q][R]``, constraints:
@@ -22,14 +22,30 @@ Everything runs on columns: :func:`solve_columns` takes the width, height
 and release columns of ``P(R,W)`` (Algorithm 2 never builds that instance)
 and also returns each row's width and phase index, which Lemma 3.4 reuses;
 the public functions are adapters that read ``instance.arrays()``.
+
+The LP goes to HiGHS through the bindings scipy ships
+(``scipy.optimize._highspy._core``), the ones scipy's own
+``method="highs"`` LP front-end calls: the same CSC model and option set,
+on a fresh solver per solve, so ``x`` is bit for bit the one
+:mod:`repro.release.reference` gets from that front-end (the reference
+keeps the call as the executable specification).
+
+The LP's fixed part — the configuration set, the objective and the CSC
+constraint arrays — depends only on the distinct widths, the phase count
+and ``max_configs``, so two one-entry memos keep the last one and a solve
+on a repeated structure builds only its right-hand side.  An entry holds
+no more than the last solve allocated (~45 KB for 8 widths and 5 phases)
+and memoizes a pure function of immutable inputs, so no answer depends on
+request history.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
+from scipy.sparse import csc_array
 
 from ..core.errors import SolverError
 from ..core.instance import ReleaseInstance
@@ -118,21 +134,26 @@ def build_demands(
     return _demand_matrix(wi, bj, arrays.height, (len(widths), len(boundaries)))
 
 
-def solve_configuration_lp(
-    config_set: ConfigurationSet,
-    boundaries: tuple[float, ...],
-    demands: np.ndarray,
-) -> FractionalSolution:
-    """Assemble and solve the LP; returns a verified fractional solution."""
-    Q = config_set.Q
-    P = len(boundaries)
-    W = len(config_set.widths)
-    if demands.shape != (W, P):
-        raise SolverError(f"demands shape {demands.shape} != ({W}, {P})")
-    if Q == 0:
-        raise SolverError("empty configuration set")
-    n = Q * P  # variable layout: x[q, j] at index q * P + j
+class _Skeleton(NamedTuple):
+    """The LP's fixed part for one configuration set and phase count: the
+    objective and ``A_ub`` in CSC form, all read-only arrays."""
 
+    c: np.ndarray
+    start: np.ndarray  # CSC column pointers
+    index: np.ndarray  # CSC row indices
+    value: np.ndarray  # CSC coefficients
+
+
+def _build_skeleton(A_mat: np.ndarray, P: int) -> _Skeleton:
+    """The objective and ``A_ub`` over ``P`` phases for the occurrence
+    matrix ``A_mat`` (shape ``(W, Q)``).
+
+    Variable layout: ``x[q, j]`` at index ``q * P + j``.  The CSC arrays
+    are ``scipy.sparse.csc_array``'s of the dense ``A_ub``, exactly as
+    scipy's LP front-end converts it.
+    """
+    W, Q = A_mat.shape
+    n = Q * P
     c = np.zeros(n)
     c[np.arange(Q) * P + (P - 1)] = 1.0  # minimise phase-R usage
 
@@ -145,27 +166,128 @@ def solve_configuration_lp(
     # (3.3) packing constraints for phases 0..P-2: row j sums x[:, j].
     packing = A_ub[: P - 1].reshape(P - 1, Q, P)
     packing[phases[:-1], :, phases[:-1]] = 1.0
-    gaps = np.diff(np.asarray(boundaries, dtype=float))
 
     # (3.4) covering constraints: -(suffix supply) <= -(suffix demand);
     # row (k, i) holds -A[i, q] at x[q, j] for every j >= k.
-    A_mat = config_set.matrix  # (W, Q)
     suffix = phases[None, :] >= phases[:, None]  # [k, j]
     A_ub[P - 1 :] = np.where(
         suffix[:, None, None, :], 0.0 - A_mat[None, :, :, None], 0.0
     ).reshape(P * W, n)
+
+    A = csc_array(A_ub)
+    skeleton = _Skeleton(c, A.indptr, A.indices, A.data)
+    for array in skeleton:
+        array.setflags(write=False)
+    return skeleton
+
+
+# The two one-entry memos of the module docstring.  Each entry is one
+# tuple, read once and replaced whole, so a concurrent solve sees an old or
+# a new entry, never a mix; two racing misses at worst build it twice.
+_last_configurations: tuple[tuple, ConfigurationSet] | None = None
+_last_skeleton: tuple[ConfigurationSet, int, _Skeleton] | None = None
+
+
+def _configurations(widths: tuple[float, ...], max_configs: int) -> ConfigurationSet:
+    """``enumerate_configurations(widths, max_configs=max_configs)`` for the
+    last key seen.  The cap is part of the key: it decides whether the
+    enumeration raises."""
+    global _last_configurations
+    key = (widths, max_configs)
+    last = _last_configurations
+    if last is not None and last[0] == key:
+        return last[1]
+    config_set = enumerate_configurations(widths, max_configs=max_configs)
+    _last_configurations = (key, config_set)
+    return config_set
+
+
+def _skeleton(config_set: ConfigurationSet, P: int) -> _Skeleton:
+    """The LP's fixed part for the last set (by identity: the entry keeps
+    it alive) and phase count seen."""
+    global _last_skeleton
+    last = _last_skeleton
+    if last is not None and last[0] is config_set and last[1] == P:
+        return last[2]
+    skeleton = _build_skeleton(config_set.matrix, P)
+    _last_skeleton = (config_set, P, skeleton)
+    return skeleton
+
+
+def _highs_options() -> highs.HighsOptions:
+    """The options scipy's ``method="highs"`` LP front-end sets; every
+    other option keeps its HiGHS default."""
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.output_flag = False
+    options.log_to_console = False
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    return options
+
+
+_OPTIONS = _highs_options()  # copied into each solver, never mutated
+
+
+def _solve_highs(skeleton: _Skeleton, b_ub: np.ndarray) -> np.ndarray:
+    """``x`` minimising ``c @ x`` subject to ``A_ub @ x <= b_ub`` and
+    ``x >= 0``, from a fresh HiGHS solver given the model scipy's LP
+    front-end would build."""
+    n, m = skeleton.c.size, b_ub.size
+    lp = highs.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = m
+    lp.col_cost_ = skeleton.c
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.full(n, highs.kHighsInf)
+    lp.row_lower_ = np.full(m, -highs.kHighsInf)
+    lp.row_upper_ = b_ub
+    matrix = lp.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.num_col_ = n
+    matrix.num_row_ = m
+    matrix.start_ = skeleton.start
+    matrix.index_ = skeleton.index
+    matrix.value_ = skeleton.value
+
+    solver = highs._Highs()
+    solver.passOptions(_OPTIONS)
+    status = highs.HighsModelStatus.kModelError  # a model HiGHS refuses
+    if solver.passModel(lp) != highs.HighsStatus.kError:
+        solver.run()
+        status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise SolverError(
+            f"configuration LP failed: {solver.modelStatusToString(status)}"
+        )
+    return np.array(solver.getSolution().col_value)
+
+
+def solve_configuration_lp(
+    config_set: ConfigurationSet,
+    boundaries: tuple[float, ...],
+    demands: np.ndarray,
+) -> FractionalSolution:
+    """Solve the LP (building only its right-hand side when the fixed part
+    is memoized); returns a verified fractional solution."""
+    Q = config_set.Q
+    P = len(boundaries)
+    W = len(config_set.widths)
+    if demands.shape != (W, P):
+        raise SolverError(f"demands shape {demands.shape} != ({W}, {P})")
+    if Q == 0:
+        raise SolverError("empty configuration set")
+
+    # The P-1 phase gaps (3.3), then -(suffix demand) per covering row (3.4).
+    gaps = np.diff(np.asarray(boundaries, dtype=float))
     suffix_demand = np.stack([demands[:, k:].sum(axis=1) for k in range(P)])
     b_ub = np.concatenate([gaps, -suffix_demand.ravel()])
 
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
-    if not res.success:
-        raise SolverError(f"configuration LP failed: {res.message}")
-
-    x = np.maximum(res.x, 0.0).reshape(Q, P)
+    x = _solve_highs(_skeleton(config_set, P), b_ub)
     sol = FractionalSolution(
         config_set=config_set,
         boundaries=tuple(boundaries),
-        x=x,
+        x=np.maximum(x, 0.0).reshape(Q, P),
         demands=demands,
     )
     sol.verify()
@@ -187,7 +309,7 @@ def solve_columns(
     ``boundaries`` (every row matches both by construction).
     """
     widths = tuple(np.unique(width)[::-1].tolist())
-    config_set = enumerate_configurations(widths, max_configs=max_configs)
+    config_set = _configurations(widths, max_configs)
     boundaries = _phase_starts(release)
     wi = match_rows(width, config_set.widths)
     bj = match_rows(release, boundaries)

@@ -583,7 +583,10 @@ class RouterServer(HttpServerBase):
         """Tear the fleet down hard (idempotent; safe off the loop).
 
         The graceful path is :meth:`drain`; this is the unconditional
-        cleanup behind ``finally:`` blocks and test harness exits.
+        cleanup behind ``finally:`` blocks and test harness exits.  The
+        pooled worker connections close here too; their sockets are
+        released once the loop runs again (a closed loop leaves them to
+        the garbage collector).
         """
         if self._closed:
             return
@@ -597,6 +600,8 @@ class RouterServer(HttpServerBase):
                 # Called after the event loop already closed (harness
                 # teardown); the task died with the loop.
                 pass
+        for client in self._clients.values():
+            client.close()
         for handle in self._handles.values():
             handle.shutdown(timeout=2)
 

@@ -1433,6 +1433,11 @@ class InProcessServer:
                     asyncio.gather(*pending, return_exceptions=True)
                 )
             loop.run_until_complete(loop.shutdown_asyncgens())
+            # Close the server while its loop can still finish the
+            # transports it closes (the router's pooled worker
+            # connections): one more pass of the loop releases them.
+            self.server.close()
+            loop.run_until_complete(asyncio.sleep(0))
             loop.close()
 
     def __exit__(self, *exc_info) -> None:

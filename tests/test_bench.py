@@ -314,6 +314,42 @@ class TestCommittedDCKernelArtifact:
         assert committed & quick
 
 
+class TestCommittedAPTASLPArtifact:
+    """The checked-in race of the Lemma 3.3 LP (one direct HiGHS call on a
+    memoized skeleton) against the reference's linprog on row-by-row rows."""
+
+    @pytest.fixture(scope="class")
+    def artifact(self):
+        from pathlib import Path
+
+        path = (
+            Path(__file__).resolve().parent.parent
+            / "benchmarks" / "artifacts" / "BENCH_aptas_lp.json"
+        )
+        return load_artifact(path)  # schema-validates
+
+    def test_speedup_at_1000_rects(self, artifact):
+        """At least 1.5x over the reference at n=1000."""
+        medians = {(p["label"], p["size"]): p["median_s"] for p in artifact["points"]}
+        ratio = medians[("reference_solve_fractional", 1_000)] / medians[("solve_fractional", 1_000)]
+        assert ratio >= 1.5
+
+    def test_same_heights_per_size(self, artifact):
+        """Both versions reached the same fractional height at every size."""
+        heights: dict[int, set[float]] = {}
+        for p in artifact["points"]:
+            heights.setdefault(p["size"], set()).add(p["metrics"]["height"])
+        assert heights and all(len(hs) == 1 for hs in heights.values())
+
+    def test_quick_sizes_overlap_for_ci_compare(self, artifact):
+        """CI diffs a --quick run against this artifact; at least one
+        (label, size) point must overlap or compare_artifacts errors."""
+        spec = get_bench("aptas_lp")
+        committed = {(p["label"], p["size"]) for p in artifact["points"]}
+        quick = {(e.label, s) for e in spec.entries for s in spec.sweep(quick=True)}
+        assert committed & quick
+
+
 class TestCommittedServiceArtifact:
     """The checked-in throughput artifact of the solve service."""
 

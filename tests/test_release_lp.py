@@ -11,12 +11,16 @@ from repro.core.instance import ReleaseInstance
 from repro.core.rectangle import Rect
 from repro.release.configurations import enumerate_configurations
 from repro.release.lp import (
+    _skeleton,
+    _solve_highs,
     build_demands,
     optimal_fractional_height,
     phase_boundaries,
     solve_configuration_lp,
     solve_fractional,
 )
+from repro.release.reference import reference_solve_configuration_lp
+from repro.workloads.releases import bursty_release_instance
 
 from .conftest import release_instances
 
@@ -150,6 +154,142 @@ class TestSolve:
         cs = enumerate_configurations([0.5])
         with pytest.raises(SolverError, match="demands shape"):
             solve_configuration_lp(cs, (0.0,), np.zeros((3, 1)))
+
+    @pytest.mark.parametrize(
+        "solve", [solve_configuration_lp, reference_solve_configuration_lp]
+    )
+    def test_infeasible_lp_raises(self, solve):
+        # Boundaries (0, -1) give phase 0 a capacity of -1: the packing row
+        # asks for x <= -1 of non-negative heights.
+        cs = enumerate_configurations((0.5,))
+        with pytest.raises(SolverError, match="configuration LP failed") as info:
+            solve(cs, (0.0, -1.0), np.zeros((1, 2)))
+        assert "nfeasible" in str(info.value)
+
+
+def dense_rows(config_set, P):
+    """``(c, A_ub)`` assembled row by row, as the reference LP does."""
+    Q, W = config_set.Q, len(config_set.widths)
+    columns = np.arange(Q) * P
+    c = np.zeros(Q * P)
+    c[columns + (P - 1)] = 1.0
+    rows = []
+    for j in range(P - 1):
+        row = np.zeros(Q * P)
+        row[columns + j] = 1.0
+        rows.append(row)
+    for k in range(P):
+        for i in range(W):
+            row = np.zeros(Q * P)
+            for j in range(k, P):
+                row[columns + j] -= config_set.matrix[i, :]
+            rows.append(row)
+    return c, np.vstack(rows)
+
+
+def suffix_rhs(sol):
+    """``b_ub`` of a solved LP: phase gaps, then -(suffix demand)."""
+    gaps = np.diff(np.asarray(sol.boundaries, dtype=float))
+    P = sol.n_phases
+    covering = [
+        -float(sol.demands[i, k:].sum()) for k in range(P) for i in range(len(sol.demands))
+    ]
+    return np.concatenate([gaps, covering])
+
+
+class TestFixedPart:
+    """The memoized configuration set and LP skeleton."""
+
+    def test_same_widths_share_one_configuration_set(self):
+        first = solve_fractional(inst_of([(1, 0.5, 0.0), (2, 0.7, 1.0)]))
+        again = solve_fractional(inst_of([(2, 0.3, 0.0), (1, 0.9, 2.0), (1, 0.1, 2.0)]))
+        assert again.config_set is first.config_set
+        other = solve_fractional(inst_of([(3, 0.5, 0.0), (2, 0.7, 1.0)]))
+        assert other.config_set is not first.config_set
+        assert other.config_set.widths == (0.75, 0.5)
+
+    def test_max_configs_is_part_of_the_key(self):
+        inst = inst_of([(c, 0.5, 0.0) for c in (1, 2, 3, 4)])
+        warm = solve_fractional(inst)
+        assert warm.config_set.Q == 11
+        with pytest.raises(SolverError, match="configuration count exceeds max_configs"):
+            solve_fractional(inst, max_configs=5)
+        assert solve_fractional(inst).config_set is warm.config_set
+
+    def test_cached_arrays_are_read_only(self):
+        sol = solve_fractional(bursty_release_instance(60, 8, np.random.default_rng(1)))
+        skeleton = _skeleton(sol.config_set, sol.n_phases)
+        assert _skeleton(sol.config_set, sol.n_phases) is skeleton
+        for array in skeleton:
+            assert array.flags.writeable is False
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+
+    def test_a_model_highs_refuses_raises(self):
+        # HiGHS refuses a NaN bound at passModel; run() on the empty model
+        # it keeps would then report Optimal, so the refusal must raise.
+        sol = solve_fractional(inst_of([(1, 0.5, 0.0), (2, 0.5, 1.0)]))
+        m = sol.n_phases - 1 + sol.n_phases * len(sol.config_set.widths)
+        with pytest.raises(SolverError, match="configuration LP failed: Model error"):
+            _solve_highs(_skeleton(sol.config_set, sol.n_phases), np.full(m, np.nan))
+
+    def test_concurrent_solves_get_their_own_structure(self):
+        """Threads alternating two width tuples and phase counts each get
+        their own answer: a miss on one thread never hands another the
+        wrong configuration set or skeleton."""
+        import sys
+        import threading
+
+        instances = [
+            inst_of([(1, 0.5, 0.0), (2, 0.7, 1.0), (4, 0.2, 2.0)]),
+            inst_of([(3, 0.4, 0.0), (2, 0.6, 3.0)]),
+        ]
+        expected = [solve_fractional(inst).x.tobytes() for inst in instances]
+        wrong: list[int] = []
+
+        def worker(offset):
+            for i in range(40):
+                k = (i + offset) % 2
+                if solve_fractional(instances[k]).x.tobytes() != expected[k]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_csc_arrays_equal_scipy_csc_of_the_dense_rows(self, seed):
+        from scipy.sparse import csc_array
+
+        sol = solve_fractional(bursty_release_instance(200, 8, np.random.default_rng(seed)))
+        c, A_ub = dense_rows(sol.config_set, sol.n_phases)
+        skeleton = _skeleton(sol.config_set, sol.n_phases)
+        A = csc_array(A_ub)
+        assert skeleton.c.tobytes() == c.tobytes()
+        for ours, scipys in (
+            (skeleton.start, A.indptr), (skeleton.index, A.indices), (skeleton.value, A.data)
+        ):
+            assert ours.dtype == scipys.dtype and np.array_equal(ours, scipys)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_direct_call_returns_linprogs_x(self, seed):
+        from scipy.optimize import linprog
+
+        sol = solve_fractional(bursty_release_instance(200, 8, np.random.default_rng(seed)))
+        c, A_ub = dense_rows(sol.config_set, sol.n_phases)
+        b_ub = suffix_rhs(sol)
+        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+        x = _solve_highs(_skeleton(sol.config_set, sol.n_phases), b_ub)
+        assert x.tobytes() == res.x.tobytes()
 
 
 @settings(deadline=None, max_examples=25)

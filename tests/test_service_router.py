@@ -511,6 +511,34 @@ class TestSharedSpillTier:
 # graceful drain edge cases
 # ----------------------------------------------------------------------
 
+class TestFleetTeardown:
+    def test_exit_closes_the_pooled_worker_connections(self):
+        """The router's keep-alive connections to its workers (opened here
+        by the fan-out of /metrics and /debug/trace) close with the fleet,
+        so the garbage collector finds no socket to warn about."""
+        import gc
+        import warnings
+
+        from repro.service.router import build_server
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with InProcessServer(build_server(2)) as srv:
+                conn = http.client.HTTPConnection(srv.host, srv.port, timeout=60)
+                try:
+                    status, headers, _ = _request(conn, "POST", "/solve", _solve_body(seed=7))
+                    assert status == 200
+                    trace = headers["X-Repro-Trace"].split(";")[0]
+                    assert _request(conn, "GET", "/metrics")[0] == 200
+                    assert _request(conn, "GET", f"/debug/trace/{trace}")[0] == 200
+                finally:
+                    conn.close()
+            del srv  # the fleet and its clients are garbage from here
+            gc.collect()
+        unclosed = [str(w.message) for w in caught if w.category is ResourceWarning]
+        assert not unclosed, unclosed
+
+
 class TestFleetDrain:
     def test_drain_with_inflight_requests_answers_them(self):
         """router.drain() with solves still queued on the workers:
