@@ -5,9 +5,8 @@ Exercises the unified solver engine the way a serving layer would:
 * portfolio racing on one instance per variant — the winner must be the
   minimum-height valid entrant, and never worse than the per-variant
   default algorithm (the default is always in the race);
-* ``solve_many`` over a mixed instance stream — serial and thread-pool
-  runs must produce identical heights (all solvers are deterministic), and
-  every report carries a finite wall-time and a consistent ratio
+* ``solve_many`` over a mixed instance stream — every report is valid
+  and carries a finite wall-time and a consistent ratio
   ``height / combined_lower_bound >= 1``.
 """
 
@@ -31,9 +30,6 @@ def test_e13_bench_spec():
     assert artifact["points"], "bench spec produced no measurements"
 
 
-JOBS = 4
-
-
 def _suite(n_instances: int = 12, seed: int = 7):
     return mixed_instance_suite(n_instances, np.random.default_rng(seed))
 
@@ -41,7 +37,7 @@ def _suite(n_instances: int = 12, seed: int = 7):
 @pytest.mark.parametrize("variant", ["plain", "precedence", "release"])
 def test_e13_portfolio_beats_default(variant):
     inst = next(i for i in _suite() if variant_of(i) == variant)
-    result = portfolio(inst, jobs=JOBS)
+    result = portfolio(inst)
 
     assert result.best is not None, "no entrant validated"
     assert result.best.valid
@@ -60,20 +56,18 @@ def test_e13_portfolio_beats_default(variant):
     )
 
 
-def test_e13_batch_parallel_determinism():
+def test_e13_batch_stream():
     instances = _suite()
-    serial = solve_many(instances)
-    parallel = solve_many(instances, jobs=JOBS)
+    reports = solve_many(instances)
 
-    assert [r.height for r in parallel] == [r.height for r in serial]
-    assert [r.algorithm for r in parallel] == [r.algorithm for r in serial]
-    for r in parallel:
+    assert [r.n for r in reports] == [len(i) for i in instances]
+    for r in reports:
         assert r.valid
         assert r.wall_time >= 0.0
         assert r.ratio is not None and r.ratio >= 1.0 - 1e-9
     emit_reports(
         "e13_batch_stream",
-        parallel,
-        title=f"E13 solve_many over {len(instances)} mixed instances (jobs={JOBS})",
+        reports,
+        title=f"E13 solve_many over {len(instances)} mixed instances",
         label_header="instance",
     )

@@ -110,13 +110,13 @@ def engine_batch_and_portfolio() -> None:
           f"ratio {report.ratio:.3f}, {report.wall_time * 1e3:.1f} ms")
 
     # Race every release-capable algorithm; the best valid placement wins.
-    race = portfolio(rel, jobs=2)
+    race = portfolio(rel)
     print(reports_table(race.reports, title="portfolio race", label_header="entrant").render())
     print(f"winner: {race.best.algorithm} at height {race.best.height:.3f}")
 
-    # Stream a mixed workload through the engine (deterministic under jobs>1).
+    # Stream a mixed workload through the engine, reports in input order.
     stream = mixed_instance_suite(6, rng)
-    reports = solve_many(stream, jobs=2)
+    reports = solve_many(stream)
     assert all(r.valid for r in reports)
     print(reports_table(reports, title="solve_many over a mixed stream").render())
     print()

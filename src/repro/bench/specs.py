@@ -234,14 +234,10 @@ def _portfolio_first(instances):
     return portfolio(instances[0])
 
 
-def _solve_many(jobs):
-    def run(instances):
-        from ..engine import solve_many
+def _solve_many(instances):
+    from ..engine import solve_many
 
-        return solve_many(instances, jobs=jobs, validate=False)
-
-    run.__name__ = f"solve_many[jobs={jobs}]"
-    return run
+    return solve_many(instances, validate=False)
 
 
 def _engine(label, algorithm, **params):
@@ -476,8 +472,7 @@ register_bench(BenchSpec(
     title="E13: engine batch and portfolio execution",
     workload=_instance_suite,
     entries=(
-        _call("solve_many[serial]", _solve_many(1)),
-        _call("solve_many[jobs=4]", _solve_many(4)),
+        _call("solve_many", _solve_many),
         _call("portfolio[first]", _portfolio_first),
     ),
     sizes=(6, 12, 24),

@@ -13,13 +13,11 @@ Commands
     optionally write the placement JSON.
 ``bounds INSTANCE.json``
     Print the elementary lower bounds for an instance.
-``batch DIR [--algorithm NAME] [--jobs N] [--backend B] [--glob PATTERN]``
+``batch DIR [--algorithm NAME] [--glob PATTERN]``
     Solve every instance JSON under ``DIR`` through the engine's
-    :func:`~repro.engine.batch.solve_many`; ``--backend serial | thread |
-    process`` picks the :class:`~repro.engine.batch.Executor` (default:
-    serial, or a thread pool when ``--jobs N`` > 1, as before);
-    per-instance height/ratio/wall-time plus a summary.
-``portfolio INSTANCE.json [--algorithms a,b,c] [--jobs N] [--backend B]``
+    :func:`~repro.engine.batch.solve_many`; per-instance
+    height/ratio/wall-time plus a summary.
+``portfolio INSTANCE.json [--algorithms a,b,c]``
     Race candidate algorithms on one instance; report every entrant and
     the minimum-height valid winner.
 ``simulate STREAM [--policy P] [--seed S] [--n N] [--K K] [--rate R]``
@@ -94,24 +92,6 @@ def _aptas_default_eps() -> float:
     return float(default_params("aptas")["eps"])
 
 
-def _check_jobs(jobs: int | None) -> None:
-    """``--jobs`` must name a positive worker count — 0/negative used to
-    silently mean "serial", which hid typos; now it is a usage error."""
-    if jobs is not None and jobs < 1:
-        raise _CliInputError(f"--jobs must be a positive worker count, got {jobs}")
-
-
-def _add_executor_args(parser) -> None:
-    """The shared ``--jobs`` / ``--backend`` pair of the executor seam."""
-    parser.add_argument("--jobs", type=int, default=1, help="pool workers (1 = serial)")
-    parser.add_argument(
-        "--backend",
-        choices=("serial", "thread", "process"),
-        default=None,
-        help="execution backend (default: serial, or thread when --jobs > 1)",
-    )
-
-
 def _load_instance(path: Path):
     """Read and parse one instance JSON, mapping failures to CLI errors."""
     try:
@@ -158,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser("batch", help="solve every instance JSON in a directory")
     p_batch.add_argument("directory", type=Path, help="directory of instance JSON files")
     p_batch.add_argument("--algorithm", default=None, help="algorithm name (default: per-variant)")
-    _add_executor_args(p_batch)
     p_batch.add_argument("--glob", default="*.json", help="instance file pattern")
 
     p_port = sub.add_parser("portfolio", help="race algorithms on one instance")
@@ -168,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated entrants (default: every spec matching the variant)",
     )
-    _add_executor_args(p_port)
     p_port.add_argument("--output", type=Path, default=None, help="write winning placement JSON here")
 
     from .sim import policy_names
@@ -445,32 +423,18 @@ def _cmd_bounds(args, out) -> int:
 def _cmd_batch(args, out) -> int:
     from .workloads.suite import read_instance_dir
 
-    _check_jobs(args.jobs)
     if not args.directory.is_dir():
-        print(f"not a directory: {args.directory}", file=out)
-        return 2
+        raise _CliInputError(f"not a directory: {args.directory}")
     try:
         paths, instances = read_instance_dir(args.directory, pattern=args.glob)
     except (json.JSONDecodeError, ReproError) as exc:
         raise _CliInputError(f"invalid instance file under {args.directory}: {exc}") from exc
     if not instances:
-        print(f"no instances matching {args.glob!r} under {args.directory}", file=out)
-        return 2
+        raise _CliInputError(f"no instances matching {args.glob!r} under {args.directory}")
     reports = solve_many(
-        instances,
-        args.algorithm,
-        jobs=args.jobs,
-        backend=args.backend,
-        labels=[p.name for p in paths],
-        strict=False,
+        instances, args.algorithm, labels=[p.name for p in paths], strict=False
     )
-    from .engine import resolve_executor
-
-    backend = resolve_executor(args.backend, args.jobs).backend
-    title = (
-        f"batch {args.directory} ({len(reports)} instances, "
-        f"backend={backend}, jobs={args.jobs})"
-    )
+    title = f"batch {args.directory} ({len(reports)} instances)"
     print(reports_table(reports, title=title, label_header="instance").render(), file=out)
     ok = [r for r in reports if r.valid]
     total_time = sum(r.wall_time for r in reports)
@@ -480,10 +444,9 @@ def _cmd_batch(args, out) -> int:
 
 
 def _cmd_portfolio(args, out) -> int:
-    _check_jobs(args.jobs)
     instance = _load_instance(args.instance)
     names = args.algorithms.split(",") if args.algorithms else None
-    result = portfolio(instance, names, jobs=args.jobs, backend=args.backend)
+    result = portfolio(instance, names)
     title = f"portfolio {args.instance.name} (n={len(instance)})"
     print(reports_table(result.reports, title=title, label_header="entrant").render(), file=out)
     if result.best is None:

@@ -128,13 +128,6 @@ class RectArrays:
             self._sid_rank = rank
         return self._sid_rank
 
-    def __getstate__(self):
-        # Drop the lazy index; numpy columns pickle fine (process backend).
-        return (self.rects,)
-
-    def __setstate__(self, state) -> None:
-        self.__init__(state[0])
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RectArrays(n={len(self)})"
 

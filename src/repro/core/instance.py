@@ -13,7 +13,6 @@ Instances are immutable containers: algorithms read them and return
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Hashable, Iterator, Mapping, Sequence
 
@@ -173,7 +172,3 @@ class ReleaseInstance(StripPackingInstance):
     def with_rects(self, rects: Sequence[Rect]) -> "ReleaseInstance":
         """Same ``K``, new rectangles (used by the Section 3 reductions)."""
         return ReleaseInstance(rects, self.K)
-
-
-def _is_finite_positive(x: float) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x) and x > 0

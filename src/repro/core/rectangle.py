@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInstanceError
 
@@ -152,9 +152,3 @@ def check_rects(rects: Sequence[Rect]) -> Mapping[int | str, Rect]:
             raise InvalidInstanceError(f"duplicate rectangle id {r.rid!r}")
         by_id[r.rid] = r
     return by_id
-
-
-def iter_ids(rects: Iterable[Rect]) -> Iterator[int | str]:
-    """Yield the ids of ``rects`` in order."""
-    for r in rects:
-        yield r.rid

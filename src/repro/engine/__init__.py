@@ -1,6 +1,7 @@
 """Unified solver engine: declarative specs, instrumented runs, batching.
 
-The engine is the architectural seam every scaling feature plugs into:
+The layer between the algorithms and their callers (the library API, the
+CLI, the bench harness and the service):
 
 * :mod:`repro.engine.spec`   — :class:`AlgorithmSpec` and the registry
   (the single source of algorithm metadata and defaults);
@@ -13,14 +14,7 @@ The engine is the architectural seam every scaling feature plugs into:
 shim over :func:`run` that returns just the placement.
 """
 
-from .batch import (
-    BACKENDS,
-    Executor,
-    PortfolioResult,
-    portfolio,
-    resolve_executor,
-    solve_many,
-)
+from .batch import PortfolioResult, portfolio, solve_many
 from .report import SolveReport
 from .runner import bound_components, run
 from .warmstart import DEFAULT_DELTA, repair_placement, try_warm, warm_run
@@ -42,9 +36,6 @@ __all__ = [
     "AlgorithmSpec",
     "SolveReport",
     "PortfolioResult",
-    "BACKENDS",
-    "Executor",
-    "resolve_executor",
     "VARIANTS",
     "run",
     "warm_run",

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from ..core.errors import InvalidInstanceError
 from ..core.instance import ReleaseInstance, StripPackingInstance
-from ..core.rectangle import Rect
 
 __all__ = ["Device", "quantize_width", "quantize_instance"]
 
@@ -87,15 +86,3 @@ def quantize_instance(instance: StripPackingInstance, K: int) -> StripPackingIns
     if isinstance(instance, ReleaseInstance):
         return ReleaseInstance(new, instance.K)
     return StripPackingInstance(new)
-
-
-def rect_for_task(
-    rid, columns: int, duration: float, device: Device, release: float = 0.0
-) -> Rect:
-    """Build the rectangle for a task needing ``columns`` columns for
-    ``duration`` time units."""
-    if not 1 <= columns <= device.K:
-        raise InvalidInstanceError(
-            f"task {rid!r} needs {columns} columns on a {device.K}-column device"
-        )
-    return Rect(rid=rid, width=columns / device.K, height=duration, release=release)

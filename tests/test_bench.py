@@ -690,8 +690,8 @@ class TestCli:
 
     @pytest.mark.parametrize("flag", ["--backend thread", "--jobs 2"])
     def test_executor_flags_are_unknown(self, flag):
-        """Specs run one at a time in this process; argparse refuses the
-        batch CLI's executor flags on ``bench`` with exit 2."""
+        """Specs run one at a time in this process; argparse refuses
+        executor flags on ``bench`` with exit 2."""
         with pytest.raises(SystemExit) as exc:
             main(["bench", "fig1_gap", *flag.split()])
         assert exc.value.code == 2

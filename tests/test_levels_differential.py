@@ -8,10 +8,6 @@ be *observationally identical* to the executable specification
 rectangle, same extents — on hypothesis-generated rectangle lists and on
 the real workload generators at packing scale.  This is what makes the
 ``level_packers`` bench's speedup trustworthy.
-
-Also here: the :class:`~repro.engine.batch.Executor` determinism sweep —
-``solve_many`` and ``portfolio`` must return bit-identical outputs on the
-serial, thread, and process backends.
 """
 
 from __future__ import annotations
@@ -143,71 +139,3 @@ def test_instance_arrays_are_cached():
     rects = [Rect(rid=i, width=0.4, height=1.0 + i % 3) for i in range(9)]
     instance = StripPackingInstance(rects)
     assert instance.arrays() is instance.arrays()
-
-
-# ----------------------------------------------------------------------
-# executor determinism: serial == thread == process, bit for bit
-# ----------------------------------------------------------------------
-
-def _assert_reports_bit_identical(a, b):
-    assert len(a) == len(b)
-    for ra, rb in zip(a, b):
-        assert ra.algorithm == rb.algorithm
-        assert ra.height == rb.height
-        assert ra.lower_bound == rb.lower_bound
-        assert ra.valid == rb.valid and ra.error == rb.error
-        if ra.placement is None or rb.placement is None:
-            assert ra.placement is None and rb.placement is None
-            continue
-        assert len(ra.placement) == len(rb.placement)
-        for rid, pr in ra.placement.items():
-            assert rb.placement[rid] == pr
-
-
-class TestExecutorDeterminism:
-    @pytest.fixture(scope="class")
-    def instances(self):
-        from repro.workloads.suite import mixed_instance_suite
-
-        return mixed_instance_suite(8, np.random.default_rng(42))
-
-    def test_solve_many_backends_bit_identical(self, instances):
-        from repro.engine import solve_many
-
-        serial = solve_many(instances, backend="serial")
-        threaded = solve_many(instances, backend="thread", jobs=3)
-        processed = solve_many(instances, backend="process", jobs=2)
-        _assert_reports_bit_identical(serial, threaded)
-        _assert_reports_bit_identical(serial, processed)
-
-    def test_portfolio_backends_bit_identical(self):
-        from repro.core.instance import ReleaseInstance
-        from repro.engine import portfolio
-
-        inst = ReleaseInstance(
-            [Rect(rid=i, width=0.5, height=0.5, release=0.5 * i) for i in range(6)],
-            K=2,
-        )
-        serial = portfolio(inst, backend="serial")
-        threaded = portfolio(inst, backend="thread", jobs=4)
-        processed = portfolio(inst, backend="process", jobs=2)
-        for other in (threaded, processed):
-            assert other.best is not None and serial.best is not None
-            assert other.best.algorithm == serial.best.algorithm
-            assert other.best.height == serial.best.height
-            assert other.heights == serial.heights
-            _assert_reports_bit_identical(list(serial.reports), list(other.reports))
-
-    def test_unknown_backend_rejected(self):
-        from repro.core.errors import InvalidInstanceError
-        from repro.engine import Executor
-
-        with pytest.raises(InvalidInstanceError, match="unknown backend"):
-            Executor("warp")
-
-    def test_non_positive_jobs_rejected(self):
-        from repro.core.errors import InvalidInstanceError
-        from repro.engine import Executor
-
-        with pytest.raises(InvalidInstanceError, match="jobs"):
-            Executor("thread", 0)
