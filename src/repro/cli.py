@@ -79,7 +79,7 @@ from .analysis.report import Table, reports_table
 from .core.bounds import combined_lower_bound
 from .core.errors import ReproError
 from .core.serialize import loads_instance, placement_to_dict
-from .engine import default_params, portfolio, run, solve_many
+from .engine import default_params, get_spec, portfolio, run, solve_many
 
 __all__ = ["main", "build_parser"]
 
@@ -90,6 +90,18 @@ class _CliInputError(Exception):
 
 def _aptas_default_eps() -> float:
     return float(default_params("aptas")["eps"])
+
+
+def _check_algorithms(*names: str | None) -> None:
+    """Refuse an unknown algorithm name as bad input, before any solve
+    (``None`` is the per-variant default)."""
+    for name in names:
+        if name is None:
+            continue
+        try:
+            get_spec(name)
+        except ReproError as exc:
+            raise _CliInputError(str(exc)) from exc
 
 
 def _load_instance(path: Path):
@@ -393,6 +405,7 @@ def _solve_params(instance, name, eps):
 
 
 def _cmd_solve(args, out) -> int:
+    _check_algorithms(args.algorithm)
     instance = _load_instance(args.instance)
     report = run(instance, args.algorithm, params=_solve_params(instance, args.algorithm, args.eps))
     print(f"algorithm: {report.algorithm}", file=out)
@@ -423,6 +436,7 @@ def _cmd_bounds(args, out) -> int:
 def _cmd_batch(args, out) -> int:
     from .workloads.suite import read_instance_dir
 
+    _check_algorithms(args.algorithm)
     if not args.directory.is_dir():
         raise _CliInputError(f"not a directory: {args.directory}")
     try:
@@ -444,8 +458,9 @@ def _cmd_batch(args, out) -> int:
 
 
 def _cmd_portfolio(args, out) -> int:
-    instance = _load_instance(args.instance)
     names = args.algorithms.split(",") if args.algorithms else None
+    _check_algorithms(*(names or ()))
+    instance = _load_instance(args.instance)
     result = portfolio(instance, names)
     title = f"portfolio {args.instance.name} (n={len(instance)})"
     print(reports_table(result.reports, title=title, label_header="entrant").render(), file=out)
@@ -906,13 +921,7 @@ def _cmd_loadtest(args, out) -> int:
         raise _CliInputError(f"--steps must be positive, got {steps}")
     if args.warm_delta is not None and args.warm_delta < 0:
         raise _CliInputError(f"--warm-delta must be >= 0, got {args.warm_delta:g}")
-    if args.algorithm is not None:
-        from .engine import get_spec
-
-        try:
-            get_spec(args.algorithm)
-        except _ReproError as exc:
-            raise _CliInputError(str(exc)) from exc
+    _check_algorithms(args.algorithm)
     try:
         payloads = solve_payloads(
             distinct, n_rects=args.rects, seed=args.seed, algorithm=args.algorithm

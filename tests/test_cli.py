@@ -320,6 +320,20 @@ class TestInputErrors:
         code, text = run_cli(["batch", str(tmp_path)])
         assert code == 2 and "invalid instance file" in text
 
+    @pytest.mark.parametrize("command, flag", [
+        ("solve", "--algorithm"),
+        ("batch", "--algorithm"),
+        ("portfolio", "--algorithms"),
+    ])
+    def test_unknown_algorithm_exits_2(self, command, flag, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(dumps_instance(StripPackingInstance([Rect(rid=0, width=0.5, height=1.0)])))
+        target = tmp_path if command == "batch" else path
+        code, text = run_cli([command, str(target), flag, "warp"])
+        assert code == 2
+        [line] = text.splitlines()
+        assert line.startswith("error: unknown algorithm 'warp'; available: ")
+
 
 class TestVersion:
     """``repro --version`` is single-sourced from pyproject.toml."""

@@ -1,16 +1,24 @@
 """Tests for the Lemma 3.3 configuration LP."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import repro
 from repro.core.errors import SolverError
 from repro.core.instance import ReleaseInstance
 from repro.core.rectangle import Rect
 from repro.release.configurations import enumerate_configurations
 from repro.release.lp import (
+    _HIGHS_NAME,
+    _load_highs,
     _skeleton,
     _solve_highs,
     build_demands,
@@ -290,6 +298,97 @@ class TestFixedPart:
         res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
         x = _solve_highs(_skeleton(sol.config_set, sol.n_phases), b_ub)
         assert x.tobytes() == res.x.tobytes()
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this ``repro``;
+    returns its stdout."""
+    path = [str(Path(repro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_SOLVE_APTAS = """
+import json, sys
+import numpy as np
+from repro.engine import run
+from repro.workloads import bursty_release_instance
+report = run(bursty_release_instance(200, 8, np.random.default_rng(1)), "aptas")
+packages = ("scipy.optimize", "scipy.sparse", "scipy.linalg", "scipy.special")
+print(json.dumps({
+    "valid": report.valid,
+    "highs": "scipy.optimize._highspy._core" in sys.modules,
+    "loaded": [name for name in packages if name in sys.modules],
+}))
+"""
+
+# Solves one LP through lp's direct call and through scipy's linprog, in
+# the order argv[1] names, then reports both x and whether one module
+# object, lp's, holds the HiGHS extension.
+_LOAD_ORDER = """
+import json, sys
+import numpy as np
+lp_data = np.load(sys.argv[2])
+
+def lp_x():
+    import repro.release.lp as lp
+    skeleton = lp._build_skeleton(lp_data["A_mat"], int(lp_data["P"]))
+    return lp._solve_highs(skeleton, lp_data["b_ub"])
+
+def linprog_x():
+    from scipy.optimize import linprog
+    res = linprog(lp_data["c"], A_ub=lp_data["A_ub"], b_ub=lp_data["b_ub"],
+                  bounds=(0, None), method="highs")
+    return res.x
+
+if sys.argv[1] == "lp-first":
+    x_lp, x_linprog = lp_x(), linprog_x()
+else:
+    x_linprog = linprog_x()
+    x_lp = lp_x()
+import repro.release.lp as lp
+import scipy.optimize._highspy._core as core
+cores = [m for m in list(sys.modules.values()) if getattr(m, "__name__", None) == core.__name__]
+print(json.dumps({
+    "lp": x_lp.tobytes().hex(),
+    "linprog": x_linprog.tobytes().hex(),
+    "one_core": cores == [core] and lp.highs is core,
+}))
+"""
+
+
+class TestHighsExtension:
+    """lp loads scipy's HiGHS extension alone, and shares it with scipy."""
+
+    def test_an_aptas_solve_loads_no_scipy_subpackage(self):
+        seen = json.loads(run_python(_SOLVE_APTAS))
+        assert seen == {"valid": True, "highs": True, "loaded": []}
+
+    @pytest.mark.parametrize("order", ["lp-first", "linprog-first"])
+    def test_either_load_order_shares_one_extension_and_one_x(self, order, tmp_path):
+        sol = solve_fractional(bursty_release_instance(60, 8, np.random.default_rng(4)))
+        c, A_ub = dense_rows(sol.config_set, sol.n_phases)
+        b_ub = suffix_rhs(sol)
+        data = tmp_path / "lp.npz"
+        np.savez(data, A_mat=sol.config_set.matrix, P=sol.n_phases, c=c, A_ub=A_ub, b_ub=b_ub)
+        seen = json.loads(run_python(_LOAD_ORDER, order, str(data)))
+        x = _solve_highs(_skeleton(sol.config_set, sol.n_phases), b_ub).tobytes().hex()
+        assert seen == {"lp": x, "linprog": x, "one_core": True}
+
+    def test_a_missing_extension_names_the_scipy_floor(self, tmp_path, monkeypatch):
+        import scipy
+
+        monkeypatch.delitem(sys.modules, _HIGHS_NAME)
+        with pytest.raises(ImportError) as info:
+            _load_highs(str(tmp_path))
+        message = str(info.value)
+        assert f"scipy {scipy.__version__}" in message
+        assert str(tmp_path) in message and "scipy>=1.15" in message
+        assert _HIGHS_NAME not in sys.modules
 
 
 @settings(deadline=None, max_examples=25)
