@@ -47,7 +47,6 @@ from ._version import __version__
 from .core.registry import available_algorithms, solve
 from .dag import TaskDAG
 from .engine import AlgorithmSpec, PortfolioResult, SolveReport, portfolio, run, solve_many
-from .sim import SimTrace, simulate, simulate_instance
 
 __all__ = [
     "AlgorithmSpec",
@@ -76,3 +75,20 @@ __all__ = [
     "SolverError",
     "__version__",
 ]
+
+
+#: Names whose module loads on first use (PEP 562): a solve server never
+#: runs the simulator, so importing the package does not import it.
+_LAZY = {
+    "SimTrace": "sim",
+    "simulate": "sim",
+    "simulate_instance": "sim",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,24 +33,11 @@ import numpy as np
 
 from ..core.errors import InvalidInstanceError
 from ..core.instance import StripPackingInstance
+from ..obs.spans import percentile
 from .artifact import new_artifact_header
 from .spec import BenchEntry, BenchSpec
 
 __all__ = ["run_bench", "percentile"]
-
-
-def percentile(values: list[float], q: float) -> float:
-    """Linear-interpolated ``q``-percentile (q in [0, 100]) of ``values``."""
-    if not values:
-        raise ValueError("percentile of an empty sample")
-    xs = sorted(values)
-    if len(xs) == 1:
-        return xs[0]
-    pos = (q / 100.0) * (len(xs) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(xs) - 1)
-    frac = pos - lo
-    return xs[lo] * (1.0 - frac) + xs[hi] * frac
 
 
 def _require_instance(spec: BenchSpec, entry: BenchEntry, workload_out: Any):

@@ -708,8 +708,9 @@ def _build_server(args):
     .build_server` picks solo or fleet from ``--workers``), mapping
     configuration mistakes to exit-2 errors."""
     from .core.errors import InvalidInstanceError
-    from .service import SolveServer, build_server
     from .service.cache import DEFAULT_CACHE_BYTES
+    from .service.router import build_server
+    from .service.server import SolveServer
 
     if not 0 <= args.port <= 65535:
         raise _CliInputError(f"--port must be in [0, 65535], got {args.port}")

@@ -34,7 +34,6 @@ from .trace import (
     sanitize_tenant,
     use_trace,
 )
-from .trend import TREND_SCHEMA, run_trend, validate_trend, write_trend
 
 __all__ = [
     "TRACE_HEADER",
@@ -57,3 +56,21 @@ __all__ = [
     "validate_trend",
     "write_trend",
 ]
+
+
+#: Names whose module loads on first use (PEP 562): no server runs the
+#: trend gate, which imports the bench package.
+_LAZY = {
+    "TREND_SCHEMA": "trend",
+    "run_trend": "trend",
+    "validate_trend": "trend",
+    "write_trend": "trend",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,6 +37,7 @@ __all__ = [
     "span",
     "set_identity",
     "HISTOGRAM_BUCKETS_S",
+    "percentile",
 ]
 
 #: Log-spaced histogram bucket upper bounds, in seconds (+Inf implicit).
@@ -193,6 +194,23 @@ def histogram_samples(
         out.append(("repro_span_duration_seconds_sum", series, float(entry["sum_s"])))
         out.append(("repro_span_duration_seconds_count", series, float(entry["count"])))
     return out
+
+
+def percentile(values: list[float], q: float) -> float:
+    """Linear-interpolated ``q``-percentile (q in [0, 100]) of ``values``.
+
+    The one statistic ``/metrics``, ``repro loadtest`` and the bench
+    artifacts report."""
+    if not values:
+        raise ValueError("percentile of an empty sample")
+    xs = sorted(values)
+    if len(xs) == 1:
+        return xs[0]
+    pos = (q / 100.0) * (len(xs) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(xs) - 1)
+    frac = pos - lo
+    return xs[lo] * (1.0 - frac) + xs[hi] * frac
 
 
 #: The process-global recorder every server/engine layer records into.

@@ -12,7 +12,8 @@ Six layers, composed bottom-up (each is independently testable):
   run in arrival order on one solver thread behind a bounded admission
   count, surfaced as ``repro serve``;
 * :mod:`repro.service.worker`  — worker-process entry point: one
-  :class:`SolveServer` per core, spawn-started, SIGTERM-drained;
+  :class:`SolveServer` per core, launched as a plain subprocess, drained
+  on SIGTERM or when the router's end of its stdin pipe closes;
 * :mod:`repro.service.router`  — the fleet's dispatch stage behind the
   same pipeline: consistent-hashes each request's ``result_key`` over
   the worker fleet, fails over around the ring, respawns dead workers;
@@ -26,15 +27,14 @@ Six layers, composed bottom-up (each is independently testable):
   :class:`FaultPlan` schedules injected at explicit seams in every
   layer, replayed and verified by ``repro chaos PLAN.json``.
 
-Heavy modules are imported lazily by their consumers; importing
-``repro.service`` itself stays cheap so the CLI can always build its
-parser.
+Importing ``repro.service`` loads only the modules every server runs:
+cache, faults and server.  The router and the chaos harness (which
+brings the load generator and its HTTP client) load on first use of one
+of their names here, so a worker process never imports them.
 """
 
 from .cache import DEFAULT_CACHE_BYTES, CacheStats, ResultCache
-from .chaos import ChaosReport, run_chaos
 from .faults import FAULT_SITES, FaultInjector, FaultPlan, FaultSpec
-from .router import HashRing, RouterServer, build_server
 from .server import InProcessServer, SolveServer, encode_report
 
 __all__ = [
@@ -54,3 +54,21 @@ __all__ = [
     "ChaosReport",
     "run_chaos",
 ]
+
+
+#: Names whose module loads on first use (PEP 562).
+_LAZY = {
+    "HashRing": "router",
+    "RouterServer": "router",
+    "build_server": "router",
+    "ChaosReport": "chaos",
+    "run_chaos": "chaos",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

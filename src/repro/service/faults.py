@@ -30,9 +30,9 @@ site                 kinds                               seam
 ``session.step``     ``crash``, ``error``, ``slow``      ``SolveServer._dispatch_step``
 ===================  ==================================  =======================
 
-A plan travels as a plain dict so it pickles through the ``spawn`` start
-method: the router keeps one :class:`FaultInjector` for its own seams and
-forwards the plan dict inside ``worker_config``; each worker process
+A plan travels as a plain dict inside ``worker_config``, which the
+router pickles to each worker process it launches: the router keeps one
+:class:`FaultInjector` for its own seams, and each worker process
 builds its own injector scoped to its ``worker_id``, so a spec with
 ``"worker": 1`` fires only in (or toward) worker 1.
 
@@ -228,9 +228,10 @@ class FaultInjector:
     and attributes each hit to the worker it targets via the ``worker=``
     argument of :meth:`check`.
 
-    ``tally``, when set, is a shared ``multiprocessing.Value`` that every
-    fired fault is also added to, before the fault acts: a fleet worker's
-    count then outlives a ``crash`` that kills its process.
+    ``tally``, when set, is a one-element ``memoryview`` (format ``q``)
+    over a file the router maps too; every fired fault is also added to
+    it, before the fault acts, so a fleet worker's count outlives a
+    ``crash`` that kills its process.
     """
 
     def __init__(self, plan: FaultPlan | Mapping[str, Any], *, worker: int | None = None) -> None:
@@ -263,7 +264,7 @@ class FaultInjector:
             ]
             state.fired += len(fired)
             if fired and self.tally is not None:
-                self.tally.value += len(fired)
+                self.tally[0] += len(fired)
         # One structured event per injected fault, emitted outside the
         # lock and before the fault acts — a `crash` kind still logs.
         if fired:

@@ -51,6 +51,7 @@ from typing import Any, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
 from ..core.errors import InvalidInstanceError
+from ..obs.spans import percentile
 
 __all__ = [
     "Answer",
@@ -209,8 +210,6 @@ class LoadResult:
 
     def latency_ms(self, q: float) -> float:
         """The ``q``-percentile request latency, in milliseconds."""
-        from ..bench.runner import percentile
-
         if not self.latencies_s:
             return 0.0
         return percentile(list(self.latencies_s), q) * 1e3

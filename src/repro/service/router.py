@@ -68,8 +68,13 @@ import bisect
 import hashlib
 import json
 import logging
-import multiprocessing
+import mmap
+import os
 import random
+import select
+import subprocess
+import tempfile
+import threading
 import time
 from http import HTTPStatus
 from typing import Any, Iterable, Mapping
@@ -88,7 +93,7 @@ from .server import (
     resolve_portfolio_request,
     resolve_solve_request,
 )
-from .worker import worker_main
+from .worker import launch
 
 __all__ = ["HashRing", "WorkerHandle", "RouterServer", "build_server"]
 
@@ -195,15 +200,19 @@ class HashRing:
 class WorkerHandle:
     """One worker process: spawn, liveness, restart accounting.
 
-    Uses the ``spawn`` start method unconditionally — the router may run
-    on a thread inside a larger process (tests, benches), where ``fork``
-    would snapshot foreign locks in unknown states.  Spawned children are
-    daemonic, so a crashed router can never leak solver processes.
+    Each spawn is a plain subprocess started by
+    :func:`~repro.service.worker.launch`, never a ``fork`` — the router
+    may run on a thread inside a larger process (tests, benches), where
+    ``fork`` would snapshot foreign locks in unknown states.  The handle
+    keeps the worker's stdin pipe open for the worker's whole life, and
+    the worker drains and exits when that pipe reaches EOF, so a router
+    that dies — even by SIGKILL — leaves no solver process behind.
 
-    ``faults_fired`` is shared memory handed to every spawn of this
-    worker: its fault injector adds each fault it fires before the fault
-    acts, so the count survives a crash (the one that caused it included)
-    and the respawn carries on from it.
+    With ``faults`` armed, ``faults_fired`` is an 8-byte counter in an
+    unlinked temporary file that every spawn of this worker maps too: its
+    fault injector adds each fault it fires before the fault acts, so the
+    count survives a crash (the one that caused it included) and the
+    respawn carries on from it.  :meth:`close` releases it with the fleet.
     """
 
     def __init__(
@@ -215,12 +224,20 @@ class WorkerHandle:
         self.worker_id = worker_id
         self.config = dict(config)
         self.port: int | None = None
-        self.process = None
+        self.process: subprocess.Popen | None = None
         self.restarts = 0
         self._faults = faults
         self._closed = False
-        self._ctx = multiprocessing.get_context("spawn")
-        self.faults_fired = self._ctx.Value("q", 0, lock=False)
+        # Orders launches against shutdown() and close(): no launch
+        # starts after the handle closed, or passes a closed tally file.
+        self._lock = threading.Lock()
+        self._tally_file = None
+        self.faults_fired: memoryview | None = None
+        if faults is not None:
+            self._tally_file = tempfile.TemporaryFile()
+            self._tally_file.truncate(8)
+            tally = mmap.mmap(self._tally_file.fileno(), 8)
+            self.faults_fired = memoryview(tally).cast("q")
 
     def spawn(self, timeout: float = 60.0) -> "WorkerHandle":
         """Start the process and wait for its bind handshake (blocking —
@@ -229,61 +246,104 @@ class WorkerHandle:
             # The worker.spawn seam: an injected `error` makes this
             # attempt fail exactly like a child that died during startup.
             self._faults.fire_sync("worker.spawn", worker=self.worker_id)
-        recv, send = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(self.worker_id, send, self.config, self.faults_fired),
-            name=f"repro-worker-{self.worker_id}",
-            daemon=True,
-        )
-        process.start()
-        send.close()
+        report, report_w = os.pipe()
         try:
-            if not recv.poll(timeout):
-                process.terminate()
-                process.join(timeout=5)
-                raise RuntimeError(
-                    f"worker {self.worker_id} did not report its port within {timeout}s"
-                )
-            message = recv.recv()
-        except EOFError:
+            try:
+                with self._lock:
+                    if self._closed:
+                        raise RuntimeError(
+                            f"worker {self.worker_id} was shut down during spawn"
+                        )
+                    tally = self._tally_file
+                    process = launch(
+                        self.worker_id,
+                        self.config,
+                        report_w,
+                        None if tally is None else tally.fileno(),
+                    )
+            finally:
+                os.close(report_w)  # the child's copy is the only writer left
+            message = _read_report(report, timeout)
+        finally:
+            os.close(report)
+        if message is None:
+            _stop(process, 5)
+            raise RuntimeError(
+                f"worker {self.worker_id} did not report its port within {timeout}s"
+            )
+        if not message:
             # Child died before the handshake (import error, OOM, ...).
-            process.join(timeout=5)
+            _stop(process, 5)
             raise RuntimeError(
                 f"worker {self.worker_id} died during startup"
-                f" (exit code {process.exitcode})"
-            ) from None
-        finally:
-            recv.close()
+                f" (exit code {process.returncode})"
+            )
+        message = json.loads(message)
         if "error" in message:
-            process.join(timeout=5)
+            _stop(process, 5)
             raise RuntimeError(f"worker {self.worker_id} failed to start: {message['error']}")
-        self.port = message["port"]
-        self.process = process
-        if self._closed:
+        with self._lock:
+            closed = self._closed
+            if not closed:
+                previous, self.process = self.process, process
+                self.port = message["port"]
+        if closed:
             # shutdown() raced this spawn (SIGTERM mid-respawn): reap the
             # fresh child instead of leaking it past the fleet teardown.
-            self.shutdown(timeout=5)
+            _stop(process, 5)
             raise RuntimeError(f"worker {self.worker_id} was shut down during spawn")
+        if previous is not None:
+            _stop(previous, 5)  # the dead predecessor: close its stdin pipe
         return self
 
     def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
+        process = self.process
+        return process is not None and process.poll() is None
 
     def shutdown(self, timeout: float = 10.0) -> None:
         """Terminate (SIGTERM → the worker's graceful drain) and reap;
         escalate to SIGKILL only past ``timeout``."""
-        self._closed = True
-        process = self.process
-        if process is None:
-            return
-        if process.is_alive():
-            process.terminate()
-        process.join(timeout=timeout)
-        if process.is_alive():  # pragma: no cover - stuck worker
-            process.kill()
-            process.join(timeout=5)
-        self.process = None
+        with self._lock:
+            self._closed = True
+            process, self.process = self.process, None
+        if process is not None:
+            _stop(process, timeout)
+
+    def close(self) -> None:
+        """Shut the worker down hard and release the fault tally."""
+        self.shutdown(timeout=2)
+        with self._lock:
+            tally_file, self._tally_file = self._tally_file, None
+            if tally_file is not None:
+                tally = self.faults_fired.obj
+                self.faults_fired.release()
+                tally.close()
+                tally_file.close()
+
+
+def _read_report(fd: int, timeout: float) -> bytes | None:
+    """What a child wrote to its handshake pipe (``b""`` if it died
+    first), or ``None`` if nothing happened within ``timeout`` seconds.
+    The child closes the pipe right after its one write."""
+    poller = select.poll()
+    poller.register(fd, select.POLLIN)
+    if not poller.poll(timeout * 1e3):
+        return None
+    with open(fd, "rb", closefd=False) as pipe:
+        return pipe.read()
+
+
+def _stop(process: subprocess.Popen, timeout: float) -> None:
+    """SIGTERM ``process`` if it still runs, reap it (SIGKILL past
+    ``timeout``), then close its stdin pipe."""
+    if process.poll() is None:
+        process.terminate()
+    try:
+        process.wait(timeout=timeout)
+    except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
+        process.kill()
+        process.wait()
+    process.stdin.close()
 
 
 class _WorkerClient:
@@ -503,7 +563,7 @@ class RouterServer(HttpServerBase):
             )
         except BaseException:
             for handle in handles:
-                handle.shutdown(timeout=2)
+                handle.close()
             raise
         for handle in handles:
             self._handles[handle.worker_id] = handle
@@ -586,7 +646,7 @@ class RouterServer(HttpServerBase):
         cleanup behind ``finally:`` blocks and test harness exits.  The
         pooled worker connections close here too; their sockets are
         released once the loop runs again (a closed loop leaves them to
-        the garbage collector).
+        the garbage collector).  So do the workers' fault tallies.
         """
         if self._closed:
             return
@@ -603,7 +663,7 @@ class RouterServer(HttpServerBase):
         for client in self._clients.values():
             client.close()
         for handle in self._handles.values():
-            handle.shutdown(timeout=2)
+            handle.close()
 
     # -- routing ----------------------------------------------------------
 
@@ -861,7 +921,7 @@ class RouterServer(HttpServerBase):
             # Read from the handles, not the live workers' /metrics: a
             # crashed worker's faults stay in the fleet total.
             snapshot["router"]["faults_injected"] = self.faults.fired + sum(
-                handle.faults_fired.value for handle in self._handles.values()
+                handle.faults_fired[0] for handle in self._handles.values()
             )
         snapshot["workers"] = workers
 

@@ -89,7 +89,7 @@ from ..core.serialize import (
     result_key,
 )
 from ..obs import get_logger, recorder
-from ..obs.spans import histogram_samples, record_span, span
+from ..obs.spans import histogram_samples, percentile, record_span, span
 from ..obs.trace import (
     TENANT_HEADER,
     TRACE_HEADER,
@@ -153,9 +153,9 @@ class ServiceMetrics:
     """Request counters and latency reservoirs for ``GET /metrics``.
 
     Latencies are kept in bounded deques (the last :attr:`MAXLEN`
-    requests) per endpoint; percentiles are computed on read with the
-    bench subsystem's :func:`~repro.bench.runner.percentile`, so
-    ``/metrics`` and ``BENCH_*.json`` artifacts report the same statistic.
+    requests) per endpoint; percentiles are computed on read with
+    :func:`~repro.obs.spans.percentile`, the statistic ``BENCH_*.json``
+    artifacts report too.
     """
 
     #: Latency samples kept per endpoint.
@@ -193,8 +193,6 @@ class ServiceMetrics:
 
     @staticmethod
     def _latency_summary(samples: list[float]) -> dict[str, float | int]:
-        from ..bench.runner import percentile
-
         if not samples:
             return {"count": 0}
         return {

@@ -15,14 +15,50 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.core.serialize import instance_to_dict
 from repro.service import InProcessServer, RouterServer, SolveServer
 from repro.service.router import HashRing, WorkerHandle
 from repro.service.server import parse_json_body, resolve_solve_request
+
+
+def _state_and_parent(pid: int | str) -> tuple[str, int] | None:
+    """A process's state letter and parent pid, read from ``/proc``
+    (``None`` once the process is gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            # The command name may hold spaces; fields resume after ")".
+            state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+    except OSError:
+        return None
+    return state, int(ppid)
+
+
+def _running(pid: int) -> bool:
+    """Present and not a zombie (a zombie has ended; only its entry is left)."""
+    stat = _state_and_parent(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _live_children(pid: int) -> set[int]:
+    """Pids of ``pid``'s children that still run."""
+    children = set()
+    for entry in os.listdir("/proc"):
+        stat = _state_and_parent(entry) if entry.isdigit() else None
+        if stat is not None and stat[1] == pid and stat[0] != "Z":
+            children.add(int(entry))
+    return children
 
 
 # ----------------------------------------------------------------------
@@ -390,7 +426,7 @@ class TestWorkerDeath:
             owner = router._ring.node_for(_result_key(body))
             victim = router._handles[owner]
             victim.process.kill()
-            victim.process.join(timeout=10)
+            victim.process.wait(timeout=10)
             degraded = _poll_healthz(srv, lambda h: h["status"] == "degraded")
             assert degraded["workers"]["alive"] == 1
             # the dead shard's key re-routes and still solves
@@ -455,7 +491,7 @@ class TestWorkerDeath:
                     assert _request(c, "POST", f"/session/{sid}/step", body)[0] == 200
                 victim = router._handles[router._ring.node_for(f"session|{sid}")]
                 victim.process.kill()
-                victim.process.join(timeout=10)
+                victim.process.wait(timeout=10)
                 for body in steps[2:]:
                     assert _request(c, "POST", f"/session/{sid}/step", body)[0] == 200
                 status, _, raw = _request(c, "DELETE", f"/session/{sid}")
@@ -488,7 +524,7 @@ class TestSharedSpillTier:
             owner = router._ring.node_for(_result_key(body))
             victim = router._handles[owner]
             victim.process.kill()
-            victim.process.join(timeout=10)
+            victim.process.wait(timeout=10)
             c = http.client.HTTPConnection(srv.host, srv.port, timeout=30)
             try:
                 _, h2, raw2 = _request(c, "POST", "/solve", body)
@@ -537,6 +573,77 @@ class TestFleetTeardown:
             gc.collect()
         unclosed = [str(w.message) for w in caught if w.category is ResourceWarning]
         assert not unclosed, unclosed
+
+
+def _serve_fleet(tmp_path):
+    """``python -m repro serve --workers 2 --port 0`` in a fresh
+    interpreter, returned once its ``/healthz`` reads ``ok``."""
+    path = [str(Path(repro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    out = tmp_path / "serve.out"
+    with open(out, "wb") as fh:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--workers", "2", "--port", "0"],
+            stdout=fh,
+            stderr=subprocess.STDOUT,
+            env=env,
+        )
+    deadline = time.monotonic() + 60
+    while (ready := re.search(r"serving on http://([^:\s]+):(\d+)", out.read_text())) is None:
+        if proc.poll() is not None or time.monotonic() > deadline:
+            proc.kill()
+            proc.wait()
+            raise AssertionError(f"the fleet never came up: {out.read_text()}")
+        time.sleep(0.05)
+    _poll_healthz(
+        SimpleNamespace(host=ready.group(1), port=int(ready.group(2))),
+        lambda h: h["status"] == "ok",
+    )
+    return proc
+
+
+class TestFleetProcesses:
+    """The fleet as the operating system sees it."""
+
+    def test_tree_is_the_router_and_its_workers(self, tmp_path):
+        """No helper process: a 2-worker fleet is three interpreters,
+        and none of them is a multiprocessing resource tracker."""
+        proc = _serve_fleet(tmp_path)
+        try:
+            workers = _live_children(proc.pid)
+            tree = {proc.pid, *workers}
+            for pid in workers:
+                tree |= _live_children(pid)
+            commands = [Path(f"/proc/{pid}/cmdline").read_bytes() for pid in tree]
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            code = proc.wait(timeout=60)
+        assert len(workers) == 2 and len(tree) == 3, commands
+        assert not any(b"multiprocessing.resource_tracker" in c for c in commands)
+        assert code == 0  # the SIGTERM drain
+        assert not any(_running(pid) for pid in workers)
+
+    def test_a_killed_router_leaves_no_worker(self, tmp_path):
+        """SIGKILL gives the router no chance to clean up: each worker
+        sees its stdin pipe reach EOF, drains and exits by itself."""
+        proc = _serve_fleet(tmp_path)
+        workers = _live_children(proc.pid)
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        alive = set(workers)
+        try:
+            while alive and time.monotonic() < deadline:
+                time.sleep(0.05)
+                alive = {pid for pid in alive if _running(pid)}
+        finally:
+            for pid in alive:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        assert workers
+        assert not alive, f"workers outlived their router: {sorted(alive)}"
 
 
 class TestFleetDrain:
@@ -588,9 +695,7 @@ class TestFleetDrain:
         """Tear the fleet down while the supervisor's respawn of a killed
         worker is still in flight: the freshly spawned child must be
         reaped by the closed-handle check, never leaked."""
-        import multiprocessing
-
-        before = {p.pid for p in multiprocessing.active_children()}
+        before = _live_children(os.getpid())
         router = RouterServer(workers=2)
         observed_inflight = False
         with InProcessServer(router):
@@ -604,12 +709,10 @@ class TestFleetDrain:
         assert observed_inflight  # teardown raced an in-flight spawn
         # close() marked every handle closed; when the in-flight spawn's
         # handshake lands it must self-reap instead of orphaning the child.
-        extra: list = []
+        extra: set = set()
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
-            extra = [
-                p for p in multiprocessing.active_children() if p.pid not in before
-            ]
+            extra = _live_children(os.getpid()) - before
             if not extra:
                 break
             time.sleep(0.05)
@@ -623,3 +726,22 @@ class TestFleetDrain:
         with pytest.raises(RuntimeError, match="shut down during spawn"):
             handle.spawn(timeout=60)
         assert handle.process is None
+
+
+class TestWorkerHandshake:
+    """The ways a worker launch fails, each with its own message and no
+    child left running."""
+
+    def test_a_child_that_dies_before_its_handshake(self):
+        handle = WorkerHandle(0, {"no_such_option": 1})  # SolveServer(**config) raises
+        with pytest.raises(RuntimeError, match=r"^worker 0 died during startup \(exit code 1\)$"):
+            handle.spawn(timeout=60)
+        assert handle.process is None and not handle.alive()
+
+    def test_a_child_that_does_not_report_in_time(self):
+        before = _live_children(os.getpid())
+        handle = WorkerHandle(0, {})
+        with pytest.raises(RuntimeError, match=r"^worker 0 did not report its port within 0\.001s$"):
+            handle.spawn(timeout=0.001)
+        assert handle.process is None
+        assert _live_children(os.getpid()) <= before
