@@ -1,7 +1,12 @@
-"""Core types: rectangles, instances, placements, bounds, tolerances."""
+"""Core types: rectangles, instances, placements, bounds, tolerances.
+
+``RectArrays`` and ``PlacementBuilder`` load on first use (PEP 562):
+:mod:`repro.core.arrays` imports numpy, and only the release pipeline
+(:mod:`repro.release`) reads the columns.  A process that parses, keys
+and solves small plain or precedence instances never imports numpy.
+"""
 
 from . import tol
-from .arrays import PlacementBuilder, RectArrays
 from .bounds import (
     area_bound,
     combined_lower_bound,
@@ -76,3 +81,18 @@ __all__ = [
     "SolverError",
     "BudgetExceededError",
 ]
+
+
+#: Names whose module loads on first use (PEP 562).
+_LAZY = {
+    "RectArrays": "arrays",
+    "PlacementBuilder": "arrays",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,9 +3,9 @@
 The object model (:class:`~repro.core.rectangle.Rect`, frozen dataclasses)
 is the right interface for algorithms that reason about individual tasks,
 but the APTAS pipeline of Section 3 (rounding, grouping, the configuration
-LP and its integral fill) and the canonical cache key batch over *every*
-rectangle of an instance, where per-object attribute access dominates
-long before the algorithmic work does.
+LP and its integral fill) batches over *every* rectangle of an instance,
+where per-object attribute access dominates long before the algorithmic
+work does.
 
 :class:`RectArrays` is the columnar twin: parallel numpy ``float64``
 columns (``width``/``height``/``release``) plus the original rectangle

@@ -61,10 +61,11 @@ class StripPackingInstance:
 
         Returns the instance's :class:`~repro.core.arrays.RectArrays` —
         parallel ``width``/``height``/``release`` numpy columns over
-        ``self.rects``.  Kernels and validators that batch over the whole
-        instance read these columns instead of walking ``Rect`` objects;
-        the cache means repeated solves (portfolio races, benchmark
-        repetitions) share one copy.
+        ``self.rects``.  The APTAS kernels (:mod:`repro.release`) batch
+        over the whole instance on these columns instead of walking
+        ``Rect`` objects; the cache means repeated solves (portfolio
+        races, benchmark repetitions) share one copy.  numpy loads at the
+        first call, not when this module is imported.
         """
         cached = self.__dict__.get("_arrays")
         if cached is None:
@@ -139,6 +140,10 @@ class ReleaseInstance(StripPackingInstance):
     def __init__(self, rects: Sequence[Rect], K: int):
         if K <= 0:
             raise InvalidInstanceError(f"K must be a positive integer, got {K!r}")
+        try:
+            float(K)  # the width assumption divides by K
+        except OverflowError:
+            raise InvalidInstanceError("K is too large for a float") from None
         StripPackingInstance.__init__(self, rects)
         object.__setattr__(self, "K", int(K))
 

@@ -27,14 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
 from . import tol
 from .errors import InvalidPlacementError
 from .instance import PrecedenceInstance, ReleaseInstance, StripPackingInstance
 from .rectangle import Rect
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PlacedRect",
@@ -47,6 +48,8 @@ __all__ = [
 Node = Hashable
 
 #: Below this many rectangles the scalar loops win (no column-gather cost).
+#: The columnar path imports numpy when it first runs, so a process that
+#: validates only smaller placements never loads it.
 _COLUMNAR_MIN_N = 64
 
 
@@ -197,6 +200,8 @@ def find_overlap_columns(
     overlap existence; which *pair* is reported may differ when several
     overlap.
     """
+    import numpy as np
+
     n = len(xs)
     order = np.argsort(ys, kind="stable")
     xs_s, ys_s = xs[order], ys[order]
@@ -231,6 +236,8 @@ def find_overlap_columns(
 
 def _placement_columns(pairs: list[tuple[Node, PlacedRect]]):
     """Gather x/y/x2/y2 columns from placement items (one pass)."""
+    import numpy as np
+
     n = len(pairs)
     xs = np.empty(n)
     ys = np.empty(n)
@@ -362,6 +369,8 @@ def _validate_columnar(
     exactly; only *which* offender is reported may differ when a
     placement violates several constraints at once.
     """
+    import numpy as np
+
     xs, ys, x2, y2 = _placement_columns(pairs)
 
     viol = (xs < 0.0 - atol) | (x2 > 1.0 + atol)

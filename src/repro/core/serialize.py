@@ -24,7 +24,9 @@ geometric tolerance (:data:`repro.core.tol.ATOL`); :func:`canonical_hash`
 is a SHA-256 over a versioned, columnar encoding of the same content,
 equal exactly when those dicts are equal; and :func:`result_key` combines
 the hash with an algorithm name and its parameter overrides into the cache
-key for one solve.
+key for one solve.  All three run in plain Python, so keying a request
+never imports numpy; only the opt-in warm start's :func:`instance_sketch`
+imports it, when it first runs.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from typing import Any, Mapping
-
-import numpy as np
 
 from .errors import InvalidInstanceError
 from .instance import PrecedenceInstance, ReleaseInstance, StripPackingInstance
@@ -99,12 +100,18 @@ def instance_from_dict(data: dict[str, Any]) -> StripPackingInstance:
         ]
     except KeyError as exc:
         raise InvalidInstanceError(f"rect entry missing field {exc}") from exc
+    except OverflowError as exc:
+        raise InvalidInstanceError("rect entry has a number too large for a float") from exc
     if kind == "plain":
         return StripPackingInstance(rects)
     if kind == "release":
         if "K" not in data:
             raise InvalidInstanceError("release instance requires 'K'")
-        return ReleaseInstance(rects, int(data["K"]))
+        try:
+            K = int(data["K"])
+        except OverflowError as exc:
+            raise InvalidInstanceError(f"K must be finite, got {data['K']!r}") from exc
+        return ReleaseInstance(rects, K)
     from ..dag.graph import TaskDAG
 
     edges = [tuple(e) for e in data.get("edges", [])]
@@ -136,6 +143,9 @@ def placement_to_dict(placement: Placement) -> dict[str, Any]:
 # canonical fingerprinting (the serving layer's cache identity)
 # ----------------------------------------------------------------------
 
+_BEYOND_TICK_RANGE = "cannot canonicalise a value beyond the tick range"
+
+
 def _ticks(value: float, atol: float) -> int:
     """Quantise ``value`` onto the ``atol`` grid (integer tick count).
 
@@ -144,12 +154,16 @@ def _ticks(value: float, atol: float) -> int:
     threshold never splits the cache; genuinely different dimensions are
     many ticks apart (see :mod:`repro.core.tol` for why ``ATOL`` separates
     the two regimes).  Non-finite values (``json.loads`` accepts NaN and
-    Infinity) have no tick and are rejected.
+    Infinity) have no tick and are rejected, and so is a number too large
+    for a float or whose tick count overflows one.
     """
-    value = float(value)
-    if not math.isfinite(value):
-        raise InvalidInstanceError(f"cannot canonicalise non-finite value {value!r}")
-    return int(round(value / atol))
+    try:
+        value = float(value)
+        if not math.isfinite(value):
+            raise InvalidInstanceError(f"cannot canonicalise non-finite value {value!r}")
+        return round(value / atol)
+    except OverflowError:
+        raise InvalidInstanceError(_BEYOND_TICK_RANGE) from None
 
 
 def _canonical_json(value: Any) -> str:
@@ -227,47 +241,45 @@ def canonical_hash(instance: StripPackingInstance, *, atol: float = ATOL) -> str
     """SHA-256 hex digest of the canonical content of ``instance``.
 
     Two instances hash equal exactly when their
-    :func:`canonical_instance_dict` forms are equal, but the digest is
-    computed straight from the columns of ``instance.arrays()``:
+    :func:`canonical_instance_dict` forms are equal.  The digest is
+    computed in plain Python straight from ``instance.rects`` (no numpy,
+    so keying a request never loads it), over a columnar byte layout:
 
     * rows are ordered by a type-aware id key, so ``1`` and ``"1"`` never
       tie, and the ordered ids are encoded with one ``json.dumps``;
-    * ``width``/``height``/``release`` are quantised like :func:`_ticks`:
-      ``np.rint`` rounds half to even as ``round`` does, and the ticks stay
-      ``float64`` (exact integers, never cast to a fixed-width integer, so
-      huge values cannot wrap), with ``-0.0`` folded into ``0.0``;
-    * precedence edges are an ``int64`` array of row positions sorted with
-      ``np.lexsort``;
+    * ``width``/``height``/``release`` are quantised like :func:`_ticks`
+      (``round`` rounds half to even and returns an exact integer, so
+      huge values cannot wrap and ``-0.0`` cannot arise) and packed as
+      little-endian ``float64``: every width in row order, then every
+      height, then every release;
+    * precedence edges are ``(pos[u], pos[v])`` row-position pairs, sorted
+      and packed as little-endian ``int64``: every ``u``, then every ``v``;
     * the input is framed with :data:`KEY_VERSION`, the variant, ``K`` and
       the part lengths, so no two encodings share their bytes.
     """
-    arrays = instance.arrays()
-    rids = arrays.rids
-    keys = [(type(rid).__name__, str(rid)) for rid in rids]
-    order = sorted(range(len(rids)), key=keys.__getitem__)
-    ids = json.dumps([rids[i] for i in order], separators=(",", ":")).encode("ascii")
-    columns = np.stack((arrays.width, arrays.height, arrays.release))[:, order]
-    with np.errstate(over="ignore"):
-        ticks = np.rint(columns / atol) + 0.0
-    if not np.isfinite(ticks).all():
-        raise InvalidInstanceError("cannot canonicalise a value beyond the tick range")
-    kind, K, edges = "plain", "", np.empty((2, 0), dtype="<i8")
+    rows = sorted(instance.rects, key=lambda r: (type(r.rid).__name__, str(r.rid)))
+    ids = json.dumps([r.rid for r in rows], separators=(",", ":")).encode("ascii")
+    try:
+        ticks = [round(r.width / atol) for r in rows]
+        ticks += [round(r.height / atol) for r in rows]
+        ticks += [round(r.release / atol) for r in rows]
+    except OverflowError:
+        raise InvalidInstanceError(_BEYOND_TICK_RANGE) from None
+    kind, K, edges = "plain", "", []
     if isinstance(instance, ReleaseInstance):
         kind, K = "release", instance.K
     elif isinstance(instance, PrecedenceInstance):
         kind = "precedence"
-        pos = {rids[i]: p for p, i in enumerate(order)}
-        succ = instance.dag.successor_sets()
-        edges = np.array(
-            [[pos[u] for u, vs in succ.items() for _ in vs],
-             [pos[v] for vs in succ.values() for v in vs]],
-            dtype="<i8",
+        pos = {r.rid: p for p, r in enumerate(rows)}
+        pairs = sorted(
+            (pos[u], pos[v]) for u, vs in instance.dag.successor_sets().items() for v in vs
         )
-        edges = edges[:, np.lexsort(edges[::-1])]
-    digest = hashlib.sha256(f"{KEY_VERSION}|{kind}|{K}|{len(rids)}|{len(ids)}|".encode("ascii"))
+        edges = [u for u, _ in pairs] + [v for _, v in pairs]
+    digest = hashlib.sha256(f"{KEY_VERSION}|{kind}|{K}|{len(rows)}|{len(ids)}|".encode("ascii"))
     digest.update(ids)
-    digest.update(ticks.astype("<f8", copy=False).tobytes())
-    digest.update(edges.tobytes())
+    # Each tick is an integer a float64 holds exactly, so "d" packs it exactly.
+    digest.update(struct.pack(f"<{len(ticks)}d", *ticks))
+    digest.update(struct.pack(f"<{len(edges)}q", *edges))
     return digest.hexdigest()
 
 
@@ -376,6 +388,8 @@ def instance_sketch(
     sketch is a pure function of the canonical dict — order-insensitive
     and tolerance-aware exactly like :func:`canonical_hash`.
     """
+    import numpy as np
+
     canon = canonical_instance_dict(instance, atol=atol)
     # Tokens are the canonical entries flattened to plain strings (the
     # entries are {"id", "w", "h", "r"} with integer ticks, so formatting

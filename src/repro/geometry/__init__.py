@@ -15,10 +15,12 @@
 * :mod:`repro.geometry.occupancy` — union area, occupancy profiles, and
   band densities (with vectorised fast paths);
 * :mod:`repro.geometry.stacking` — the paper's stacking abstraction.
+
+The occupancy names load on first use (PEP 562): that module imports
+numpy, and no solver measures occupancy.
 """
 
 from .levels import Level
-from .occupancy import band_density, occupancy_profile, union_area, utilisation
 from .skyline import Skyline, SkySegment
 from .skyline_reference import ReferenceSkyline
 from .stacking import Stacking, contains, stack
@@ -51,3 +53,20 @@ __all__ = [
     "stack",
     "contains",
 ]
+
+
+#: Names whose module loads on first use (PEP 562).
+_LAZY = {
+    "union_area": "occupancy",
+    "occupancy_profile": "occupancy",
+    "band_density": "occupancy",
+    "utilisation": "occupancy",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -433,11 +433,11 @@ def resolve_portfolio_request(data: dict[str, Any]):
             raise _BadRequest(HTTPStatus.UNPROCESSABLE_ENTITY, str(exc))
     try:
         entrants = portfolio_entrants(instance, algorithms, params)
+        # Key on what the race reads, so equal races share one cache entry.
+        params = {name: overrides for name, overrides in entrants if overrides} or None
+        key = result_key(instance, "portfolio", {"algorithms": algorithms, "params": params})
     except ReproError as exc:
         raise _BadRequest(HTTPStatus.UNPROCESSABLE_ENTITY, str(exc))
-    # Key on what the race reads, so equal races share one cache entry.
-    params = {name: overrides for name, overrides in entrants if overrides} or None
-    key = result_key(instance, "portfolio", {"algorithms": algorithms, "params": params})
     return key, instance, algorithms, params
 
 

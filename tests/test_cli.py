@@ -304,6 +304,29 @@ class TestInputErrors:
         code, text = run_cli([command, str(invalid_schema_file)])
         assert code == 2 and "invalid instance" in text
 
+    @pytest.mark.parametrize("command", ["solve", "bounds", "portfolio"])
+    @pytest.mark.parametrize(
+        "field, value, fragment",
+        [
+            ("width", 10**400, "too large for a float"),
+            ("height", 10**400, "too large for a float"),
+            ("release", 10**400, "too large for a float"),
+            ("K", 10**400, "K is too large"),
+            ("K", float("inf"), "K must be finite"),
+        ],
+        ids=["int-width", "int-height", "int-release", "int-K", "infinite-K"],
+    )
+    def test_out_of_range_number_exits_2(self, command, field, value, fragment, tmp_path):
+        rect = {"id": "a", "width": 0.5, "height": 0.5, "release": 0.0}
+        instance = {"type": "release", "K": 2, "rects": [rect]}
+        (rect if field in rect else instance)[field] = value
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(instance))
+        code, text = run_cli([command, str(path)])
+        assert code == 2
+        [line] = text.splitlines()
+        assert line.startswith("error: invalid instance") and fragment in line
+
     def test_non_object_json(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")

@@ -1,5 +1,6 @@
 """Tests for JSON serialization of instances and placements."""
 
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from repro.core.instance import PrecedenceInstance, ReleaseInstance, StripPackin
 from repro.core.placement import validate_placement
 from repro.core.rectangle import Rect
 from repro.core.serialize import (
+    KEY_VERSION,
     canonical_hash,
     canonical_instance_dict,
     canonical_params,
@@ -313,6 +315,131 @@ class TestCanonicalHash:
             assert same_dict, mutation
         elif mutation == "retype":
             assert not same_dict
+
+
+def _numpy_canonical_hash(instance, *, atol=ATOL):
+    """The ``repro-key/2`` digest as the numpy encoder computed it, from the
+    columns of ``instance.arrays()``: the oracle the pure-Python
+    :func:`canonical_hash` must match byte for byte."""
+    import numpy as np
+
+    arrays = instance.arrays()
+    rids = arrays.rids
+    keys = [(type(rid).__name__, str(rid)) for rid in rids]
+    order = sorted(range(len(rids)), key=keys.__getitem__)
+    ids = json.dumps([rids[i] for i in order], separators=(",", ":")).encode("ascii")
+    columns = np.stack((arrays.width, arrays.height, arrays.release))[:, order]
+    with np.errstate(over="ignore"):
+        ticks = np.rint(columns / atol) + 0.0
+    if not np.isfinite(ticks).all():
+        raise InvalidInstanceError("cannot canonicalise a value beyond the tick range")
+    kind, K, edges = "plain", "", np.empty((2, 0), dtype="<i8")
+    if isinstance(instance, ReleaseInstance):
+        kind, K = "release", instance.K
+    elif isinstance(instance, PrecedenceInstance):
+        kind = "precedence"
+        pos = {rids[i]: p for p, i in enumerate(order)}
+        succ = instance.dag.successor_sets()
+        edges = np.array(
+            [[pos[u] for u, vs in succ.items() for _ in vs],
+             [pos[v] for vs in succ.values() for v in vs]],
+            dtype="<i8",
+        )
+        edges = edges[:, np.lexsort(edges[::-1])]
+    digest = hashlib.sha256(f"{KEY_VERSION}|{kind}|{K}|{len(rids)}|{len(ids)}|".encode("ascii"))
+    digest.update(ids)
+    digest.update(ticks.astype("<f8", copy=False).tobytes())
+    digest.update(edges.tobytes())
+    return digest.hexdigest()
+
+
+#: A power-of-two tolerance: ``(k + 0.5) * HALF_ATOL`` divides back to an
+#: exact half-integer, so the quotient sits on a rounding tie.
+HALF_ATOL = 2.0**-20
+
+
+class TestKeyMatchesNumpyEncoding:
+    """The pure-Python key computes the numpy encoder's bytes, on inputs
+    the golden corpus does not hold."""
+
+    @given(pair=instance_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_pairs(self, pair):
+        a, b, _ = pair
+        assert canonical_hash(a) == _numpy_canonical_hash(a)
+        assert canonical_hash(b) == _numpy_canonical_hash(b)
+
+    @given(
+        ties=st.lists(
+            st.tuples(st.integers(0, 2**20 - 1), st.integers(0, 2**40), st.integers(0, 2**40)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_half_integer_quotients_round_to_even(self, ties):
+        rects = [
+            Rect(
+                rid=i,
+                width=(w + 0.5) * HALF_ATOL,
+                height=(h + 0.5) * HALF_ATOL,
+                release=(r + 0.5) * HALF_ATOL,
+            )
+            for i, (w, h, r) in enumerate(ties)
+        ]
+        inst = ReleaseInstance(rects, K=4)
+        assert canonical_hash(inst, atol=HALF_ATOL) == _numpy_canonical_hash(inst, atol=HALF_ATOL)
+
+    @pytest.mark.parametrize(
+        "height",
+        [2.0**53 * ATOL, 2.0**53 * ATOL + 3e-9, 9.3e9, 2.0**63 * ATOL, 1e12, 1e200, 10**20],
+        ids=["2^53", "past-2^53", "9.3e9", "2^63", "1e12", "1e200", "int-1e20"],
+    )
+    def test_ticks_beyond_2_53_and_2_63(self, height):
+        inst = ReleaseInstance(
+            [Rect(rid="a", width=0.5, height=height, release=height / 3),
+             Rect(rid="b", width=1.0, height=0.5)],
+            K=2,
+        )
+        assert canonical_hash(inst) == _numpy_canonical_hash(inst)
+
+    def test_bool_ids(self):
+        rects = [
+            Rect(rid=True, width=0.5, height=1.0),
+            Rect(rid="True", width=0.25, height=2.0),
+            Rect(rid=False, width=0.75, height=0.5),
+            Rect(rid="true", width=0.5, height=0.5),
+        ]
+        for inst in (StripPackingInstance(rects), StripPackingInstance(rects[::-1])):
+            assert canonical_hash(inst) == _numpy_canonical_hash(inst)
+
+    def test_precedence_edges_out_of_order(self):
+        ids = ["d", 3, "a", 10, "b"]
+        rects = [Rect(rid=rid, width=0.2 * (k + 1), height=0.5 + k) for k, rid in enumerate(ids)]
+        edges = [("b", 3), (10, "a"), ("d", "b"), (3, "a"), ("d", 10), (10, 3)]
+        for nodes, order in ((ids, edges), (ids[::-1], edges[::-1])):
+            inst = PrecedenceInstance(rects, TaskDAG(nodes, order))
+            assert canonical_hash(inst) == _numpy_canonical_hash(inst)
+        empty = PrecedenceInstance(rects, TaskDAG(ids, []))
+        assert canonical_hash(empty) == _numpy_canonical_hash(empty)
+
+    @pytest.mark.parametrize(
+        "rect, atol",
+        [
+            (Rect(rid=0, width=0.5, height=1e300), ATOL),
+            (Rect(rid=0, width=0.5, height=10**300), ATOL),
+            (Rect(rid=0, width=0.5, height=1.0, release=1e308), ATOL),
+            (Rect(rid=0, width=0.5, height=2.0), 1e-308 * 1e-10),
+        ],
+        ids=["height-1e300", "int-height-1e300", "release-1e308", "subnormal-atol"],
+    )
+    def test_overflow_raises_the_same_error(self, rect, atol):
+        inst = ReleaseInstance([rect], K=2)
+        with pytest.raises(InvalidInstanceError) as ours:
+            canonical_hash(inst, atol=atol)
+        with pytest.raises(InvalidInstanceError) as oracle:
+            _numpy_canonical_hash(inst, atol=atol)
+        assert str(ours.value) == str(oracle.value) == "cannot canonicalise a value beyond the tick range"
 
 
 class TestResultKey:

@@ -44,6 +44,10 @@ def _request(conn, method, path, body=None):
     return response.status, dict(response.getheaders()), raw
 
 
+#: An integer too large for a float; ``json.dumps`` writes all 401 digits.
+_BIG_INT = 10**400
+
+
 def _plain_instance(n=6, seed=0):
     import numpy as np
 
@@ -422,6 +426,49 @@ class TestErrorMapping:
         from repro.service.server import SolveServer
 
         assert set(by_endpoint) <= SolveServer.ENDPOINTS | {"unmatched", "unparsed"}
+
+
+class TestOutOfRangeNumbers:
+    """On a server of its own: the session step adds a dynamic endpoint
+    label to ``/metrics``, which the shared server's metrics tests
+    would see."""
+
+    @pytest.fixture(scope="class")
+    def own_conn(self):
+        with InProcessServer() as srv:
+            connection = http.client.HTTPConnection(srv.host, srv.port, timeout=30)
+            yield connection
+            connection.close()
+
+    @pytest.mark.parametrize(
+        "path, body, fragment",
+        [
+            ("/solve", {"algorithm": "aptas", "params": {"eps": 1e300}}, "tick range"),
+            ("/solve", {"algorithm": "aptas", "params": {"eps": _BIG_INT}}, "tick range"),
+            ("/portfolio", {"params": {"aptas": {"eps": 1e300}}}, "tick range"),
+            ("/session/big/step", {"algorithm": "aptas", "params": {"eps": 1e300}}, "tick range"),
+            ("/solve", {"rect": {"width": _BIG_INT}}, "too large for a float"),
+            ("/solve", {"rect": {"height": _BIG_INT}}, "too large for a float"),
+            ("/solve", {"rect": {"release": _BIG_INT}}, "too large for a float"),
+            ("/solve", {"algorithm": "aptas", "K": _BIG_INT}, "K is too large"),
+            ("/solve", {"K": float("inf")}, "K must be finite"),
+            ("/portfolio", {"rect": {"height": 1e300}}, "tick range"),
+        ],
+        ids=[
+            "solve-param", "solve-int-param", "portfolio-param", "session-step-param", "int-width",
+            "int-height", "int-release", "int-K", "infinite-K", "portfolio-height",
+        ],
+    )
+    def test_out_of_range_number_is_422(self, own_conn, path, body, fragment):
+        """Numbers a float (or the key's tick grid) cannot hold are bad
+        input wherever they sit, never a 500."""
+        body = dict(body)
+        rect = {"id": "a", "width": 0.5, "height": 0.5, "release": 0.0, **body.pop("rect", {})}
+        instance = {"type": "release", "K": body.pop("K", 2), "rects": [rect]}
+        status, _, raw = _request(own_conn, "POST", path, {"instance": instance, **body})
+        error = json.loads(raw)["error"]
+        assert status == 422, error
+        assert fragment in error and "\n" not in error
 
 
 def _stalled_solver(**kwargs):
