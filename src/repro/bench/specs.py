@@ -6,7 +6,8 @@ plus the kernel races whose artifacts record a production kernel's
 speedup over its reference implementation: ``skyline_bottom_left``
 (:class:`repro.geometry.skyline.Skyline`), ``level_packers``,
 ``dc_kernel`` (Algorithm 1) and ``aptas_lp`` (Lemma 3.3's LP in
-Algorithm 2).
+Algorithm 2) — and ``validator``, which times the one validity checker
+on three placement shapes.
 
 Conventions:
 
@@ -139,6 +140,33 @@ def _instance_suite(n, rng):
     return mixed_instance_suite(n, rng)
 
 
+def _placements_to_validate(n, rng):
+    """``shape -> (instance, placement)``: bottom-left's skyline and FFDH's
+    shelves on power-law rects, and one band of n/2 slivers side by side
+    under a stack of the other n/2 rects."""
+    from ..core.instance import StripPackingInstance
+    from ..core.placement import Placement
+    from ..core.rectangle import Rect
+    from ..packing import bottom_left, ffdh
+
+    instance = _plain_powerlaw(n, rng)
+    rects = list(instance.rects)
+    k = n // 2
+    slivers = [Rect(rid=i, width=1.0 / k, height=1.0) for i in range(k)]
+    band = Placement()
+    for i, r in enumerate(slivers):
+        band.place(r, i / k, 0.0)
+    y = 1.0
+    for r in rects[k:]:
+        band.place(r, 0.0, y)
+        y += r.height
+    return {
+        "skyline": (instance, bottom_left(rects).placement),
+        "shelf": (instance, ffdh(rects).placement),
+        "band": (StripPackingInstance(slivers + rects[k:]), band),
+    }
+
+
 # ----------------------------------------------------------------------
 # callable entry targets
 # ----------------------------------------------------------------------
@@ -218,6 +246,18 @@ def _fractional_height(instance):
     from ..release.lp import optimal_fractional_height
 
     return optimal_fractional_height(instance)
+
+
+def _validate(shape):
+    def run(prepared):
+        from ..core.placement import validate_placement
+
+        instance, placement = prepared[shape]
+        validate_placement(instance, placement)
+        return placement
+
+    run.__name__ = f"validate[{shape}]"
+    return run
 
 
 def _dilate(prepared):
@@ -329,6 +369,24 @@ register_bench(BenchSpec(
     repetitions=5,
     warmup=1,
     source="release/lp.py, release/reference.py",
+))
+
+register_bench(BenchSpec(
+    name="validator",
+    title="validate_placement on skyline, shelf and one-band placements",
+    workload=_placements_to_validate,
+    entries=(
+        _call("skyline", _validate("skyline")),
+        _call("shelf", _validate("shelf")),
+        _call("band", _validate("band")),
+    ),
+    # Quick and full sweeps share 1000 so CI can `--quick --compare` the
+    # committed artifact.
+    sizes=(1_000, 10_000),
+    quick_sizes=(500, 1_000),
+    repetitions=5,
+    warmup=1,
+    source="core/placement.py",
 ))
 
 # ----------------------------------------------------------------------

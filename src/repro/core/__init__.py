@@ -2,8 +2,8 @@
 
 ``RectArrays`` and ``PlacementBuilder`` load on first use (PEP 562):
 :mod:`repro.core.arrays` imports numpy, and only the release pipeline
-(:mod:`repro.release`) reads the columns.  A process that parses, keys
-and solves small plain or precedence instances never imports numpy.
+(:mod:`repro.release`) reads the columns.  A process that parses, keys,
+solves and validates plain or precedence instances never imports numpy.
 """
 
 from . import tol
@@ -27,7 +27,6 @@ from .placement import (
     PlacedRect,
     Placement,
     find_overlap,
-    find_overlap_columns,
     validate_placement,
 )
 from .rectangle import (
@@ -62,7 +61,6 @@ __all__ = [
     "PlacedRect",
     "validate_placement",
     "find_overlap",
-    "find_overlap_columns",
     "area_bound",
     "hmax_bound",
     "critical_path_bound",

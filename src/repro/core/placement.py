@@ -13,44 +13,36 @@ Algorithms in this library never self-certify: each returns a
 :class:`Placement` and the test-suite (and the benchmark harness) re-checks
 it with :func:`validate_placement`, which dispatches on the instance type.
 
-The overlap check offers two engines: an O(n^2) pairwise reference and an
-interval-sweep over y-events that is near-linear for the shelf-structured
-packings the algorithms produce; the validator cross-checks them in tests.
-At scale (``n >= 64``) the validator switches to a columnar fast path:
-the placement's x/y columns are gathered once and containment, overlap,
-precedence, and release checks all run as vectorized passes — the same
-tolerance predicates, evaluated elementwise, so accept/reject decisions
-are identical to the scalar loops.
+The validator is one pure-Python pass for every size: containment per
+rect, then the overlap check :func:`find_overlap` — a sweep over bases
+that keeps the rects crossing the sweep line sorted by x, so a valid
+packing costs one pairwise test per rect — then the precedence and release
+checks.  Every comparison is the tolerance predicate of :mod:`.tol`; the
+tests hold the sweep to the O(n^2) loop over :meth:`PlacedRect.overlaps`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
+from heapq import heappop, heappush
+from operator import itemgetter
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from . import tol
 from .errors import InvalidPlacementError
 from .instance import PrecedenceInstance, ReleaseInstance, StripPackingInstance
 from .rectangle import Rect
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
     "PlacedRect",
     "Placement",
     "validate_placement",
     "find_overlap",
-    "find_overlap_columns",
 ]
 
 Node = Hashable
-
-#: Below this many rectangles the scalar loops win (no column-gather cost).
-#: The columnar path imports numpy when it first runs, so a process that
-#: validates only smaller placements never loads it.
-_COLUMNAR_MIN_N = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,95 +152,54 @@ def find_overlap(
 ) -> tuple[PlacedRect, PlacedRect] | None:
     """Return an overlapping pair, or ``None``.
 
-    Sweep over y: sort rectangles by base, keep an active list pruned by top
-    edge; pairwise-test only rectangles whose y-ranges intersect.  Worst case
-    O(n^2) (all rectangles stacked in one band) but near-linear on real
-    packings; exact same predicate as :meth:`PlacedRect.overlaps`.
+    Exact: a pair for which :meth:`PlacedRect.overlaps` holds exists if and
+    only if this returns one, and the pair it returns is such a pair.
     """
-    items = sorted(placed, key=lambda pr: pr.y)
-    active: list[PlacedRect] = []
-    for pr in items:
-        still = []
-        for a in active:
-            if tol.gt(a.y2, pr.y, atol):  # a's top strictly above pr's base
-                still.append(a)
-                if pr.overlaps(a, atol):
-                    return (a, pr)
-        active = still
-        active.append(pr)
-    return None
+    return _first_overlap([(pr.y, pr.x, pr.x2 - atol, pr.y2 - atol, pr) for pr in placed])
 
 
-def find_overlap_columns(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    x2: np.ndarray,
-    y2: np.ndarray,
-    atol: float = tol.ATOL,
-    *,
-    pair_budget: int = 1 << 20,
-) -> tuple[int, int] | None:
-    """Columnar twin of :func:`find_overlap`: row indices of an overlapping
-    pair, or ``None``.
+def _first_overlap(rows: list[tuple]) -> tuple[PlacedRect, PlacedRect] | None:
+    """The sweep behind :func:`find_overlap`, over ``(y, x, x2 - atol,
+    y2 - atol, rect)`` rows (sorted in place): each side of every
+    ``tol.lt`` in :meth:`PlacedRect.overlaps`, computed once per rect.
 
-    Rows are sorted by base ``y``; for each row the candidate partners —
-    the later rows whose base lies below this row's top, found by one
-    ``searchsorted`` — are tested against the full four-inequality
-    predicate of :meth:`PlacedRect.overlaps` in vectorized batches of at
-    most ``pair_budget`` candidate pairs (bounding temporary memory).
-    Exactly the predicate of the scalar sweep, so the two engines agree on
-    overlap existence; which *pair* is reported may differ when several
-    overlap.
+    Rows enter in base order.  The *live* rects — those whose top lies above
+    the current base beyond tolerance — are kept sorted by x, and a heap of
+    tops expires them as soon as the base passes them.  Any two live rects
+    share a y-band, so until an overlap turns up they are x-disjoint.  Each
+    new rect ``b`` is tested with all four inequalities of
+    :meth:`PlacedRect.overlaps` against the live rects that start left of
+    ``b.x2 - atol``, walking leftwards.  The walk stops after a rect ``p``
+    that starts at or left of ``b.x`` and is wider than ``atol``: a live
+    rect left of ``p`` cannot reach past ``p.x`` (it would overlap ``p``),
+    so it cannot reach ``b`` either.  On a valid packing that is one test
+    per rect; only slivers narrower than ``atol`` lengthen the walk.
     """
-    import numpy as np
-
-    n = len(xs)
-    order = np.argsort(ys, kind="stable")
-    xs_s, ys_s = xs[order], ys[order]
-    x2_s, y2_s = x2[order], y2[order]
-    # Candidate partners for row k: rows k+1 .. his[k]-1 (bases below k's
-    # top, beyond tolerance — the y-condition tol.lt(y_j, y2_k) verbatim).
-    his = np.searchsorted(ys_s, y2_s - atol, side="left")
-    counts = np.maximum(his - np.arange(1, n + 1), 0)
-    start = 0
-    while start < n:
-        end = start + 1
-        total = int(counts[start])
-        while end < n and total + counts[end] <= pair_budget:
-            total += int(counts[end])
-            end += 1
-        if total:
-            c = counts[start:end]
-            kk = np.repeat(np.arange(start, end), c)
-            base = np.cumsum(c) - c
-            jj = np.arange(total) - np.repeat(base, c) + kk + 1
-            hit = (
-                (xs_s[kk] < x2_s[jj] - atol)
-                & (xs_s[jj] < x2_s[kk] - atol)
-                & (ys_s[kk] < y2_s[jj] - atol)
-            )
-            h = int(hit.argmax())
-            if hit[h]:
-                return int(order[kk[h]]), int(order[jj[h]])
-        start = end
+    rows.sort(key=itemgetter(0))
+    tops: list[tuple] = []  # (top - atol, seq) per live rect
+    xs: list[float] = []  # the live rects' x, ascending
+    live: list[tuple] = []  # the live rows, in xs order
+    for seq, row in enumerate(rows):
+        y, x, right, top, b = row
+        while tops and tops[0][0] <= y:
+            gone = rows[heappop(tops)[1]]
+            i = bisect_left(xs, gone[1])
+            while live[i] is not gone:
+                i += 1
+            del xs[i], live[i]
+        i = bisect_left(xs, right)
+        while i:
+            i -= 1
+            ay, ax, aright, atop, a = live[i]
+            if ax < right and x < aright and ay < top and y < atop:
+                return a, b
+            if ax <= x and ax < aright:
+                break
+        i = bisect_left(xs, x)
+        xs.insert(i, x)
+        live.insert(i, row)
+        heappush(tops, (top, seq))
     return None
-
-
-def _placement_columns(pairs: list[tuple[Node, PlacedRect]]):
-    """Gather x/y/x2/y2 columns from placement items (one pass)."""
-    import numpy as np
-
-    n = len(pairs)
-    xs = np.empty(n)
-    ys = np.empty(n)
-    x2 = np.empty(n)
-    y2 = np.empty(n)
-    for i, (_, pr) in enumerate(pairs):
-        xs[i] = pr.x
-        ys[i] = pr.y
-        x2[i] = pr.x + pr.rect.width
-        y2[i] = pr.y + pr.rect.height
-    return xs, ys, x2, y2
 
 
 def validate_placement(
@@ -262,21 +213,25 @@ def validate_placement(
     complete solution of ``instance``.
 
     Checks, in order: completeness (every rectangle placed exactly once, no
-    strays), strip containment, pairwise non-overlap, then the constraints
-    of the specific variant (precedence edges / release times).  Optionally
-    enforces a height budget ``max_height``.
+    strays, no altered dimensions), strip containment rect by rect,
+    pairwise non-overlap, then the constraints of the specific variant
+    (precedence edges / release times).  Optionally enforces a height
+    budget ``max_height``.  The error names the first offender: in
+    placement order for containment and release, in ``dag.edges()`` order
+    for precedence, and the lowest pair the overlap sweep meets.
     """
-    ids = {r.rid for r in instance.rects}
-    placed_ids = {rid for rid, _ in placement.items()}
-    missing = ids - placed_ids
-    if missing:
-        raise InvalidPlacementError(f"{len(missing)} rectangles unplaced, e.g. {next(iter(missing))!r}")
-    stray = placed_ids - ids
-    if stray:
+    by_id = instance.by_id()
+    placed = placement._placed
+    if placed.keys() != by_id.keys():
+        ids = {r.rid for r in instance.rects}
+        placed_ids = {rid for rid, _ in placement.items()}
+        missing = ids - placed_ids
+        if missing:
+            raise InvalidPlacementError(f"{len(missing)} rectangles unplaced, e.g. {next(iter(missing))!r}")
+        stray = placed_ids - ids
         raise InvalidPlacementError(f"placement contains unknown ids, e.g. {next(iter(stray))!r}")
 
-    by_id = instance.by_id()
-    for rid, pr in placement.items():
+    for rid, pr in placed.items():
         r = by_id[rid]
         if pr.rect is not r and pr.rect != r:
             raise InvalidPlacementError(
@@ -284,129 +239,46 @@ def validate_placement(
                 f"({pr.rect} != {r})"
             )
 
-    pairs = list(placement.items())
-    if len(pairs) >= _COLUMNAR_MIN_N:
-        _validate_columnar(instance, placement, pairs, atol, max_height)
-        return
-
-    for rid, pr in pairs:
-        if tol.lt(pr.x, 0.0, atol) or tol.gt(pr.x2, 1.0, atol):
+    # The tolerance predicates inline: tol.lt(x, 0) is x < -atol,
+    # tol.gt(x2, 1) is x2 > 1 + atol, and so on.
+    x_max = 1.0 + atol
+    y_max = math.inf if max_height is None else max_height + atol
+    rows = []
+    for rid, pr in placed.items():
+        x, y = pr.x, pr.y
+        x2, y2 = x + pr.rect.width, y + pr.rect.height
+        if x < -atol or x2 > x_max:
             raise InvalidPlacementError(
-                f"rectangle {rid!r} sticks out horizontally: x in [{pr.x:.6g}, {pr.x2:.6g}]"
+                f"rectangle {rid!r} sticks out horizontally: x in [{x:.6g}, {x2:.6g}]"
             )
-        if tol.lt(pr.y, 0.0, atol):
-            raise InvalidPlacementError(f"rectangle {rid!r} below the strip base: y={pr.y:.6g}")
-        if max_height is not None and tol.gt(pr.y2, max_height, atol):
+        if y < -atol:
+            raise InvalidPlacementError(f"rectangle {rid!r} below the strip base: y={y:.6g}")
+        if y2 > y_max:
             raise InvalidPlacementError(
-                f"rectangle {rid!r} exceeds height budget {max_height:g}: top={pr.y2:.6g}"
+                f"rectangle {rid!r} exceeds height budget {max_height:g}: top={y2:.6g}"
             )
+        rows.append((y, x, x2 - atol, y2 - atol, pr))
 
-    bad = find_overlap((pr for _, pr in pairs), atol)
+    bad = _first_overlap(rows)
     if bad is not None:
-        _raise_overlap(*bad)
+        a, b = bad
+        raise InvalidPlacementError(
+            f"rectangles {a.rect.rid!r} and {b.rect.rid!r} overlap: "
+            f"[{a.x:.4g},{a.x2:.4g}]x[{a.y:.4g},{a.y2:.4g}] vs "
+            f"[{b.x:.4g},{b.x2:.4g}]x[{b.y:.4g},{b.y2:.4g}]"
+        )
 
     if isinstance(instance, PrecedenceInstance):
         for u, v in instance.dag.edges():
-            pu, pv = placement[u], placement[v]
-            if tol.gt(pu.y2, pv.y, atol):
-                _raise_precedence(u, v, pu, pv)
+            pu, pv = placed[u], placed[v]
+            if pu.y + pu.rect.height > pv.y + atol:
+                raise InvalidPlacementError(
+                    f"precedence violated: top({u!r})={pu.y2:.6g} > base({v!r})={pv.y:.6g}"
+                )
 
     if isinstance(instance, ReleaseInstance):
-        for rid, pr in pairs:
-            if tol.lt(pr.y, pr.rect.release, atol):
-                _raise_release(rid, pr)
-
-
-def _raise_containment(
-    check: int, pair: tuple[Node, PlacedRect], max_height: float | None
-) -> None:
-    """Containment error messages of the columnar checks 0/1/2
-    (horizontal, below-base, height budget)."""
-    rid, pr = pair
-    if check == 0:
-        raise InvalidPlacementError(
-            f"rectangle {rid!r} sticks out horizontally: x in [{pr.x:.6g}, {pr.x2:.6g}]"
-        )
-    if check == 1:
-        raise InvalidPlacementError(f"rectangle {rid!r} below the strip base: y={pr.y:.6g}")
-    raise InvalidPlacementError(
-        f"rectangle {rid!r} exceeds height budget {max_height:g}: top={pr.y2:.6g}"
-    )
-
-
-def _raise_overlap(a: PlacedRect, b: PlacedRect) -> None:
-    raise InvalidPlacementError(
-        f"rectangles {a.rect.rid!r} and {b.rect.rid!r} overlap: "
-        f"[{a.x:.4g},{a.x2:.4g}]x[{a.y:.4g},{a.y2:.4g}] vs "
-        f"[{b.x:.4g},{b.x2:.4g}]x[{b.y:.4g},{b.y2:.4g}]"
-    )
-
-
-def _raise_precedence(u: Node, v: Node, pu: PlacedRect, pv: PlacedRect) -> None:
-    raise InvalidPlacementError(
-        f"precedence violated: top({u!r})={pu.y2:.6g} > base({v!r})={pv.y:.6g}"
-    )
-
-
-def _raise_release(rid: Node, pr: PlacedRect) -> None:
-    raise InvalidPlacementError(
-        f"release violated: {rid!r} starts at {pr.y:.6g} < r={pr.rect.release:.6g}"
-    )
-
-
-def _validate_columnar(
-    instance: StripPackingInstance,
-    placement: Placement,
-    pairs: list[tuple[Node, PlacedRect]],
-    atol: float,
-    max_height: float | None,
-) -> None:
-    """Vectorized containment/overlap/precedence/release checks.
-
-    Every comparison is the elementwise image of the scalar tolerance
-    predicate (``tol.lt(a, b)`` becomes ``a < b - atol`` on whole
-    columns), so the accept/reject outcome matches the scalar path
-    exactly; only *which* offender is reported may differ when a
-    placement violates several constraints at once.
-    """
-    import numpy as np
-
-    xs, ys, x2, y2 = _placement_columns(pairs)
-
-    viol = (xs < 0.0 - atol) | (x2 > 1.0 + atol)
-    i = int(viol.argmax())
-    if viol[i]:
-        _raise_containment(0, pairs[i], max_height)
-    viol = ys < 0.0 - atol
-    i = int(viol.argmax())
-    if viol[i]:
-        _raise_containment(1, pairs[i], max_height)
-    if max_height is not None:
-        viol = y2 > max_height + atol
-        i = int(viol.argmax())
-        if viol[i]:
-            _raise_containment(2, pairs[i], max_height)
-
-    bad = find_overlap_columns(xs, ys, x2, y2, atol)
-    if bad is not None:
-        _raise_overlap(pairs[bad[0]][1], pairs[bad[1]][1])
-
-    if isinstance(instance, PrecedenceInstance):
-        edges = list(instance.dag.edges())
-        if edges:
-            pos = {rid: i for i, (rid, _) in enumerate(pairs)}
-            ui = np.fromiter((pos[u] for u, _ in edges), np.intp, count=len(edges))
-            vi = np.fromiter((pos[v] for _, v in edges), np.intp, count=len(edges))
-            viol = y2[ui] > ys[vi] + atol
-            k = int(viol.argmax())
-            if viol[k]:
-                u, v = edges[k]
-                _raise_precedence(u, v, placement[u], placement[v])
-
-    if isinstance(instance, ReleaseInstance):
-        rel = np.fromiter((pr.rect.release for _, pr in pairs), float, count=len(pairs))
-        viol = ys < rel - atol
-        i = int(viol.argmax())
-        if viol[i]:
-            rid, pr = pairs[i]
-            _raise_release(rid, pr)
+        for rid, pr in placed.items():
+            if pr.y < pr.rect.release - atol:
+                raise InvalidPlacementError(
+                    f"release violated: {rid!r} starts at {pr.y:.6g} < r={pr.rect.release:.6g}"
+                )

@@ -37,7 +37,7 @@ import math
 import struct
 from typing import Any, Mapping
 
-from .errors import InvalidInstanceError
+from .errors import InvalidInstanceError, ReproError
 from .instance import PrecedenceInstance, ReleaseInstance, StripPackingInstance
 from .placement import Placement
 from .rectangle import Rect
@@ -88,6 +88,17 @@ def instance_from_dict(data: dict[str, Any]) -> StripPackingInstance:
     kind = data.get("type")
     if kind not in ("plain", "precedence", "release"):
         raise InvalidInstanceError(f"unknown instance type {kind!r}")
+    try:
+        return _build_instance(kind, data)
+    except ReproError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # A field of the wrong JSON type: a string width or K, a list id,
+        # an int where an edge pair belongs.
+        raise InvalidInstanceError(str(exc)) from exc
+
+
+def _build_instance(kind: str, data: dict[str, Any]) -> StripPackingInstance:
     try:
         rects = [
             Rect(

@@ -350,6 +350,28 @@ class TestCommittedAPTASLPArtifact:
         assert committed & quick
 
 
+class TestCommittedValidatorArtifact:
+    """The checked-in timing of validate_placement on three placement shapes."""
+
+    @pytest.fixture(scope="class")
+    def artifact(self):
+        from pathlib import Path
+
+        path = (
+            Path(__file__).resolve().parent.parent
+            / "benchmarks" / "artifacts" / "BENCH_validator.json"
+        )
+        return load_artifact(path)  # schema-validates
+
+    def test_quick_sizes_overlap_for_ci_compare(self, artifact):
+        """CI diffs a --quick run against this artifact; at least one
+        (label, size) point must overlap or compare_artifacts errors."""
+        spec = get_bench("validator")
+        committed = {(p["label"], p["size"]) for p in artifact["points"]}
+        quick = {(e.label, s) for e in spec.entries for s in spec.sweep(quick=True)}
+        assert committed & quick
+
+
 class TestCommittedServiceArtifact:
     """The checked-in throughput artifact of the solve service."""
 

@@ -327,6 +327,36 @@ class TestInputErrors:
         [line] = text.splitlines()
         assert line.startswith("error: invalid instance") and fragment in line
 
+    @pytest.mark.parametrize("command", ["solve", "bounds", "portfolio"])
+    @pytest.mark.parametrize(
+        "instance, fragment",
+        [
+            ({"type": "plain", "rects": [{"id": 0, "width": "x", "height": 1}]}, "'x'"),
+            ({"type": "plain", "rects": [{"id": 0, "width": [1], "height": 1}]}, "list"),
+            ({"type": "release", "K": "abc", "rects": []}, "'abc'"),
+            ({"type": "plain", "rects": 5}, "not iterable"),
+            ({"type": "plain", "rects": [{"id": [0], "width": 0.5, "height": 1}]}, "unhashable"),
+            ({"type": "precedence", "rects": [], "edges": [5]}, "not iterable"),
+            (
+                {
+                    "type": "precedence",
+                    "rects": [{"id": i, "width": 0.5, "height": 1} for i in range(2)],
+                    "edges": [[[0], 1]],
+                },
+                "unhashable",
+            ),
+        ],
+        ids=["str-width", "list-width", "str-K", "int-rects", "list-id", "int-edge",
+             "list-endpoint"],
+    )
+    def test_wrong_typed_field_exits_2(self, command, instance, fragment, tmp_path):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(instance))
+        code, text = run_cli([command, str(path)])
+        assert code == 2
+        [line] = text.splitlines()
+        assert line.startswith(f"error: invalid instance in {path}: ") and fragment in line
+
     def test_non_object_json(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")

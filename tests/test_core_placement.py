@@ -1,8 +1,13 @@
 """Unit tests for placements and the shared validator."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core import tol
 from repro.core.errors import InvalidPlacementError
 from repro.core.instance import PrecedenceInstance, ReleaseInstance, StripPackingInstance
 from repro.core.placement import PlacedRect, Placement, find_overlap, validate_placement
@@ -203,9 +208,10 @@ def test_vertical_stack_always_valid(rects):
 
 
 class TestColumnarValidator:
-    """The vectorized fast path (n >= 64) agrees with the scalar loops."""
+    """Placements of 64 rects or more, where the validator once switched to
+    a numpy columnar path: every rule still holds at that size."""
 
-    N = 80  # past the columnar threshold
+    N = 80
 
     def stack(self, n=None, width=0.5):
         rects = [Rect(rid=i, width=width, height=1.0) for i in range(n or self.N)]
@@ -275,15 +281,16 @@ class TestColumnarValidator:
         with pytest.raises(InvalidPlacementError, match="release violated"):
             validate_placement(inst, p7)
 
-    def defect_case(self, defect):
-        """``(instance, placement, kwargs)``: a valid stack of N rectangles,
-        or the same stack with one ``defect``."""
-        rects, p = self.stack(width=0.9 if defect == "sticks out" else 0.5)
+    def defect_case(self, defect, n=None):
+        """``(instance, placement, kwargs)``: a valid stack of ``n`` (default
+        N) rectangles, or the same stack with one ``defect``."""
+        n = n or self.N
+        rects, p = self.stack(n, width=0.9 if defect == "sticks out" else 0.5)
         kwargs = {}
         if defect == "height budget":
-            kwargs["max_height"] = self.N - 0.5
+            kwargs["max_height"] = n - 0.5
         elif defect == "precedence violated":
-            return PrecedenceInstance(rects, TaskDAG(range(self.N), [(self.N - 1, 0)])), p, kwargs
+            return PrecedenceInstance(rects, TaskDAG(range(n), [(n - 1, 0)])), p, kwargs
         elif defect == "release violated":
             late = [r.replace(release=50.0) if r.rid == 7 else r for r in rects]
             p = make_placement([(r, 0.0, float(i)) for i, r in enumerate(late)])
@@ -292,7 +299,7 @@ class TestColumnarValidator:
             bad = Rect(rid="bad", width=rects[0].width, height=1.0)
             p.place(bad, *{
                 "overlap": (0.25, 0.5),
-                "sticks out": (0.2, float(self.N)),
+                "sticks out": (0.2, float(n)),
                 "below the strip base": (0.0, -0.5),
             }[defect])
             rects = rects + [bad]
@@ -305,83 +312,189 @@ class TestColumnarValidator:
         "valid", "overlap", "sticks-out", "below-base",
         "height-budget", "precedence", "release",
     ])
-    def test_scalar_and_columnar_verdicts_agree(self, monkeypatch, defect):
-        """Both engines accept the valid stack and reject each defect."""
-        import repro.core.placement as placement_module
+    def test_scalar_and_columnar_verdicts_agree(self, defect):
+        """The verdict does not change across the old 64-rect switch: a
+        16-rect stack (once the scalar loops) and an N-rect stack (once the
+        columnar path) are both accepted when valid and both rejected,
+        naming the rule, with each defect."""
 
-        instance, p, kwargs = self.defect_case(defect)
-
-        def verdict():
+        def verdict(n):
+            instance, p, kwargs = self.defect_case(defect, n)
             try:
                 validate_placement(instance, p, **kwargs)
             except InvalidPlacementError as exc:
                 return str(exc)
             return None
 
-        columnar = verdict()
-        monkeypatch.setattr(placement_module, "_COLUMNAR_MIN_N", 10**9)
-        scalar = verdict()
+        at_scale = verdict(self.N)
+        small = verdict(16)
         if defect == "valid":
-            assert columnar is None and scalar is None
+            assert at_scale is None and small is None
         else:
-            assert defect in columnar and defect in scalar
+            assert defect in at_scale and defect in small
+
+    @pytest.mark.parametrize("defects, edges, message", [
+        # Containment runs rect by rect in placement order, so the earlier
+        # rect is named even though "sticks out" is the first rule checked.
+        (
+            [("low", 0.0, -0.5), ("wide", 0.6, 100.0)], [],
+            "rectangle 'low' below the strip base: y=-0.5",
+        ),
+        (
+            [("wide", 0.6, 100.0), ("low", 0.0, -0.5)], [],
+            "rectangle 'wide' sticks out horizontally: x in [0.6, 1.1]",
+        ),
+        # Containment is checked before overlap.
+        (
+            [("over", 0.25, 10.5), ("wide", 0.6, 100.0)], [],
+            "rectangle 'wide' sticks out horizontally: x in [0.6, 1.1]",
+        ),
+        # Of two overlaps, the sweep meets the lower one first; the live
+        # rect comes first in the message.
+        (
+            [("high", 0.25, 60.5), ("over", 0.25, 10.5)], [],
+            "rectangles 10 and 'over' overlap: "
+            "[0,0.5]x[10,11] vs [0.25,0.75]x[10.5,11.5]",
+        ),
+        # Overlap is checked before precedence.
+        (
+            [("over", 0.25, 20.5)], [(N - 1, 0)],
+            "rectangles 20 and 'over' overlap: "
+            "[0,0.5]x[20,21] vs [0.25,0.75]x[20.5,21.5]",
+        ),
+    ], ids=["below-base-first", "sticks-out-first", "containment-before-overlap",
+            "lowest-overlap", "overlap-before-precedence"])
+    def test_first_offender_is_named(self, defects, edges, message):
+        rects, p = self.stack()
+        for rid, x, y in defects:
+            bad = Rect(rid=rid, width=0.5, height=1.0)
+            p.place(bad, x, y)
+            rects.append(bad)
+        instance = PrecedenceInstance(rects, TaskDAG([r.rid for r in rects], edges))
+        with pytest.raises(InvalidPlacementError) as info:
+            validate_placement(instance, p)
+        assert str(info.value) == message
 
     @given(rect_lists(min_size=64, max_size=96, max_h=1.5))
     def test_shelf_layouts_valid_both_paths(self, rects):
-        """The columnar path accepts what the scalar path accepts."""
+        """BFDH shelves of 64 to 96 rects validate."""
         from repro.packing import bfdh
 
         result = bfdh(rects)
         inst = StripPackingInstance(rects)
-        validate_placement(inst, result.placement)  # columnar (n >= 64)
+        validate_placement(inst, result.placement)
         for rid, pr in list(result.placement.items())[:8]:
-            # spot-check the scalar predicates on a sample
+            # spot-check the containment predicate on a sample
             assert 0.0 <= pr.x <= 1.0 - pr.rect.width + 1e-9
 
 
-def test_find_overlap_engines_agree():
-    """Scalar sweep and columnar sweep agree on overlap existence."""
-    import numpy as np
+# ----------------------------------------------------------------------
+# find_overlap against the pairwise predicate
+# ----------------------------------------------------------------------
 
-    from repro.core.placement import find_overlap_columns
+ATOL = tol.ATOL
+#: ATOL multiples at and around the tolerance, both ways.
+NEAR_ATOL = (0.0, 0.99, 1.0, 1.01, -0.99, -1.0, -1.01)
 
-    rng = np.random.default_rng(5)
-    for trial in range(20):
-        n = 120
-        ws = rng.uniform(0.05, 0.4, n)
-        xs = rng.uniform(0.0, 0.6, n)
-        ys = rng.uniform(0.0, 6.0, n)
-        hs = rng.uniform(0.05, 0.8, n)
-        placed = [
-            PlacedRect(Rect(rid=i, width=float(ws[i]), height=float(hs[i])),
-                       float(xs[i]), float(ys[i]))
-            for i in range(n)
-        ]
-        scalar = find_overlap((pr for pr in placed))
-        x2 = np.array([pr.x + pr.rect.width for pr in placed])
-        y2 = np.array([pr.y + pr.rect.height for pr in placed])
-        columnar = find_overlap_columns(
-            np.asarray(xs), np.asarray(ys), x2, y2
+
+def assert_matches_pairwise(placed):
+    """``find_overlap`` finds a pair exactly when the O(n^2) loop over
+    :meth:`PlacedRect.overlaps` does, and the pair it names overlaps."""
+    pairwise = any(a.overlaps(b) for a, b in itertools.combinations(placed, 2))
+    found = find_overlap(placed)
+    assert (found is not None) == pairwise, found
+    if found is not None:
+        a, b = found
+        assert a is not b and a.overlaps(b)
+
+
+# Coordinates on an eighths grid nudged by ATOL multiples, and sizes that
+# include slivers narrower or lower than ATOL, which rect_lists (minimum
+# 0.01) never draws.
+coords = st.builds(
+    lambda k, d: k / 8 + d * ATOL, st.integers(0, 16), st.sampled_from(NEAR_ATOL)
+)
+sizes = st.one_of(
+    st.floats(0.01, 0.6),
+    st.sampled_from([0.125, 0.25, 0.5]),
+    st.floats(1e-12, 3 * ATOL),
+)
+
+
+@st.composite
+def placed_rects(draw):
+    n = draw(st.integers(0, 24))
+    return [
+        PlacedRect(Rect(rid=i, width=draw(sizes), height=draw(sizes)), draw(coords), draw(coords))
+        for i in range(n)
+    ]
+
+
+@given(placed_rects())
+def test_find_overlap_matches_pairwise_on_random_placements(placed):
+    assert_matches_pairwise(placed)
+
+
+def mutants(placed, rng):
+    """One-rect mutants of a packing: shifted by ATOL multiples, widened,
+    or dropped onto a neighbour."""
+    for k, pr in enumerate(placed):
+        other = placed[rng.randrange(len(placed))]
+        f = rng.choice(NEAR_ATOL[1:])
+        rect = pr.rect
+        wider = rect.replace(width=min(1.0, rect.width + abs(f) * ATOL))
+        for moved in (
+            PlacedRect(rect, pr.x + f * ATOL, pr.y),
+            PlacedRect(rect, pr.x, pr.y + f * ATOL),
+            PlacedRect(wider, pr.x, pr.y),
+            PlacedRect(rect, other.x + f * ATOL, other.y),
+            PlacedRect(rect, other.x, other.y + other.rect.height + f * ATOL),
+            PlacedRect(rect, other.x + other.rect.width + f * ATOL, other.y),
+        ):
+            yield placed[:k] + [moved] + placed[k + 1:]
+
+
+def with_slivers(placed, rng):
+    """``placed`` plus, shuffled in, a sliver narrower than ATOL on each
+    rect's left edge and one lower than ATOL on its base: the slivers
+    overlap nothing, but they sit between rects in x order or share a
+    rect's base and x-range."""
+    slivers = [
+        PlacedRect(Rect(rid=(kind, pr.rect.rid), width=w, height=h), pr.x, pr.y)
+        for pr in placed
+        for kind, w, h in (
+            ("narrow", ATOL / 10, pr.rect.height),
+            ("flat", pr.rect.width, ATOL / 10),
         )
-        assert (scalar is None) == (columnar is None)
-        if columnar is not None:
-            i, j = columnar
-            assert placed[i].overlaps(placed[j])
+    ]
+    out = placed + slivers
+    rng.shuffle(out)
+    return out
 
 
-def test_find_overlap_columns_small_pair_budget():
-    """Chunked candidate batches find the pair regardless of budget."""
+@pytest.mark.parametrize("packer", ["nfdh", "ffdh", "bfdh", "bottom_left"])
+def test_find_overlap_matches_pairwise_on_packer_mutants(packer):
     import numpy as np
 
-    from repro.core.placement import find_overlap_columns
+    from repro import packing
+    from repro.workloads.random_rects import powerlaw_rects, uniform_rects
 
-    n = 70
-    xs = np.zeros(n)
-    ys = np.arange(n, dtype=float)
-    x2 = np.full(n, 0.5)
-    y2 = ys + 1.0
-    ys[-1] = 10.25  # drop the last rect into the middle of the stack
-    y2[-1] = 11.25
-    pair = find_overlap_columns(xs, ys, x2, y2, pair_budget=4)
-    assert pair is not None
-    assert n - 1 in pair and (pair[0] in (10, 11) or pair[1] in (10, 11))
+    rng = random.Random(packer)
+    for seed in range(4):
+        make = powerlaw_rects if seed % 2 else uniform_rects
+        rects = make(12, np.random.default_rng(seed))
+        placed = list(getattr(packing, packer)(rects).placement)
+        for base in (placed, with_slivers(placed, rng)):
+            assert find_overlap(base) is None
+            for mutant in mutants(base, rng):
+                assert_matches_pairwise(mutant)
+
+
+def test_find_overlap_walks_past_a_sliver():
+    """A sliver between two overlapping rects in x order overlaps neither:
+    testing only a new rect's x-neighbours misses the pair."""
+    a = PlacedRect(Rect(rid="a", width=0.5, height=1.0), 0.0, 0.0)
+    p = PlacedRect(Rect(rid="p", width=1e-10, height=1.0), 0.0, 0.0)
+    b = PlacedRect(Rect(rid="b", width=0.2, height=1.0), 0.1, 0.5)
+    for order in itertools.permutations([a, p, b]):
+        assert {pr.rect.rid for pr in find_overlap(list(order))} == {"a", "b"}

@@ -6,9 +6,9 @@ import the simulator, the bench package, the trend gate, the chaos
 harness or the load generator.  ``repro.core``, ``repro.dag``,
 ``repro.geometry`` and ``repro.analysis`` do the same for their
 numpy-importing modules, so a process imports numpy at its first numeric
-solve.  These tests pin both halves: every public name still resolves to
-its defining module's object, and a fresh interpreter leaves those
-modules unimported.
+solve, and no plain or precedence solve is one.  These tests pin both
+halves: every public name still resolves to its defining module's object,
+and a fresh interpreter leaves those modules unimported.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ HOMES = {
         "repro.core.instance": ["StripPackingInstance", "PrecedenceInstance", "ReleaseInstance"],
         "repro.core.placement": [
             "Placement", "PlacedRect", "validate_placement", "find_overlap",
-            "find_overlap_columns",
         ],
         "repro.core.rectangle": [
             "Rect", "decreasing_height_order", "total_area", "max_height", "max_width",
@@ -212,35 +211,61 @@ def test_a_server_imports_only_the_serving_stack():
     assert json.loads(done.stdout) == []
 
 
-# What a fleet router and a worker run for one /solve miss, at n = 16 and
-# then n = 64 rects: whether each answer is valid and whether numpy is
-# loaded after it.
+# What a fleet router and a worker run for one /solve miss of 100 rects,
+# for every spec and variant, the specs that import repro.release last:
+# the spec, the variant, whether the answer is valid and whether numpy
+# is loaded after it.
 _SOLVE_IMPORTS = """
 import json, sys
 import repro.cli
 repro.cli.build_parser()
 import repro.service.router, repro.service.worker
-from repro.engine import run
+from repro.engine import all_specs, run
 from repro.service.cache import ResultCache
 from repro.service.server import encode_report, parse_json_body, resolve_solve_request
 
-def solve(n):
-    rects = [{"id": i, "width": 0.05 + i % 9 / 10, "height": 0.5 + i % 4} for i in range(n)]
-    body = {"instance": {"type": "plain", "rects": rects}, "algorithm": "ffdh"}
-    key, name, params, instance = resolve_solve_request(parse_json_body(json.dumps(body).encode()))
-    report = run(instance, name, params=params)
-    ResultCache().put(key, encode_report(report))
-    return [report.valid, "numpy" in sys.modules]
+N = 100
+NUMERIC = sys.argv[1:]
 
-print(json.dumps([solve(16), solve(64)]))
+def instance(variant):
+    if variant == "release":
+        rects = [
+            {"id": i, "width": (1 + i % 4) / 4, "height": 0.25 + i % 3 / 4, "release": i // 25}
+            for i in range(N)
+        ]
+        return {"type": "release", "K": 4, "rects": rects}
+    # Unit heights: shelf_next_fit requires them.
+    rects = [{"id": i, "width": 0.05 + i % 9 / 10, "height": 1.0} for i in range(N)]
+    if variant == "plain":
+        return {"type": "plain", "rects": rects}
+    edges = [[i, i + 7] for i in range(0, N - 7, 3)]
+    return {"type": "precedence", "rects": rects, "edges": edges}
+
+def solve(name, variant):
+    body = {"instance": instance(variant), "algorithm": name}
+    key, name, params, inst = resolve_solve_request(parse_json_body(json.dumps(body).encode()))
+    report = run(inst, name, params=params)
+    ResultCache().put(key, encode_report(report))
+    return [name, variant, report.valid, "numpy" in sys.modules]
+
+specs = sorted(all_specs(), key=lambda spec: spec.name in NUMERIC)
+print(json.dumps([solve(spec.name, variant) for spec in specs for variant in spec.variants]))
 """
+
+#: The specs whose solve imports numpy: the APTAS modules run on numpy
+#: columns, and ``repro.release`` imports them for every release baseline.
+NUMERIC = ("aptas", "release_bl", "release_shelf")
 
 
 def test_numpy_loads_at_the_first_numeric_solve():
-    """A 16-rect ffdh solve runs on lists and the key is pure Python, so
-    numpy stays unimported; a 64-rect one validates on numpy columns."""
-    done = _run_fresh(_SOLVE_IMPORTS)
+    """Every other spec solves, keys, encodes, stores and validates a
+    100-rect body on Python lists, so numpy stays unimported; it loads
+    at the first solve by a numeric spec."""
+    done = _run_fresh(_SOLVE_IMPORTS, *NUMERIC)
     assert done.returncode == 0, done.stderr
-    small, large = json.loads(done.stdout)
-    assert small == [True, False]
-    assert large == [True, True]
+    solves = json.loads(done.stdout)
+    assert all(valid for _, _, valid, _ in solves)
+    lean = [(name, variant, numpy) for name, variant, _, numpy in solves if name not in NUMERIC]
+    assert lean and not any(numpy for _, _, numpy in lean), lean
+    first_numeric = solves[len(lean)]
+    assert first_numeric[0] in NUMERIC and first_numeric[3], first_numeric

@@ -416,10 +416,15 @@ class TestErrorMapping:
         assert "unparsed" not in snap["endpoints"]  # no latency samples
         assert snap["latency"].get("count", 0) == before
 
-    def test_unmatched_paths_share_one_metrics_key(self, conn):
-        for path in ("/scan1", "/scan2", "/scan3"):
-            _request(conn, "GET", path)
-        _, _, raw = _request(conn, "GET", "/metrics")
+    def test_unmatched_paths_share_one_metrics_key(self):
+        """On a server of its own: a session step elsewhere in this module
+        adds a dynamic endpoint label to the shared server's ``/metrics``."""
+        with InProcessServer() as srv:
+            conn = http.client.HTTPConnection(srv.host, srv.port, timeout=30)
+            for path in ("/scan1", "/scan2", "/scan3"):
+                _request(conn, "GET", path)
+            _, _, raw = _request(conn, "GET", "/metrics")
+            conn.close()
         by_endpoint = json.loads(raw)["requests"]["by_endpoint"]
         assert "/scan1" not in by_endpoint
         assert by_endpoint.get("unmatched", 0) >= 3
